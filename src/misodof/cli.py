@@ -20,7 +20,7 @@ from datetime import datetime, timezone
 import numpy as np
 from numpy.random import Generator, Philox
 
-from . import __version__
+from . import __version__, mc
 from .channel import CsitConfig
 from .mc import McConfig, NonFiniteSampleError
 from .oracles import (
@@ -50,18 +50,37 @@ CSV_HEADER = [
 ]
 
 
+class _Exit(Exception):
+    """Ends a command with exit ``code`` and a one-line message on stderr."""
+
+    def __init__(self, code, message):
+        super().__init__(message)
+        self.code = code
+
+
 def _fmt(x):
     return format(float(x), ".12g")
 
 
-def _fallback_seed():
-    env = os.environ.get("MISO_DOF_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise SystemExit(2)
-    return 0
+def _mc_config(args):
+    """McConfig from --samples, --workers and --seed (else MISO_DOF_SEED, else 0)."""
+    env = os.environ.get("MISO_DOF_SEED", "0")
+    try:
+        seed = args.seed if args.seed is not None else int(env)
+    except ValueError:
+        raise _Exit(2, f"MISO_DOF_SEED must be an integer, got {env!r}") from None
+    try:
+        return McConfig(args.samples, seed, getattr(args, "workers", 1))
+    except ValueError as exc:
+        raise _Exit(2, str(exc)) from None
+
+
+def _cell_configs(grid, cfg_builder):
+    """(snr_db, CsitConfig) per grid point."""
+    try:
+        return [(db, cfg_builder(10.0 ** (float(db) / 10.0))) for db in grid]
+    except (OverflowError, ValueError) as exc:
+        raise _Exit(2, f"SNR grid {grid[0]:g}..{grid[-1]:g} dB out of range ({exc})") from None
 
 
 def _resolve_exponent(value, name, warn=True):
@@ -158,17 +177,19 @@ def _scheme_list(name):
     return [Scheme(name)]
 
 
-def _rate_rows(schemes, cfg_builder, grid, mc_cfg):
+def _rate_rows(schemes, cells, mc_cfg):
     rows = []
-    for snr_db in grid:
-        snr_p = 10.0 ** (snr_db / 10.0)
-        cfg = cfg_builder(snr_p)
+    for snr_db, cfg in cells:
         for scheme in schemes:
-            res = rate_scheme(scheme, cfg, mc_cfg)
+            cell = f"snr_db {_fmt(snr_db)}, scheme {scheme.value}"
+            try:
+                res = rate_scheme(scheme, cfg, mc_cfg)
+            except NonFiniteSampleError as exc:
+                raise _Exit(3, f"{exc} in cell ({cell})") from exc
             rsum = res.r1 + res.r2
             stderr_sum = math.sqrt(res.se_r1 ** 2 + res.se_r2 ** 2)
             if not all(math.isfinite(v) for v in (res.r1, res.r2, rsum)):
-                raise NonFiniteSampleError(-1)
+                raise _Exit(3, f"non-finite rate in cell ({cell})")
             rows.append([
                 _fmt(snr_db), scheme.value, _fmt(cfg.alpha),
                 _fmt(res.r1), _fmt(res.r2), _fmt(rsum), _fmt(stderr_sum),
@@ -206,14 +227,10 @@ def cmd_rates(args, argv):
     if min(grid) <= 0:
         print("error: SNR must be positive in dB (P > 1 linear)", file=sys.stderr)
         return 2
-    seed = args.seed if args.seed is not None else _fallback_seed()
-    mc_cfg = McConfig(n_samples=args.samples, seed=seed, n_workers=args.workers)
-    schemes = _scheme_list(args.scheme)
-    try:
-        rows = _rate_rows(schemes, cfg_builder, grid, mc_cfg)
-    except NonFiniteSampleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    cells = _cell_configs(grid, cfg_builder)
+    mc_cfg = _mc_config(args)
+    seed = mc_cfg.seed
+    rows = _rate_rows(_scheme_list(args.scheme), cells, mc_cfg)
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_HEADER)
@@ -258,16 +275,12 @@ def cmd_slopes(args, argv):
         print(f"error: malformed --snr-db-range {args.snr_db_range!r}; expected lo:hi",
               file=sys.stderr)
         return 2
-    seed = args.seed if args.seed is not None else _fallback_seed()
-    mc_cfg = McConfig(n_samples=args.samples, seed=seed, n_workers=args.workers)
     grid = [round(v, 12) for v in np.linspace(lo, hi, args.points)]
+    cells = _cell_configs(grid, lambda p: CsitConfig.from_alpha(p, alpha))
+    mc_cfg = _mc_config(args)
+    seed = mc_cfg.seed
     scheme = Scheme(args.scheme)
-    try:
-        rows = _rate_rows([scheme], lambda p: CsitConfig.from_alpha(p, alpha),
-                          grid, mc_cfg)
-    except NonFiniteSampleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    rows = _rate_rows([scheme], cells, mc_cfg)
     rsum = [float(r[5]) for r in rows]
     log2_p = [db / 10.0 * LOG2_10 for db in grid]
     slope, ci95 = _fit_slope(log2_p, rsum)
@@ -317,15 +330,13 @@ def _run_oracle_suite(strict=False, max_panels=None, samples=1_000_000, seed=0,
 
     try:
         gamma_quad = exp_log_mean(quad_cfg)
-        from .mc import McConfig as _McConfig, estimate as _estimate
-
         cfg = CsitConfig.from_sigma_sq(100.0, 0.25)
 
         def f(batch):
             mag_sq = batch.g_tilde[:, 0].real ** 2 + batch.g_tilde[:, 0].imag ** 2
             return np.log2(mag_sq / cfg.sigma_sq)
 
-        est = _estimate(f, _McConfig(n_samples=samples, seed=seed), cfg)
+        est = mc.estimate(f, McConfig(n_samples=samples, seed=seed), cfg)
         diff = abs(gamma_quad - est.mean)
         ok = diff <= 5.0 * est.std_error
         print(f"exp-log-constant: quadrature {gamma_quad:.6f} vs mc {est.mean:.6f} "
@@ -356,9 +367,9 @@ def _run_oracle_suite(strict=False, max_panels=None, samples=1_000_000, seed=0,
 
 
 def cmd_oracles(args):
-    seed = args.seed if args.seed is not None else _fallback_seed()
+    mc_cfg = _mc_config(args)
     return _run_oracle_suite(strict=args.strict, max_panels=args.max_panels,
-                             samples=args.samples, seed=seed)
+                             samples=mc_cfg.n_samples, seed=mc_cfg.seed)
 
 
 def _build_parser():
@@ -420,13 +431,17 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    if args.command == "region":
-        return cmd_region(args)
-    if args.command == "rates":
-        return cmd_rates(args, argv)
-    if args.command == "slopes":
-        return cmd_slopes(args, argv)
-    return cmd_oracles(args)
+    try:
+        if args.command == "region":
+            return cmd_region(args)
+        if args.command == "rates":
+            return cmd_rates(args, argv)
+        if args.command == "slopes":
+            return cmd_slopes(args, argv)
+        return cmd_oracles(args)
+    except _Exit as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return exc.code
 
 
 def cli():

@@ -7,12 +7,12 @@ TDMA / ZF / MAT-style / rate-split-ZF baselines.  Expectations are Monte
 Carlo estimates over joint draws of channels and estimates; transmit policies
 may depend on the estimates only.
 
-Covariances are handled in two forms: explicit (..., 2, 2) matrices on the
-public surface, and rank-1 component lists ``((coeff, direction), ...)``
-inside the Monte Carlo integrands.  The component form matters numerically:
-at very high SNR the matrix entries are ~P while quadratic forms along
-nulled directions are O(1), and forming the matrix first loses them to
-cancellation.
+Covariances are explicit (..., 2, 2) matrices on the public surface.  Inside
+the Monte Carlo integrands every quadratic form is summed beam by beam from
+one kernel's projections of h and g onto the unit estimate directions.  That
+matters numerically: at very high SNR the matrix entries are ~P while
+quadratic forms along nulled directions are O(1), and forming the matrix
+first loses them to cancellation.
 """
 
 from __future__ import annotations
@@ -115,12 +115,23 @@ class CommonMessageRates:
     se_r_p2: float
 
 
-def _unit_or(x, fallback):
+def _abs2(z):
+    return z.real ** 2 + z.imag ** 2
+
+
+def _unit_cols(x, fallback):
+    """Entries (w_1, w_2) of w = x/|x|, or of ``fallback`` where |x| < _ZERO_DIR_TOL."""
     x = np.asarray(x, dtype=complex)
-    norm = np.sqrt(np.sum(x.real ** 2 + x.imag ** 2, axis=-1))
+    x1, x2 = x[..., 0], x[..., 1]
+    norm = np.sqrt(_abs2(x1) + _abs2(x2))
     degenerate = norm < _ZERO_DIR_TOL
-    unit = x / np.where(degenerate, 1.0, norm)[..., None]
-    return np.where(degenerate[..., None], fallback, unit)
+    inv = 1.0 / np.where(degenerate, 1.0, norm)
+    return (np.where(degenerate, fallback[0], x1 * inv),
+            np.where(degenerate, fallback[1], x2 * inv))
+
+
+def _unit_or(x, fallback):
+    return np.stack(_unit_cols(x, fallback), axis=-1)
 
 
 def _perp_unit(x, fallback):
@@ -129,42 +140,44 @@ def _perp_unit(x, fallback):
     return _unit_or(v, fallback)
 
 
-def _inner(x, w):
-    return np.sum(np.conj(x) * w, axis=-1)
-
-
-def _inner_mag_sq(x, w):
-    ip = _inner(x, w)
-    return ip.real ** 2 + ip.imag ** 2
-
-
-def _quad(x, q):
-    """x^H Q x for a covariance given as matrix or rank-1 components."""
-    if isinstance(q, np.ndarray):
-        return interference_power(x, q)
-    total = 0.0
-    for coeff, w in q:
-        total = total + coeff * _inner_mag_sq(x, w)
-    return total
-
-
 def _pair_entries(h, g, q):
-    """Entries (m00, m11, m01) of S Q S^H with S = [h^H; g^H]."""
-    if isinstance(q, np.ndarray):
-        s = np.stack([np.conj(h), np.conj(g)], axis=-2)
-        sh = np.conj(np.swapaxes(s, -1, -2))
-        m = s @ np.asarray(q, dtype=complex) @ sh
-        return m[..., 0, 0].real, m[..., 1, 1].real, m[..., 0, 1]
-    m00 = 0.0
-    m11 = 0.0
-    m01 = 0.0 + 0.0j
-    for coeff, w in q:
-        iph = _inner(h, w)
-        ipg = _inner(g, w)
-        m00 = m00 + coeff * (iph.real ** 2 + iph.imag ** 2)
-        m11 = m11 + coeff * (ipg.real ** 2 + ipg.imag ** 2)
-        m01 = m01 + coeff * iph * np.conj(ipg)
-    return m00, m11, m01
+    """Entries (m00, m11, |m01|^2) of S Q S^H with S = [h^H; g^H]."""
+    s = np.stack([np.conj(h), np.conj(g)], axis=-2)
+    sh = np.conj(np.swapaxes(s, -1, -2))
+    m = s @ np.asarray(q, dtype=complex) @ sh
+    return m[..., 0, 0].real, m[..., 1, 1].real, _abs2(m[..., 0, 1])
+
+
+def _project(batch, est, fallback):
+    """The one kernel behind every scheme's integrand: coefficients w^H x of
+    h and g along the unit estimate direction w = est/|est| and along
+    w-perp = (-conj(w_2), conj(w_1)), as (n,) complex columns (h.w, h.w-perp,
+    g.w, g.w-perp).  A zero estimate's w falls back to the given axis, and
+    w-perp to the other axis up to a sign, which no beam power or m01 sees.
+    """
+    w1, w2 = _unit_cols(est, fallback)
+    w1c, w2c = np.conj(w1), np.conj(w2)
+    cols = []
+    for x in (batch.h, batch.g):
+        # x before w: complex products are not bitwise commutative, and this
+        # order keeps each column bitwise equal to conj(x^H w).
+        par = x[:, 0] * w1c
+        par += x[:, 1] * w2c
+        perp = x[:, 1] * w1
+        perp -= x[:, 0] * w2
+        cols += (par, perp)
+    return cols
+
+
+def _beam_pair(cols, a, b):
+    # Entries (m00, m11, |m01|^2) of S Q S^H for Q = a w-perp w-perp^H + b w w^H
+    # from one direction's kernel columns, plus |h.w-perp|^2 and |g.w-perp|^2.
+    h_par, h_perp, g_par, g_perp = cols
+    h_perp2, g_perp2 = _abs2(h_perp), _abs2(g_perp)
+    m00 = a * h_perp2 + b * _abs2(h_par)
+    m11 = a * g_perp2 + b * _abs2(g_par)
+    off = _abs2(a * h_perp * np.conj(g_perp) + b * h_par * np.conj(g_par))
+    return (m00, m11, off), h_perp2, g_perp2
 
 
 def _power_split(cfg):
@@ -236,11 +249,6 @@ def default_phase2_policy(cfg, h_hat, g_hat):
     return _matrix_of(comps["q_c"]), _matrix_of(comps["q_p1"]), _matrix_of(comps["q_p2"])
 
 
-def _phase2_component_policy(cfg, h_hat, g_hat):
-    comps = _policy_components(cfg, h_hat, g_hat)
-    return comps["q_c"], comps["q_p1"], comps["q_p2"]
-
-
 def interference_power(h, q_v):
     """Quadratic form h^H Q h: received power of a covariance at channel h."""
     h = np.asarray(h, dtype=complex)
@@ -252,7 +260,8 @@ def quantization_rate(d_tilde):
     """Bits per symbol needed to quantize a unit source at distortion d_tilde."""
     if not 0.0 < d_tilde <= 1.0:
         raise ValueError(f"normalized distortion must lie in (0, 1], got {d_tilde}")
-    return -math.log2(d_tilde)
+    # log2 is <= 0 on (0, 1]; abs() also turns -log2(1) = -0.0 into 0.0
+    return abs(math.log2(d_tilde))
 
 
 def _side_gain(sig, d_tilde):
@@ -265,25 +274,25 @@ def _side_gain(sig, d_tilde):
     return np.where(useless, 0.0, (1.0 - d_tilde) / den)
 
 
-def _det_rowscaled(m00, m11, m01, r0, r1):
-    # det(I + diag(r0, r1) @ M) for Hermitian M given by its entries
-    off = m01.real ** 2 + m01.imag ** 2 if np.iscomplexobj(m01) else m01 ** 2
+def _det_rowscaled(m00, m11, off, r0, r1):
+    # det(I + diag(r0, r1) @ M) for Hermitian M given by m00, m11, |m01|^2
     return (1.0 + r0 * m00) * (1.0 + r1 * m11) - r0 * r1 * off
 
 
-def _mimo_pair(h, g, q_u, q_v, d1, d2):
+def _mimo_logdets(u, v, d1, d2):
     """Per-sample rates of both users' equivalent 2x2 channels (phase 1).
 
-    Each receiver stacks its direct observation (aligned interference
-    removed, residual quantization noise folded into the noise floor) with
-    the decoded quantized version of what the other receiver overheard.
+    ``u``, ``v``: the ``_pair_entries`` of q_u and q_v.  Each receiver stacks
+    its direct observation (aligned interference removed, residual
+    quantization noise folded into the noise floor) with the decoded
+    quantized version of what the other receiver overheard.
     """
-    u00, u11, u01 = _pair_entries(h, g, q_u)
-    v00, v11, v01 = _pair_entries(h, g, q_v)
+    u00, u11, u_off = u
+    v00, v11, v_off = v
     sig1 = np.maximum(v00, 0.0)   # interference power seen by user 1
     sig2 = np.maximum(u11, 0.0)   # interference power seen by user 2
-    det1 = _det_rowscaled(u00, u11, u01, 1.0 / (1.0 + sig1 * d1), _side_gain(sig2, d2))
-    det2 = _det_rowscaled(v00, v11, v01, _side_gain(sig1, d1), 1.0 / (1.0 + sig2 * d2))
+    det1 = _det_rowscaled(u00, u11, u_off, 1.0 / (1.0 + sig1 * d1), _side_gain(sig2, d2))
+    det2 = _det_rowscaled(v00, v11, v_off, _side_gain(sig1, d1), 1.0 / (1.0 + sig2 * d2))
     return np.log2(np.maximum(det1, 1.0)), np.log2(np.maximum(det2, 1.0))
 
 
@@ -293,32 +302,43 @@ def mimo_rate(sample, policy, user):
         raise ValueError(f"user must be 1 or 2, got {user}")
     for q in (policy.q_u, policy.q_v):
         _check_psd(q)
-    m1, m2 = _mimo_pair(sample.h, sample.g, np.asarray(policy.q_u),
-                        np.asarray(policy.q_v), policy.d1_tilde, policy.d2_tilde)
+    m1, m2 = _mimo_logdets(_pair_entries(sample.h, sample.g, policy.q_u),
+                           _pair_entries(sample.h, sample.g, policy.q_v),
+                           policy.d1_tilde, policy.d2_tilde)
     return float(m1 if user == 1 else m2)
 
 
-def _phase2_terms(batch, q_c, q_p1, q_p2):
-    # Per-sample log terms of the common-message region: common message
-    # decoded under both privates, then each private under the other.
-    ch = np.maximum(_quad(batch.h, q_c), 0.0)
-    ph1 = np.maximum(_quad(batch.h, q_p1), 0.0)
-    ph2 = np.maximum(_quad(batch.h, q_p2), 0.0)
-    cg = np.maximum(_quad(batch.g, q_c), 0.0)
-    pg1 = np.maximum(_quad(batch.g, q_p1), 0.0)
-    pg2 = np.maximum(_quad(batch.g, q_p2), 0.0)
-    t_c_h = np.log2(1.0 + ch / (1.0 + ph1 + ph2))
-    t_c_g = np.log2(1.0 + cg / (1.0 + pg1 + pg2))
-    t_p1 = np.log2(1.0 + ph1 / (1.0 + ph2))
-    t_p2 = np.log2(1.0 + pg2 / (1.0 + pg1))
-    return np.stack([t_c_h, t_c_g, t_p1, t_p2], axis=-1)
+def _phase2_logs(ch, ph1, ph2, cg, pg1, pg2, out):
+    # Per-sample log terms of the common-message region from the received
+    # powers of q_c, q_p1, q_p2 at h and g, into columns 0-3 of ``out``:
+    # common message under both privates, then each private under the other.
+    out[:, 0] = np.log2(1.0 + ch / (1.0 + ph1 + ph2))
+    out[:, 1] = np.log2(1.0 + cg / (1.0 + pg1 + pg2))
+    out[:, 2] = np.log2(1.0 + ph1 / (1.0 + ph2))
+    out[:, 3] = np.log2(1.0 + pg2 / (1.0 + pg1))
+    return out
 
 
-def _phase2_triple(pol):
-    if isinstance(pol, PowerPolicy):
-        return pol.q_c, pol.q_p1, pol.q_p2
-    q_c, q_p1, q_p2 = pol
-    return q_c, q_p1, q_p2
+def _policy_phase2(batch, g_perp2, h_perp2, p_c, p_p, out):
+    # Phase-2 log terms of the default policy: q_c = (p_c/2) I and
+    # q_p1, q_p2 = (p_p/2) along g_hat-perp, h_hat-perp.  ``g_perp2`` holds
+    # |h.g_hat-perp|^2 and |g.g_hat-perp|^2, ``h_perp2`` the same for h_hat.
+    c, s = p_c / 2.0, p_p / 2.0
+    ch = c * _abs2(batch.h[:, 0]) + c * _abs2(batch.h[:, 1])
+    cg = c * _abs2(batch.g[:, 0]) + c * _abs2(batch.g[:, 1])
+    return _phase2_logs(ch, s * g_perp2[0], s * h_perp2[0],
+                        cg, s * g_perp2[1], s * h_perp2[1], out)
+
+
+def _common_message_rates(est):
+    # The common rate takes the outer min of the two users' expectations.
+    mean, se = est.mean, est.std_error
+    branch = 0 if mean[0] <= mean[1] else 1
+    return CommonMessageRates(
+        r_c=float(mean[branch]), se_r_c=float(se[branch]),
+        r_p1=float(mean[2]), se_r_p1=float(se[2]),
+        r_p2=float(mean[3]), se_r_p2=float(se[3]),
+    )
 
 
 def rate_common_message(cfg, policy_map, mc_cfg):
@@ -332,17 +352,14 @@ def rate_common_message(cfg, policy_map, mc_cfg):
     """
 
     def f(batch):
-        q_c, q_p1, q_p2 = _phase2_triple(policy_map(cfg, batch.h_hat, batch.g_hat))
-        return _phase2_terms(batch, q_c, q_p1, q_p2)
+        qs = policy_map(cfg, batch.h_hat, batch.g_hat)
+        if isinstance(qs, PowerPolicy):
+            qs = (qs.q_c, qs.q_p1, qs.q_p2)
+        return _phase2_logs(*(np.maximum(interference_power(x, q), 0.0)
+                              for x in (batch.h, batch.g) for q in qs),
+                            np.empty((batch.n, 4)))
 
-    est = mc.estimate(f, mc_cfg, cfg)
-    mean, se = est.mean, est.std_error
-    branch = 0 if mean[0] <= mean[1] else 1
-    return CommonMessageRates(
-        r_c=float(mean[branch]), se_r_c=float(se[branch]),
-        r_p1=float(mean[2]), se_r_p1=float(se[2]),
-        r_p2=float(mean[3]), se_r_p2=float(se[3]),
-    )
+    return _common_message_rates(mc.estimate(f, mc_cfg, cfg))
 
 
 def _combine_rate(r_c, se_c, r_m, se_m, r_p, se_p, r_eta):
@@ -367,46 +384,47 @@ def rate_proposed(cfg, mc_cfg, policy_cfg=None):
     pcfg = cfg if policy_cfg is None else policy_cfg
     if pcfg.snr_p != cfg.snr_p:
         raise ValueError("policy config must use the same transmit power")
+    p1, p2, p_c, p_p = _power_split(pcfg)
+    a, b = p1 / 2.0, p2 / 2.0
     d_tilde = _distortion(pcfg)
     r_eta1 = r_eta2 = quantization_rate(d_tilde)
     r_eta = r_eta1 + r_eta2
 
     def f(batch):
-        comps = _policy_components(pcfg, batch.h_hat, batch.g_hat)
-        terms = _phase2_terms(batch, comps["q_c"], comps["q_p1"], comps["q_p2"])
-        m1, m2 = _mimo_pair(batch.h, batch.g, comps["q_u"], comps["q_v"],
-                            d_tilde, d_tilde)
-        return np.concatenate([terms, np.stack([m1, m2], axis=-1)], axis=-1)
+        # q_u = a g_hat-perp + b g_hat and q_v = a h_hat-perp + b h_hat,
+        # one beam pair per estimate direction
+        u, *g_perp2 = _beam_pair(_project(batch, batch.g_hat, _E2), a, b)
+        v, *h_perp2 = _beam_pair(_project(batch, batch.h_hat, _E2), a, b)
+        out = _policy_phase2(batch, g_perp2, h_perp2, p_c, p_p, np.empty((batch.n, 6)))
+        out[:, 4], out[:, 5] = _mimo_logdets(u, v, d_tilde, d_tilde)
+        return out
 
     est = mc.estimate(f, mc_cfg, cfg)
-    mean, se = est.mean, est.std_error
-    branch = 0 if mean[0] <= mean[1] else 1
-    r_c, se_c = float(mean[branch]), float(se[branch])
-    r_p1, r_p2 = float(mean[2]), float(mean[3])
-    r_m1, r_m2 = float(mean[4]), float(mean[5])
-    r1, se1 = _combine_rate(r_c, se_c, r_m1, float(se[4]), r_p1, float(se[2]), r_eta)
-    r2, se2 = _combine_rate(r_c, se_c, r_m2, float(se[5]), r_p2, float(se[3]), r_eta)
+    cm = _common_message_rates(est)
+    r_m1, r_m2 = float(est.mean[4]), float(est.mean[5])
+    se_m1, se_m2 = float(est.std_error[4]), float(est.std_error[5])
+    r1, se1 = _combine_rate(cm.r_c, cm.se_r_c, r_m1, se_m1, cm.r_p1, cm.se_r_p1, r_eta)
+    r2, se2 = _combine_rate(cm.r_c, cm.se_r_c, r_m2, se_m2, cm.r_p2, cm.se_r_p2, r_eta)
     return RateResult(
         r1=r1, r2=r2, se_r1=se1, se_r2=se2,
-        r_c=r_c, r_p1=r_p1, r_p2=r_p2,
+        r_c=cm.r_c, r_p1=cm.r_p1, r_p2=cm.r_p2,
         r_mimo1=r_m1, r_mimo2=r_m2,
         r_eta1=r_eta1, r_eta2=r_eta2,
-        se_r_c=se_c, se_r_p1=float(se[2]), se_r_p2=float(se[3]),
-        se_r_mimo1=float(se[4]), se_r_mimo2=float(se[5]),
+        se_r_c=cm.se_r_c, se_r_p1=cm.se_r_p1, se_r_p2=cm.se_r_p2,
+        se_r_mimo1=se_m1, se_r_mimo2=se_m2,
     )
 
 
 def _rate_tdma(cfg, mc_cfg):
     # Alternating single-user slots, full power beamformed along the
-    # estimated channel (fixed direction when the estimate is zero).
+    # estimated channel (e1 when the estimate is zero).
     p = cfg.snr_p
 
     def f(batch):
-        beam_h = _unit_or(batch.h_hat, _E1)
-        beam_g = _unit_or(batch.g_hat, _E1)
-        t1 = np.log2(1.0 + p * _inner_mag_sq(batch.h, beam_h))
-        t2 = np.log2(1.0 + p * _inner_mag_sq(batch.g, beam_g))
-        return np.stack([t1, t2], axis=-1)
+        out = np.empty((batch.n, 2))
+        out[:, 0] = np.log2(1.0 + p * _abs2(_project(batch, batch.h_hat, _E1)[0]))
+        out[:, 1] = np.log2(1.0 + p * _abs2(_project(batch, batch.g_hat, _E1)[2]))
+        return out
 
     est = mc.estimate(f, mc_cfg, cfg)
     mean, se = est.mean, est.std_error
@@ -417,18 +435,18 @@ def _rate_tdma(cfg, mc_cfg):
 
 
 def _rate_zf(cfg, mc_cfg):
-    # Equal-power beams orthogonal to the other user's estimate; the
-    # residual leakage is treated as noise.
+    # Equal-power beams w1 = g_hat-perp (e1 when g_hat is zero) and
+    # w2 = h_hat-perp (e2 when h_hat is zero); the residual leakage is
+    # treated as noise.
     half_p = cfg.snr_p / 2.0
 
     def f(batch):
-        w1 = _perp_unit(batch.g_hat, _E1)
-        w2 = _perp_unit(batch.h_hat, _E2)
-        t1 = np.log2(1.0 + half_p * _inner_mag_sq(batch.h, w1)
-                     / (1.0 + half_p * _inner_mag_sq(batch.h, w2)))
-        t2 = np.log2(1.0 + half_p * _inner_mag_sq(batch.g, w2)
-                     / (1.0 + half_p * _inner_mag_sq(batch.g, w1)))
-        return np.stack([t1, t2], axis=-1)
+        _, h_w1, _, g_w1 = _project(batch, batch.g_hat, _E2)
+        _, h_w2, _, g_w2 = _project(batch, batch.h_hat, _E1)
+        out = np.empty((batch.n, 2))
+        out[:, 0] = np.log2(1.0 + half_p * _abs2(h_w1) / (1.0 + half_p * _abs2(h_w2)))
+        out[:, 1] = np.log2(1.0 + half_p * _abs2(g_w2) / (1.0 + half_p * _abs2(g_w1)))
+        return out
 
     est = mc.estimate(f, mc_cfg, cfg)
     mean, se = est.mean, est.std_error
@@ -439,7 +457,14 @@ def _rate_zf(cfg, mc_cfg):
 def _rate_rs_zf(cfg, mc_cfg):
     # Equal time-sharing of the two one-sided rate-splitting corners: each
     # user gets common + private in one slot and private-only in the other.
-    cm = rate_common_message(cfg, _phase2_component_policy, mc_cfg)
+    _, _, p_c, p_p = _power_split(cfg)
+
+    def f(batch):
+        g_perp2 = [_abs2(z) for z in _project(batch, batch.g_hat, _E2)[1::2]]
+        h_perp2 = [_abs2(z) for z in _project(batch, batch.h_hat, _E2)[1::2]]
+        return _policy_phase2(batch, g_perp2, h_perp2, p_c, p_p, np.empty((batch.n, 4)))
+
+    cm = _common_message_rates(mc.estimate(f, mc_cfg, cfg))
     r1 = 0.5 * cm.r_c + cm.r_p1
     r2 = 0.5 * cm.r_c + cm.r_p2
     se1 = math.sqrt((0.5 * cm.se_r_c) ** 2 + cm.se_r_p1 ** 2)

@@ -1,9 +1,12 @@
 import json
+import threading
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from misodof import cli
+from misodof import cli, mc
+from misodof.mc import NonFiniteSampleError
 from misodof.rates import RateResult
 
 
@@ -203,3 +206,107 @@ def test_snr_grid_parsing():
     assert cli._parse_snr_grid("40:5:49.9") == [40.0, 45.0]
     assert cli._parse_snr_grid("40:50") is None
     assert cli._parse_snr_grid("a:b:c") is None
+
+
+_RATES_ZF = ["rates", "--scheme", "zf", "--alpha", "0.5", "--snr-db", "10:10:10"]
+
+BAD_INPUT_CASES = [
+    # (argv, MISO_DOF_SEED, exit code, fragment of the one-line message)
+    (_RATES_ZF + ["--samples", "0"], None, 2, "n_samples must be positive"),
+    (_RATES_ZF + ["--workers", "0"], None, 2, "n_workers must be positive"),
+    (_RATES_ZF + ["--seed", "-1"], None, 2, "seed must fit"),
+    (_RATES_ZF + ["--seed", str(2 ** 64)], None, 2, "seed must fit"),
+    (["rates", "--scheme", "zf", "--alpha", "0.5", "--snr-db", "1e9:1:1e9"], None, 2,
+     "out of range"),
+    (_RATES_ZF, "abc", 2, "MISO_DOF_SEED must be an integer"),
+    (["slopes", "--scheme", "zf", "--alpha", "0.5", "--samples", "0"], None, 2,
+     "n_samples must be positive"),
+    (["slopes", "--scheme", "zf", "--alpha", "0.5", "--snr-db-range", "1e9:2e9"], None, 2,
+     "out of range"),
+    (["slopes", "--scheme", "zf", "--alpha", "0.5"], "abc", 2, "MISO_DOF_SEED"),
+    (["oracles", "--seed", "-1"], None, 2, "seed must fit"),
+    (["oracles", "--samples", "0"], None, 2, "n_samples must be positive"),
+    (["oracles"], "1.5", 2, "MISO_DOF_SEED must be an integer"),
+]
+
+
+@pytest.mark.parametrize("argv, env_seed, code, fragment", BAD_INPUT_CASES)
+def test_bad_input_exit_codes(argv, env_seed, code, fragment, tmp_path, monkeypatch, capsys):
+    if env_seed is None:
+        monkeypatch.delenv("MISO_DOF_SEED", raising=False)
+    else:
+        monkeypatch.setenv("MISO_DOF_SEED", env_seed)
+    out = [] if argv[0] == "oracles" else ["--out", str(tmp_path / "x.out")]
+    assert cli.main(argv + out) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert fragment in err
+
+
+@pytest.mark.parametrize("failure", ["nan_rate", "nan_sample"])
+def test_non_finite_names_the_cell(failure, tmp_path, monkeypatch, capsys):
+    def broken(scheme, cfg, mc_cfg):
+        if failure == "nan_sample":
+            raise NonFiniteSampleError(7)
+        return RateResult(r1=float("nan"), r2=1.0, se_r1=0.0, se_r2=0.0)
+
+    monkeypatch.setattr(cli, "rate_scheme", broken)
+    assert cli.main(_RATES_ZF + ["--samples", "100", "--out", str(tmp_path / "x.csv")]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "(snr_db 10, scheme zf)" in err
+    if failure == "nan_sample":
+        assert "sample index 7" in err
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_traced_seams_call_counts(workers, tmp_path, monkeypatch):
+    # The outside-in tracer wraps these module attributes; the rates command
+    # must reach every one of them through its module, once per cell/block.
+    counts, keys, lock = Counter(), Counter(), threading.Lock()
+    open_cells = []
+
+    def counted(module, name, record=None):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            with lock:
+                counts[name] += 1
+                if record:
+                    record(*args)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    def in_cell(*_):
+        counts["estimate_in_cell"] += len(open_cells) == 1
+
+    counted(mc, "sample_batch")
+    counted(mc, "block_rng", lambda seed, block: keys.update([(int(seed), int(block))]))
+    counted(mc, "estimate", in_cell)
+    real_rate_scheme = cli.rate_scheme
+
+    def rate_scheme(*args):
+        counts["rate_scheme"] += 1
+        open_cells.append(args[0])
+        try:
+            return real_rate_scheme(*args)
+        finally:
+            open_cells.pop()
+
+    monkeypatch.setattr(cli, "rate_scheme", rate_scheme)
+    out = tmp_path / "rates.csv"
+    assert cli.main(["rates", "--scheme", "all", "--alpha", "0.5", "--snr-db", "10:10:20",
+                     "--samples", "10000", "--seed", "3", "--workers", str(workers),
+                     "--out", str(out)]) == 0
+    assert counts == {"rate_scheme": 10, "estimate": 10, "estimate_in_cell": 10,
+                      "block_rng": 20, "sample_batch": 20}
+    assert keys == {(3, 0): 10, (3, 1): 10}
+
+
+def test_oracle_suite_estimates_through_mc_module(monkeypatch):
+    calls = []
+    real = mc.estimate
+    monkeypatch.setattr(mc, "estimate", lambda *a: calls.append(a) or real(*a))
+    assert cli.main(["oracles", "--samples", "2000", "--seed", "1"]) == 0
+    assert len(calls) == 1
