@@ -2,13 +2,16 @@
 
 Exit codes: 0 success, 1 oracle failure, 2 bad usage/arguments, 3 non-finite
 Monte Carlo result.  Numeric output is deterministic for a fixed seed
-regardless of the worker count.
+regardless of the worker count.  In ``rates`` the schemes at one SNR share
+their channel draws: one ``rate_scheme`` call evaluates them together.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import ctypes
 import hashlib
 import json
 import math
@@ -84,8 +87,8 @@ def _cell_configs(grid, cfg_builder):
 
 
 def _resolve_exponent(value, name, warn=True):
-    if value < 0.0:
-        print(f"error: {name} must be nonnegative, got {value}", file=sys.stderr)
+    if not value >= 0.0:
+        print(f"error: {name} must be a nonnegative number, got {value}", file=sys.stderr)
         return None
     if value > 1.0:
         if warn:
@@ -102,7 +105,7 @@ def _parse_snr_grid(text):
         start, step, stop = (float(p) for p in parts)
     except ValueError:
         return None
-    if step <= 0 or stop < start:
+    if not all(map(math.isfinite, (start, step, stop))) or step <= 0 or stop < start:
         return None
     grid = []
     value = start
@@ -172,24 +175,26 @@ def cmd_region(args):
 
 
 def _scheme_list(name):
-    if name == "all":
-        return [Scheme.TDMA, Scheme.ZF, Scheme.MAT, Scheme.RS_ZF, Scheme.PROPOSED]
-    return [Scheme(name)]
+    return list(Scheme) if name == "all" else [Scheme(name)]
 
 
 def _rate_rows(schemes, cells, mc_cfg):
+    # One call per SNR.  A lone scheme goes bare: bench/tracing.py keys each
+    # call's integrand time by this argument, per scheme name.
+    group = tuple(schemes) if len(schemes) > 1 else schemes[0]
     rows = []
     for snr_db, cfg in cells:
-        for scheme in schemes:
-            cell = f"snr_db {_fmt(snr_db)}, scheme {scheme.value}"
-            try:
-                res = rate_scheme(scheme, cfg, mc_cfg)
-            except NonFiniteSampleError as exc:
-                raise _Exit(3, f"{exc} in cell ({cell})") from exc
+        cell = f"snr_db {_fmt(snr_db)}, scheme "
+        try:
+            results = rate_scheme(group, cfg, mc_cfg)
+        except NonFiniteSampleError as exc:
+            named = exc.scheme.value if exc.scheme else "/".join(s.value for s in schemes)
+            raise _Exit(3, f"{exc} in cell ({cell}{named})") from exc
+        for scheme, res in zip(schemes, results if len(schemes) > 1 else [results]):
             rsum = res.r1 + res.r2
             stderr_sum = math.sqrt(res.se_r1 ** 2 + res.se_r2 ** 2)
             if not all(math.isfinite(v) for v in (res.r1, res.r2, rsum)):
-                raise _Exit(3, f"non-finite rate in cell ({cell})")
+                raise _Exit(3, f"non-finite rate in cell ({cell}{scheme.value})")
             rows.append([
                 _fmt(snr_db), scheme.value, _fmt(cfg.alpha),
                 _fmt(res.r1), _fmt(res.r2), _fmt(rsum), _fmt(stderr_sum),
@@ -222,7 +227,7 @@ def cmd_rates(args, argv):
     grid = _parse_snr_grid(args.snr_db)
     if grid is None:
         print(f"error: malformed --snr-db range {args.snr_db!r}; "
-              "expected start:step:stop with positive step", file=sys.stderr)
+              "expected finite start:step:stop with positive step", file=sys.stderr)
         return 2
     if min(grid) <= 0:
         print("error: SNR must be positive in dB (P > 1 linear)", file=sys.stderr)
@@ -271,7 +276,7 @@ def cmd_slopes(args, argv):
         lo, hi = (float(p) for p in parts)
     except ValueError:
         lo, hi = 1.0, 0.0
-    if len(parts) != 2 or hi <= lo or lo <= 0:
+    if len(parts) != 2 or not 0 < lo < hi < math.inf:
         print(f"error: malformed --snr-db-range {args.snr_db_range!r}; expected lo:hi",
               file=sys.stderr)
         return 2
@@ -424,8 +429,18 @@ def _build_parser():
     return parser
 
 
+def _keep_freed_heap():
+    # Each Monte Carlo block frees a few MiB of numpy temporaries; glibc's adaptive
+    # thresholds return them to the system and fault them back in every block.
+    with contextlib.suppress(OSError):  # not glibc: its defaults stay
+        libc = ctypes.CDLL("libc.so.6")
+        libc.mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: block arrays use the heap
+        libc.mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD: freed heap is kept
+
+
 def main(argv=None):
     argv = list(sys.argv[1:]) if argv is None else list(argv)
+    _keep_freed_heap()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -24,11 +24,14 @@ BLOCK_SIZE = 8192
 
 
 class NonFiniteSampleError(RuntimeError):
-    """An integrand returned a non-finite value; carries the sample index."""
+    """An integrand returned a non-finite value; carries the sample and column."""
 
-    def __init__(self, index):
+    scheme = None  # set by a caller that knows which scheme owns the column
+
+    def __init__(self, index, column=0):
         super().__init__(f"integrand returned a non-finite value at sample index {index}")
         self.index = index
+        self.column = column
 
 
 @dataclass(frozen=True)
@@ -80,8 +83,8 @@ def _run_block(f, cfg, csit, block):
         )
     finite = np.isfinite(vals)
     if not finite.all():
-        bad_row = int(np.argwhere(~finite.reshape(size, -1).all(axis=1))[0][0])
-        raise NonFiniteSampleError(start + bad_row)
+        bad_row, bad_col = np.argwhere(~finite.reshape(size, -1))[0]
+        raise NonFiniteSampleError(start + int(bad_row), int(bad_col))
     return vals.sum(axis=0), (vals * vals).sum(axis=0)
 
 

@@ -13,6 +13,12 @@ one kernel's projections of h and g onto the unit estimate directions.  That
 matters numerically: at very high SNR the matrix entries are ~P while
 quadratic forms along nulled directions are O(1), and forming the matrix
 first loses them to cancellation.
+
+Each scheme is a (width, fill, finalize) triple: ``fill(batch, proj, out)``
+writes its per-sample log terms into ``out``, its (n, width) slice of one
+array, from the kernel columns ``proj(estimate name, fallback)``, and
+``finalize(mean, se)`` maps their means and standard errors to a result.
+Any set of schemes at one config is thus one estimate over one draw per block.
 """
 
 from __future__ import annotations
@@ -26,8 +32,8 @@ from . import mc
 from .channel import CsitConfig, projector
 from .regions import Scheme
 
-_E1 = np.array([1.0 + 0.0j, 0.0 + 0.0j])
-_E2 = np.array([0.0 + 0.0j, 1.0 + 0.0j])
+_E1 = (1.0 + 0.0j, 0.0j)  # fallback beams for zero estimates; tuples key the kernel memo
+_E2 = (0.0j, 1.0 + 0.0j)
 
 _ZERO_DIR_TOL = 1e-12
 _PSD_TOL = 1e-9
@@ -121,7 +127,7 @@ def _abs2(z):
 
 def _unit_cols(x, fallback):
     """Entries (w_1, w_2) of w = x/|x|, or of ``fallback`` where |x| < _ZERO_DIR_TOL."""
-    x = np.asarray(x, dtype=complex)
+    x, fallback = np.asarray(x, dtype=complex), np.asarray(fallback, dtype=complex)
     x1, x2 = x[..., 0], x[..., 1]
     norm = np.sqrt(_abs2(x1) + _abs2(x2))
     degenerate = norm < _ZERO_DIR_TOL
@@ -330,9 +336,8 @@ def _policy_phase2(batch, g_perp2, h_perp2, p_c, p_p, out):
                         cg, s * g_perp2[1], s * h_perp2[1], out)
 
 
-def _common_message_rates(est):
+def _common_message_rates(mean, se):
     # The common rate takes the outer min of the two users' expectations.
-    mean, se = est.mean, est.std_error
     branch = 0 if mean[0] <= mean[1] else 1
     return CommonMessageRates(
         r_c=float(mean[branch]), se_r_c=float(se[branch]),
@@ -351,15 +356,14 @@ def rate_common_message(cfg, policy_map, mc_cfg):
     users' expectations.
     """
 
-    def f(batch):
+    def fill(batch, proj, out):
         qs = policy_map(cfg, batch.h_hat, batch.g_hat)
         if isinstance(qs, PowerPolicy):
             qs = (qs.q_c, qs.q_p1, qs.q_p2)
-        return _phase2_logs(*(np.maximum(interference_power(x, q), 0.0)
-                              for x in (batch.h, batch.g) for q in qs),
-                            np.empty((batch.n, 4)))
+        _phase2_logs(*(np.maximum(interference_power(x, q), 0.0)
+                       for x in (batch.h, batch.g) for q in qs), out)
 
-    return _common_message_rates(mc.estimate(f, mc_cfg, cfg))
+    return _estimate_group([None], [(4, fill, _common_message_rates)], cfg, mc_cfg)[0]
 
 
 def _combine_rate(r_c, se_c, r_m, se_m, r_p, se_p, r_eta):
@@ -374,14 +378,8 @@ def _combine_rate(r_c, se_c, r_m, se_m, r_p, se_p, r_eta):
     return val, se
 
 
-def rate_proposed(cfg, mc_cfg, policy_cfg=None):
-    """Ergodic rate pair of the two-phase quantize-and-multicast scheme.
-
-    ``policy_cfg`` optionally overrides the config used to derive powers and
-    distortions (the channel itself still follows ``cfg``); it is how the
-    no-current-CSIT (MAT-style) variant is evaluated.
-    """
-    pcfg = cfg if policy_cfg is None else policy_cfg
+def _proposed_columns(cfg, pcfg):
+    # Quantize-and-multicast with powers and distortions derived from ``pcfg``.
     if pcfg.snr_p != cfg.snr_p:
         raise ValueError("policy config must use the same transmit power")
     p1, p2, p_c, p_p = _power_split(pcfg)
@@ -390,115 +388,152 @@ def rate_proposed(cfg, mc_cfg, policy_cfg=None):
     r_eta1 = r_eta2 = quantization_rate(d_tilde)
     r_eta = r_eta1 + r_eta2
 
-    def f(batch):
+    def fill(batch, proj, out):
         # q_u = a g_hat-perp + b g_hat and q_v = a h_hat-perp + b h_hat,
         # one beam pair per estimate direction
-        u, *g_perp2 = _beam_pair(_project(batch, batch.g_hat, _E2), a, b)
-        v, *h_perp2 = _beam_pair(_project(batch, batch.h_hat, _E2), a, b)
-        out = _policy_phase2(batch, g_perp2, h_perp2, p_c, p_p, np.empty((batch.n, 6)))
+        u, *g_perp2 = _beam_pair(proj("g_hat", _E2), a, b)
+        v, *h_perp2 = _beam_pair(proj("h_hat", _E2), a, b)
+        _policy_phase2(batch, g_perp2, h_perp2, p_c, p_p, out)
         out[:, 4], out[:, 5] = _mimo_logdets(u, v, d_tilde, d_tilde)
-        return out
 
-    est = mc.estimate(f, mc_cfg, cfg)
-    cm = _common_message_rates(est)
-    r_m1, r_m2 = float(est.mean[4]), float(est.mean[5])
-    se_m1, se_m2 = float(est.std_error[4]), float(est.std_error[5])
-    r1, se1 = _combine_rate(cm.r_c, cm.se_r_c, r_m1, se_m1, cm.r_p1, cm.se_r_p1, r_eta)
-    r2, se2 = _combine_rate(cm.r_c, cm.se_r_c, r_m2, se_m2, cm.r_p2, cm.se_r_p2, r_eta)
-    return RateResult(
-        r1=r1, r2=r2, se_r1=se1, se_r2=se2,
-        r_c=cm.r_c, r_p1=cm.r_p1, r_p2=cm.r_p2,
-        r_mimo1=r_m1, r_mimo2=r_m2,
-        r_eta1=r_eta1, r_eta2=r_eta2,
-        se_r_c=cm.se_r_c, se_r_p1=cm.se_r_p1, se_r_p2=cm.se_r_p2,
-        se_r_mimo1=se_m1, se_r_mimo2=se_m2,
-    )
+    def finalize(mean, se):
+        cm = _common_message_rates(mean, se)
+        r_m1, r_m2 = float(mean[4]), float(mean[5])
+        se_m1, se_m2 = float(se[4]), float(se[5])
+        r1, se1 = _combine_rate(cm.r_c, cm.se_r_c, r_m1, se_m1, cm.r_p1, cm.se_r_p1, r_eta)
+        r2, se2 = _combine_rate(cm.r_c, cm.se_r_c, r_m2, se_m2, cm.r_p2, cm.se_r_p2, r_eta)
+        return RateResult(
+            r1=r1, r2=r2, se_r1=se1, se_r2=se2,
+            r_c=cm.r_c, r_p1=cm.r_p1, r_p2=cm.r_p2,
+            r_mimo1=r_m1, r_mimo2=r_m2,
+            r_eta1=r_eta1, r_eta2=r_eta2,
+            se_r_c=cm.se_r_c, se_r_p1=cm.se_r_p1, se_r_p2=cm.se_r_p2,
+            se_r_mimo1=se_m1, se_r_mimo2=se_m2,
+        )
+
+    return 6, fill, finalize
 
 
-def _rate_tdma(cfg, mc_cfg):
+def _user_pair(share):
+    # finalize of one rate column per user, each user served ``share`` of the time
+    def finalize(mean, se):
+        return RateResult(r1=float(mean[0]) * share, r2=float(mean[1]) * share,
+                          se_r1=float(se[0]) * share, se_r2=float(se[1]) * share)
+    return finalize
+
+
+def _tdma_columns(cfg):
     # Alternating single-user slots, full power beamformed along the
     # estimated channel (e1 when the estimate is zero).
     p = cfg.snr_p
 
-    def f(batch):
-        out = np.empty((batch.n, 2))
-        out[:, 0] = np.log2(1.0 + p * _abs2(_project(batch, batch.h_hat, _E1)[0]))
-        out[:, 1] = np.log2(1.0 + p * _abs2(_project(batch, batch.g_hat, _E1)[2]))
-        return out
+    def fill(batch, proj, out):
+        out[:, 0] = np.log2(1.0 + p * _abs2(proj("h_hat", _E1)[0]))
+        out[:, 1] = np.log2(1.0 + p * _abs2(proj("g_hat", _E1)[2]))
 
-    est = mc.estimate(f, mc_cfg, cfg)
-    mean, se = est.mean, est.std_error
-    return RateResult(
-        r1=float(mean[0]) / 2.0, r2=float(mean[1]) / 2.0,
-        se_r1=float(se[0]) / 2.0, se_r2=float(se[1]) / 2.0,
-    )
+    return 2, fill, _user_pair(0.5)
 
 
-def _rate_zf(cfg, mc_cfg):
-    # Equal-power beams w1 = g_hat-perp (e1 when g_hat is zero) and
-    # w2 = h_hat-perp (e2 when h_hat is zero); the residual leakage is
-    # treated as noise.
+def _zf_columns(cfg):
+    # Equal-power beams w1 = g_hat-perp (e1 when g_hat is zero) and w2 =
+    # h_hat-perp (e2 when h_hat is zero), leakage treated as noise.
     half_p = cfg.snr_p / 2.0
 
-    def f(batch):
-        _, h_w1, _, g_w1 = _project(batch, batch.g_hat, _E2)
-        _, h_w2, _, g_w2 = _project(batch, batch.h_hat, _E1)
-        out = np.empty((batch.n, 2))
+    def fill(batch, proj, out):
+        _, h_w1, _, g_w1 = proj("g_hat", _E2)
+        _, h_w2, _, g_w2 = proj("h_hat", _E1)
         out[:, 0] = np.log2(1.0 + half_p * _abs2(h_w1) / (1.0 + half_p * _abs2(h_w2)))
         out[:, 1] = np.log2(1.0 + half_p * _abs2(g_w2) / (1.0 + half_p * _abs2(g_w1)))
-        return out
 
-    est = mc.estimate(f, mc_cfg, cfg)
-    mean, se = est.mean, est.std_error
-    return RateResult(r1=float(mean[0]), r2=float(mean[1]),
-                      se_r1=float(se[0]), se_r2=float(se[1]))
+    return 2, fill, _user_pair(1.0)
 
 
-def _rate_rs_zf(cfg, mc_cfg):
+def _rs_zf_columns(cfg):
     # Equal time-sharing of the two one-sided rate-splitting corners: each
     # user gets common + private in one slot and private-only in the other.
     _, _, p_c, p_p = _power_split(cfg)
 
-    def f(batch):
-        g_perp2 = [_abs2(z) for z in _project(batch, batch.g_hat, _E2)[1::2]]
-        h_perp2 = [_abs2(z) for z in _project(batch, batch.h_hat, _E2)[1::2]]
-        return _policy_phase2(batch, g_perp2, h_perp2, p_c, p_p, np.empty((batch.n, 4)))
+    def fill(batch, proj, out):
+        g_perp2 = [_abs2(z) for z in proj("g_hat", _E2)[1::2]]
+        h_perp2 = [_abs2(z) for z in proj("h_hat", _E2)[1::2]]
+        _policy_phase2(batch, g_perp2, h_perp2, p_c, p_p, out)
 
-    cm = _common_message_rates(mc.estimate(f, mc_cfg, cfg))
-    r1 = 0.5 * cm.r_c + cm.r_p1
-    r2 = 0.5 * cm.r_c + cm.r_p2
-    se1 = math.sqrt((0.5 * cm.se_r_c) ** 2 + cm.se_r_p1 ** 2)
-    se2 = math.sqrt((0.5 * cm.se_r_c) ** 2 + cm.se_r_p2 ** 2)
-    return RateResult(
-        r1=r1, r2=r2, se_r1=se1, se_r2=se2,
-        r_c=cm.r_c, r_p1=cm.r_p1, r_p2=cm.r_p2,
-        se_r_c=cm.se_r_c, se_r_p1=cm.se_r_p1, se_r_p2=cm.se_r_p2,
-    )
+    def finalize(mean, se):
+        cm = _common_message_rates(mean, se)
+        return RateResult(
+            r1=0.5 * cm.r_c + cm.r_p1, r2=0.5 * cm.r_c + cm.r_p2,
+            se_r1=math.sqrt((0.5 * cm.se_r_c) ** 2 + cm.se_r_p1 ** 2),
+            se_r2=math.sqrt((0.5 * cm.se_r_c) ** 2 + cm.se_r_p2 ** 2),
+            r_c=cm.r_c, r_p1=cm.r_p1, r_p2=cm.r_p2,
+            se_r_c=cm.se_r_c, se_r_p1=cm.se_r_p1, se_r_p2=cm.se_r_p2,
+        )
+
+    return 4, fill, finalize
+
+
+_COLUMNS = {
+    Scheme.TDMA: _tdma_columns, Scheme.ZF: _zf_columns, Scheme.RS_ZF: _rs_zf_columns,
+    # MAT: the proposed scheme with powers and distortions as if sigma_sq were 1
+    Scheme.MAT: lambda cfg: _proposed_columns(cfg, CsitConfig.from_sigma_sq(cfg.snr_p, 1.0)),
+    Scheme.PROPOSED: lambda cfg: _proposed_columns(cfg, cfg),
+}
+
+
+def _estimate_group(schemes, columns, cfg, mc_cfg):
+    """Finalized results of the schemes' columns from one estimate: each block
+    is drawn once and fills one array, each scheme its own slice, and each
+    distinct (estimate, fallback) kernel projection is computed once a block."""
+    bounds = np.cumsum([0] + [width for width, _, _ in columns])
+    spans = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+    def f(batch):
+        kernel = {}
+
+        def proj(name, fallback):
+            if (name, fallback) not in kernel:
+                kernel[name, fallback] = _project(batch, getattr(batch, name), fallback)
+            return kernel[name, fallback]
+
+        out = np.empty((batch.n, bounds[-1]))
+        for (_, fill, _), span in zip(columns, spans):
+            fill(batch, proj, out[:, span])
+        return out
+
+    try:
+        est = mc.estimate(f, mc_cfg, cfg)
+    except mc.NonFiniteSampleError as exc:
+        exc.scheme = schemes[np.searchsorted(bounds, exc.column, side="right") - 1]
+        raise
+    return [finalize(est.mean[span], est.std_error[span])
+            for (_, _, finalize), span in zip(columns, spans)]
+
+
+def rate_proposed(cfg, mc_cfg, policy_cfg=None):
+    """Ergodic rate pair of the two-phase quantize-and-multicast scheme.
+
+    ``policy_cfg`` optionally overrides the config used to derive powers and
+    distortions (the channel itself still follows ``cfg``); it is how the
+    no-current-CSIT (MAT-style) variant is evaluated.
+    """
+    pcfg = cfg if policy_cfg is None else policy_cfg
+    return _estimate_group([Scheme.PROPOSED], [_proposed_columns(cfg, pcfg)], cfg, mc_cfg)[0]
 
 
 def rate_baseline(scheme, cfg, mc_cfg):
-    """Ergodic rates of a baseline scheme: TDMA, ZF, MAT, or RS_ZF.
-
-    MAT is the no-current-CSIT variant of the proposed scheme: powers and
-    distortions are derived as if sigma_sq were 1, which makes the phase-1
-    covariances isotropic and disables the private phase-2 messages.
-    """
-    scheme = Scheme(scheme)
-    if scheme is Scheme.TDMA:
-        return _rate_tdma(cfg, mc_cfg)
-    if scheme is Scheme.ZF:
-        return _rate_zf(cfg, mc_cfg)
-    if scheme is Scheme.MAT:
-        forced = CsitConfig.from_sigma_sq(cfg.snr_p, 1.0)
-        return rate_proposed(cfg, mc_cfg, policy_cfg=forced)
-    if scheme is Scheme.RS_ZF:
-        return _rate_rs_zf(cfg, mc_cfg)
-    raise ValueError(f"{scheme} is not a baseline; use rate_proposed")
+    """Ergodic rates of a baseline scheme: TDMA, ZF, MAT, or RS_ZF."""
+    if Scheme(scheme) is Scheme.PROPOSED:
+        raise ValueError(f"{scheme} is not a baseline; use rate_proposed")
+    return rate_scheme(scheme, cfg, mc_cfg)
 
 
 def rate_scheme(scheme, cfg, mc_cfg):
-    """Dispatch over all schemes, including the proposed one."""
-    scheme = Scheme(scheme)
-    if scheme is Scheme.PROPOSED:
-        return rate_proposed(cfg, mc_cfg)
-    return rate_baseline(scheme, cfg, mc_cfg)
+    """Ergodic rates of one scheme, or of a tuple of schemes at one config.
+
+    A tuple gives RateResults in its order from one ``mc.estimate``, each
+    block drawn once for all of them and each result exactly the scheme's own
+    one.  A ``NonFiniteSampleError`` names, as ``scheme``, the failing scheme.
+    """
+    single = isinstance(scheme, str)
+    schemes = [Scheme(s) for s in ((scheme,) if single else scheme)]
+    results = _estimate_group(schemes, [_COLUMNS[s](cfg) for s in schemes], cfg, mc_cfg)
+    return results[0] if single else tuple(results)

@@ -5,9 +5,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from misodof import cli, mc
+from misodof import cli, mc, rates
 from misodof.mc import NonFiniteSampleError
 from misodof.rates import RateResult
+from misodof.regions import Scheme
 
 
 def _run(args):
@@ -227,6 +228,11 @@ BAD_INPUT_CASES = [
     (["oracles", "--seed", "-1"], None, 2, "seed must fit"),
     (["oracles", "--samples", "0"], None, 2, "n_samples must be positive"),
     (["oracles"], "1.5", 2, "MISO_DOF_SEED must be an integer"),
+    (["region", "--alpha", "nan"], None, 2, "alpha must be a nonnegative number"),
+    (["rates", "--scheme", "zf", "--alpha", "0.5", "--snr-db", "nan:1:2"], None, 2,
+     "malformed --snr-db range"),
+    (["slopes", "--scheme", "zf", "--alpha", "0.5", "--snr-db-range", "40:inf"], None, 2,
+     "malformed --snr-db-range"),
 ]
 
 
@@ -259,12 +265,37 @@ def test_non_finite_names_the_cell(failure, tmp_path, monkeypatch, capsys):
         assert "sample index 7" in err
 
 
+@pytest.mark.parametrize("scheme", [s.value for s in Scheme])
+def test_non_finite_column_names_its_scheme(scheme, tmp_path, monkeypatch, capsys):
+    # One estimate serves every scheme of an SNR; a NaN in one scheme's
+    # columns must still name that scheme's cell.
+    real = rates._COLUMNS[Scheme(scheme)]
+
+    def poisoned(cfg):
+        width, fill, finalize = real(cfg)
+
+        def bad_fill(batch, proj, out):
+            fill(batch, proj, out)
+            out[5, width - 1] = np.nan
+
+        return width, bad_fill, finalize
+
+    monkeypatch.setitem(rates._COLUMNS, Scheme(scheme), poisoned)
+    argv = ["rates", "--scheme", "all", "--alpha", "0.5", "--snr-db", "10:10:20",
+            "--samples", "100", "--out", str(tmp_path / "x.csv")]
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "sample index 5" in err and f"(snr_db 10, scheme {scheme})" in err
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_traced_seams_call_counts(workers, tmp_path, monkeypatch):
     # The outside-in tracer wraps these module attributes; the rates command
-    # must reach every one of them through its module, once per cell/block.
+    # must reach every one of them through its module: one rate_scheme call
+    # and one estimate per SNR, one draw per block of that estimate.
     counts, keys, lock = Counter(), Counter(), threading.Lock()
-    open_cells = []
+    open_cells, first_args = [], []
 
     def counted(module, name, record=None):
         fn = getattr(module, name)
@@ -288,6 +319,7 @@ def test_traced_seams_call_counts(workers, tmp_path, monkeypatch):
 
     def rate_scheme(*args):
         counts["rate_scheme"] += 1
+        first_args.append(args[0])
         open_cells.append(args[0])
         try:
             return real_rate_scheme(*args)
@@ -299,9 +331,15 @@ def test_traced_seams_call_counts(workers, tmp_path, monkeypatch):
     assert cli.main(["rates", "--scheme", "all", "--alpha", "0.5", "--snr-db", "10:10:20",
                      "--samples", "10000", "--seed", "3", "--workers", str(workers),
                      "--out", str(out)]) == 0
-    assert counts == {"rate_scheme": 10, "estimate": 10, "estimate_in_cell": 10,
-                      "block_rng": 20, "sample_batch": 20}
-    assert keys == {(3, 0): 10, (3, 1): 10}
+    assert counts == {"rate_scheme": 2, "estimate": 2, "estimate_in_cell": 2,
+                      "block_rng": 4, "sample_batch": 4}
+    assert keys == {(3, 0): 2, (3, 1): 2}
+    assert first_args == [tuple(Scheme)] * 2
+    hash(first_args[0])  # the tracer keys its spans by this argument
+    first_args.clear()
+    assert cli.main(["rates", "--scheme", "mat", "--alpha", "0.5", "--snr-db", "10:10:10",
+                     "--samples", "100", "--out", str(out)]) == 0
+    assert first_args == [Scheme.MAT] and type(first_args[0]) is Scheme
 
 
 def test_oracle_suite_estimates_through_mc_module(monkeypatch):
@@ -310,3 +348,13 @@ def test_oracle_suite_estimates_through_mc_module(monkeypatch):
     monkeypatch.setattr(mc, "estimate", lambda *a: calls.append(a) or real(*a))
     assert cli.main(["oracles", "--samples", "2000", "--seed", "1"]) == 0
     assert len(calls) == 1
+
+
+def test_runs_without_glibc(tmp_path, monkeypatch):
+    # The heap thresholds are a glibc setting; elsewhere the CLI keeps the
+    # C library's defaults and runs as before.
+    def no_glibc(name):
+        raise OSError(f"{name}: cannot open shared object file")
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", no_glibc)
+    assert _run(["region", "--alpha", "0.5", "--out", str(tmp_path / "r.json")]) == 0

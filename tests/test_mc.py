@@ -89,6 +89,17 @@ def test_non_finite_value_reports_index():
     assert err.value.index == 3
 
 
+def test_non_finite_reports_first_bad_column():
+    def f(batch):
+        vals = np.ones((batch.n, 3))
+        vals[6, 0] = vals[4, 2] = vals[4, 1] = np.inf
+        return vals
+
+    with pytest.raises(NonFiniteSampleError) as err:
+        estimate(f, McConfig(100, 8), CFG)
+    assert (err.value.index, err.value.column) == (4, 1)
+
+
 def test_non_finite_in_later_block():
     target = BLOCK_SIZE + 17
     seen = {"block": -1}

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.random import Generator, Philox
 
+from misodof import rates
 from misodof.channel import CsitConfig, sample_batch, sample_channel
 from misodof.mc import McConfig, estimate
 from misodof.rates import (
@@ -20,6 +21,7 @@ from misodof.rates import (
     rate_proposed,
     rate_scheme,
 )
+from misodof.regions import Scheme
 
 # Frozen by a straight-line determinant evaluation done ahead of the
 # implementation: h=(1,0), g=(0,1), Q_u=diag(4,1), Q_v=diag(1,4), D=0.5.
@@ -356,3 +358,29 @@ class TestBaselines:
 def test_rate_result_dataclass_defaults():
     res = RateResult(r1=1.0, r2=2.0, se_r1=0.1, se_r2=0.1)
     assert res.r_c == 0.0 and res.r_eta2 == 0.0
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+def test_scheme_group_equals_single_schemes(alpha, workers):
+    # One shared estimate for a tuple of schemes gives each scheme exactly
+    # its own single-scheme result, in the order asked for.  At alpha 0 the
+    # estimates are zero and every scheme's own fallback beams decide.
+    cfg = CsitConfig.from_alpha(1e3, alpha)
+    mc_cfg = McConfig(10_000, 25, workers)
+    singles = {s: rate_scheme(s, cfg, mc_cfg) for s in Scheme}
+    assert rate_scheme(tuple(Scheme), cfg, mc_cfg) == tuple(singles.values())
+    permuted = (Scheme.PROPOSED, Scheme.TDMA, Scheme.RS_ZF, Scheme.MAT, Scheme.ZF)
+    assert rate_scheme(permuted, cfg, mc_cfg) == tuple(singles[s] for s in permuted)
+
+
+@pytest.mark.parametrize("group, kernel_calls", [
+    (tuple(Scheme), 4), (tuple(reversed(Scheme)), 4), ("proposed", 2), ("tdma", 2)])
+def test_group_runs_each_kernel_pair_once_per_block(group, kernel_calls, monkeypatch):
+    # In any order the whole group needs four (estimate, fallback) kernel
+    # calls per block: (h_hat, e1), (g_hat, e1), (g_hat, e2) and (h_hat, e2).
+    calls = []
+    real = rates._project
+    monkeypatch.setattr(rates, "_project", lambda *a: calls.append(a[1:]) or real(*a))
+    rate_scheme(group, CsitConfig.from_alpha(1e3, 0.5), McConfig(2 * 8192, 26))
+    assert len(calls) == 2 * kernel_calls
