@@ -172,10 +172,9 @@ def sample_batch(rng, cfg, n):
     est, err = _draw(rng, n, est_scale, err_scale)
     if s2 < 1.0:
         for _ in range(_MAX_REDRAWS):
-            bad = (
-                (np.linalg.norm(est[:, 0:2], axis=1) < _DEGENERATE_NORM)
-                | (np.linalg.norm(est[:, 2:4], axis=1) < _DEGENERATE_NORM)
-            )
+            sq = est.real ** 2 + est.imag ** 2
+            bad = ((sq[:, 0] + sq[:, 1] < _DEGENERATE_NORM ** 2)
+                   | (sq[:, 2] + sq[:, 3] < _DEGENERATE_NORM ** 2))
             if not bad.any():
                 break
             est_new, err_new = _draw(rng, int(bad.sum()), est_scale, err_scale)

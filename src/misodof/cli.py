@@ -304,18 +304,17 @@ def cmd_slopes(args, argv):
     return 0
 
 
-def _run_oracle_suite(strict=False, max_panels=None, samples=1_000_000, seed=0,
-                      out=None):
-    out = out if out is not None else sys.stdout
-    tol = 1e-7 if strict else 1e-6
+def cmd_oracles(args):
+    mc_cfg = _mc_config(args)
+    tol = 1e-7 if args.strict else 1e-6
     failures = []
     try:
-        quad_cfg = QuadratureConfig(n_points=max_panels or (1 << 24), tolerance=tol)
+        quad_cfg = QuadratureConfig(n_points=args.max_panels or (1 << 24), tolerance=tol)
     except ValueError as exc:
-        print(f"quadrature-config: FAIL ({exc})", file=out)
+        print(f"quadrature-config: FAIL ({exc})")
         return 1
 
-    rng = Generator(Philox(key=np.array([seed, 0], dtype=np.uint64)))
+    rng = Generator(Philox(key=np.array([mc_cfg.seed, 0], dtype=np.uint64)))
     pairs = rng.uniform(0.05, 10.0, size=(1000, 2))
     max_err = 0.0
     n_pass = 0
@@ -331,7 +330,7 @@ def _run_oracle_suite(strict=False, max_panels=None, samples=1_000_000, seed=0,
             n_pass += 1
         else:
             failures.append(f"rotation identity off by {err:.3e} at ({a:.4f}, {b:.4f})")
-    print(f"rotation-identity: {n_pass}/{len(pairs)} pass (max err {max_err:.3e})", file=out)
+    print(f"rotation-identity: {n_pass}/{len(pairs)} pass (max err {max_err:.3e})")
 
     try:
         gamma_quad = exp_log_mean(quad_cfg)
@@ -341,40 +340,31 @@ def _run_oracle_suite(strict=False, max_panels=None, samples=1_000_000, seed=0,
             mag_sq = batch.g_tilde[:, 0].real ** 2 + batch.g_tilde[:, 0].imag ** 2
             return np.log2(mag_sq / cfg.sigma_sq)
 
-        est = mc.estimate(f, McConfig(n_samples=samples, seed=seed), cfg)
+        est = mc.estimate(f, mc_cfg, cfg)
         diff = abs(gamma_quad - est.mean)
         ok = diff <= 5.0 * est.std_error
         print(f"exp-log-constant: quadrature {gamma_quad:.6f} vs mc {est.mean:.6f} "
               f"(|diff| {diff:.2e}, 5*se {5 * est.std_error:.2e}) "
-              f"{'pass' if ok else 'FAIL'}", file=out)
+              f"{'pass' if ok else 'FAIL'}")
         if not ok:
             failures.append("exp-log constant mismatch between quadrature and Monte Carlo")
     except QuadratureError as exc:
-        print(f"exp-log-constant: FAIL ({exc})", file=out)
+        print(f"exp-log-constant: FAIL ({exc})")
         failures.append(str(exc))
 
     bounds_cfg = CsitConfig.from_sigma_sq(1000.0, 0.1)
     report = conditional_log_bounds_check(
-        (bounds_cfg.snr_p, 0.0), bounds_cfg,
-        McConfig(n_samples=min(samples, 100_000), seed=seed),
-        quad_config=quad_cfg,
-    )
+        (bounds_cfg.snr_p, 0.0), bounds_cfg, mc_cfg, quad_config=quad_cfg)
     n_ok = int(np.sum((report.upper_margins >= 0) & (report.lower_margins >= 0)))
-    print(f"conditional-bounds: {n_ok}/{report.n_batches} batches pass "
+    print(f"conditional-bounds: {n_ok}/{report.upper_margins.size} batches pass "
           f"(min upper margin {report.upper_margins.min():.4f}, "
-          f"min lower margin {report.lower_margins.min():.4f})", file=out)
+          f"min lower margin {report.lower_margins.min():.4f})")
     if not report.passed:
         failures.append("conditional log bounds violated")
 
     for failure in failures[:20]:
-        print(f"FAIL: {failure}", file=out)
+        print(f"FAIL: {failure}")
     return 1 if failures else 0
-
-
-def cmd_oracles(args):
-    mc_cfg = _mc_config(args)
-    return _run_oracle_suite(strict=args.strict, max_panels=args.max_panels,
-                             samples=mc_cfg.n_samples, seed=mc_cfg.seed)
 
 
 def _build_parser():

@@ -107,6 +107,30 @@ class TestSampling:
         assert np.linalg.norm(batch.h_hat, axis=1).min() >= 1e-12
         assert np.linalg.norm(batch.g_hat, axis=1).min() >= 1e-12
 
+    def test_redraw_threshold_on_estimate_norm(self):
+        # row 0's h_hat has norm 0.9e-12 and is redrawn; row 1's g_hat has
+        # norm 1.1e-12 and is kept
+        cfg = CsitConfig.from_sigma_sq(100.0, 0.25)
+        est_scale = math.sqrt((1.0 - cfg.sigma_sq) / 2.0)
+        first = np.zeros((2, 16))
+        first[0, 0] = 0.9e-12 / est_scale
+        first[0, 2:4] = first[1, 0:2] = 1.0
+        first[1, 2] = 1.1e-12 / est_scale
+
+        class ScriptedRng:
+            def __init__(self):
+                self.calls = []
+
+            def standard_normal(self, shape):
+                self.calls.append(shape)
+                return first.copy() if len(self.calls) == 1 else np.full(shape, 2.0)
+
+        rng = ScriptedRng()
+        batch = sample_batch(rng, cfg, 2)
+        assert rng.calls == [(2, 16), (1, 16)]
+        assert np.array_equal(batch.h_hat[0], np.full(2, (2.0 + 2.0j) * est_scale))
+        assert np.array_equal(batch.g_hat[1], np.array([1.1e-12 / est_scale * est_scale, 0.0]))
+
     def test_broken_generator_detected(self):
         class ZeroRng:
             def standard_normal(self, shape):

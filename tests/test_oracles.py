@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
+from misodof import oracles
 from misodof.channel import CsitConfig
 from misodof.mc import McConfig, estimate
 from misodof.oracles import (
@@ -10,6 +12,7 @@ from misodof.oracles import (
     QuadratureError,
     conditional_log_bounds_check,
     exp_log_mean,
+    mean_log2_quadratic,
     rotation_mean_log_closed_form,
     rotation_mean_log_quadrature,
 )
@@ -128,9 +131,53 @@ class TestConditionalLogBounds:
         assert np.max(np.abs(report.upper_margins)) < 1e-3
         assert report.lower_margins.min() > 0.0
 
+    def test_exact_jensen_margin_nonnegative_for_tiny_error(self):
+        # the Jensen gap is about Var(Q) / (2 ln2 (1 + E Q)^2), here 1e-13 to
+        # 4e-12; its sign is resolvable only from an exact left side
+        cfg = CsitConfig.from_alpha(2.0 ** 40, 1.0)
+        report = conditional_log_bounds_check(
+            (100.0, 10.0), cfg, McConfig(20_000, 37), n_batches=20)
+        assert report.passed
+        assert np.max(np.abs(report.upper_margins)) < 1e-9
+
     def test_eigenvalue_validation(self):
         cfg = CsitConfig.from_sigma_sq(100.0, 0.25)
         with pytest.raises(ValueError):
             conditional_log_bounds_check((0.0, 0.0), cfg, McConfig(100, 38))
         with pytest.raises(ValueError):
             conditional_log_bounds_check((1.0, 2.0), cfg, McConfig(100, 38))
+
+
+class TestMeanLog2Quadratic:
+    @pytest.mark.parametrize("sigma_sq", [1.0, 0.1, 1e-6])
+    @pytest.mark.parametrize("lam", [1.0, 1e3])
+    @pytest.mark.parametrize("df", [4, 2])
+    def test_matches_noncentral_chi2(self, sigma_sq, lam, df):
+        # 2 sum_i |x_i|^2 / sigma^2 is chi^2 with df = 2 * (number of weighted
+        # entries) and noncentrality 2 sum_i |mu_i|^2 / sigma^2
+        mean_sq = np.array([0.7, 1.3]) * (1.0 - sigma_sq)
+        weights = (lam, lam) if df == 4 else (lam, 0.0)
+        nc = 2.0 * (mean_sq.sum() if df == 4 else mean_sq[0]) / sigma_sq
+        ref = stats.ncx2(df, nc).expect(
+            lambda x: np.log2(1.0 + lam * sigma_sq / 2.0 * x), epsabs=1e-13, epsrel=1e-13)
+        assert abs(mean_log2_quadratic(weights, mean_sq, sigma_sq) - ref) < 1e-10
+
+    def test_matches_direct_draw_for_unequal_weights(self):
+        rng = np.random.default_rng(41)
+        sigma_sq, weights = 0.1, np.array([100.0, 10.0])
+        mu = np.array([0.8 - 0.3j, -0.5 + 1.1j])
+        n = 400_000
+        x = mu + (rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))) \
+            * math.sqrt(sigma_sq / 2.0)
+        vals = np.log2(1.0 + (x.real ** 2 + x.imag ** 2) @ weights)
+        got = mean_log2_quadratic(weights, np.abs(mu) ** 2, sigma_sq)
+        assert abs(got - vals.mean()) < 5.0 * vals.std(ddof=1) / math.sqrt(n)
+
+    def test_stable_under_step_halving(self, monkeypatch):
+        mean_sq = np.array([[0.0, 0.0], [0.3, 1.7], [2.5, 0.01]])
+        cases = [((1e3, 1e3), 0.1), ((100.0, 10.0), 1e-6), ((1.0, 0.0), 1.0), ((1e3, 0.0), 0.1)]
+        coarse = [mean_log2_quadratic(w, mean_sq, s2) for w, s2 in cases]
+        monkeypatch.setattr(oracles, "_STEP", oracles._STEP / 2.0)
+        fine = [mean_log2_quadratic(w, mean_sq, s2) for w, s2 in cases]
+        assert coarse[0].shape == (3,)
+        assert np.max(np.abs(np.array(coarse) - np.array(fine))) < 1e-12
