@@ -9,16 +9,12 @@ __version__ = "0.1.0"
 
 from .channel import (
     ChannelBatch,
-    ChannelSample,
     CsitConfig,
     DopplerParams,
     alpha_from_doppler,
-    orthogonal_complement,
-    projector,
     sample_batch,
-    sample_channel,
 )
-from .mc import McConfig, McEstimate, NonFiniteSampleError, estimate, per_sample
+from .mc import McConfig, McEstimate, NonFiniteSampleError, estimate
 from .oracles import (
     BoundsCheckReport,
     QuadratureConfig,
@@ -30,12 +26,8 @@ from .oracles import (
 )
 from .rates import (
     CommonMessageRates,
-    PowerPolicy,
     RateResult,
-    default_phase2_policy,
-    default_policy,
     interference_power,
-    mimo_rate,
     quantization_rate,
     rate_baseline,
     rate_common_message,

@@ -16,8 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-N_ANTENNAS = 2
-
 LIGHT_SPEED_MPS = 3.0e8
 
 # Estimates with norm below this are considered degenerate and redrawn.
@@ -111,22 +109,6 @@ class DopplerParams:
 
 
 @dataclass(frozen=True)
-class ChannelSample:
-    """One joint draw of true channels, estimates, and estimation errors.
-
-    All vectors are complex with shape (2,); ``h = h_hat + h_tilde`` and
-    ``g = g_hat + g_tilde`` hold exactly.
-    """
-
-    h: np.ndarray
-    g: np.ndarray
-    h_hat: np.ndarray
-    g_hat: np.ndarray
-    h_tilde: np.ndarray
-    g_tilde: np.ndarray
-
-
-@dataclass(frozen=True)
 class ChannelBatch:
     """Vectorized collection of channel samples; all arrays are (n, 2)."""
 
@@ -140,13 +122,6 @@ class ChannelBatch:
     @property
     def n(self):
         return self.h.shape[0]
-
-    def sample(self, i):
-        return ChannelSample(
-            h=self.h[i], g=self.g[i],
-            h_hat=self.h_hat[i], g_hat=self.g_hat[i],
-            h_tilde=self.h_tilde[i], g_tilde=self.g_tilde[i],
-        )
 
 
 def _draw(rng, n, est_scale, err_scale):
@@ -192,38 +167,6 @@ def sample_batch(rng, cfg, n):
         h_hat=h_hat, g_hat=g_hat,
         h_tilde=h_tilde, g_tilde=g_tilde,
     )
-
-
-def sample_channel(rng, cfg):
-    """Draw a single ChannelSample from an explicit generator state."""
-    return sample_batch(rng, cfg, 1).sample(0)
-
-
-def projector(x):
-    """Rank-1 orthogonal projector onto the direction of ``x``.
-
-    Accepts a single vector (2,) or a batch (..., 2); returns (..., 2, 2).
-    Raises ValueError on a zero vector.
-    """
-    x = np.asarray(x, dtype=complex)
-    norm_sq = np.sum(x.real ** 2 + x.imag ** 2, axis=-1)
-    if np.any(norm_sq <= 0.0):
-        raise ValueError("projector of the zero vector is undefined")
-    return x[..., :, None] * np.conj(x)[..., None, :] / norm_sq[..., None, None]
-
-
-def orthogonal_complement(x):
-    """Deterministic unit vector orthogonal to the 2-vector ``x``.
-
-    Uses the conjugate-swap formula ``(-conj(x2), conj(x1)) / ||x||`` so the
-    result is reproducible.  Accepts batches (..., 2).
-    """
-    x = np.asarray(x, dtype=complex)
-    norm = np.sqrt(np.sum(x.real ** 2 + x.imag ** 2, axis=-1))
-    if np.any(norm <= 0.0):
-        raise ValueError("orthogonal complement of the zero vector is undefined")
-    v = np.stack([-np.conj(x[..., 1]), np.conj(x[..., 0])], axis=-1)
-    return v / norm[..., None]
 
 
 def alpha_from_doppler(params):

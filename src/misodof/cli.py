@@ -309,7 +309,7 @@ def cmd_oracles(args):
     tol = 1e-7 if args.strict else 1e-6
     failures = []
     try:
-        quad_cfg = QuadratureConfig(n_points=args.max_panels or (1 << 24), tolerance=tol)
+        quad_cfg = QuadratureConfig(n_points=args.max_panels, tolerance=tol)
     except ValueError as exc:
         print(f"quadrature-config: FAIL ({exc})")
         return 1
@@ -353,14 +353,19 @@ def cmd_oracles(args):
         failures.append(str(exc))
 
     bounds_cfg = CsitConfig.from_sigma_sq(1000.0, 0.1)
-    report = conditional_log_bounds_check(
-        (bounds_cfg.snr_p, 0.0), bounds_cfg, mc_cfg, quad_config=quad_cfg)
-    n_ok = int(np.sum((report.upper_margins >= 0) & (report.lower_margins >= 0)))
-    print(f"conditional-bounds: {n_ok}/{report.upper_margins.size} batches pass "
-          f"(min upper margin {report.upper_margins.min():.4f}, "
-          f"min lower margin {report.lower_margins.min():.4f})")
-    if not report.passed:
-        failures.append("conditional log bounds violated")
+    try:
+        report = conditional_log_bounds_check(
+            (bounds_cfg.snr_p, 0.0), bounds_cfg, mc_cfg, quad_config=quad_cfg)
+    except QuadratureError as exc:
+        print(f"conditional-bounds: FAIL ({exc})")
+        failures.append(str(exc))
+    else:
+        n_ok = int(np.sum((report.upper_margins >= 0) & (report.lower_margins >= 0)))
+        print(f"conditional-bounds: {n_ok}/{report.upper_margins.size} batches pass "
+              f"(min upper margin {report.upper_margins.min():.4f}, "
+              f"min lower margin {report.lower_margins.min():.4f})")
+        if not report.passed:
+            failures.append("conditional log bounds violated")
 
     for failure in failures[:20]:
         print(f"FAIL: {failure}")
@@ -411,7 +416,7 @@ def _build_parser():
     p_oracles = sub.add_parser("oracles", help="run the analytic verification suite")
     p_oracles.add_argument("--strict", action="store_true",
                            help="tighten tolerances tenfold")
-    p_oracles.add_argument("--max-panels", type=int, default=None,
+    p_oracles.add_argument("--max-panels", type=int, default=1 << 24,
                            help="quadrature panel budget (testing hook)")
     p_oracles.add_argument("--samples", type=int, default=1_000_000)
     p_oracles.add_argument("--seed", type=int, default=None)

@@ -63,15 +63,6 @@ def block_rng(seed, block):
     return Generator(Philox(key=np.array([seed, block], dtype=np.uint64)))
 
 
-def per_sample(fn):
-    """Adapt a per-sample integrand (ChannelSample -> float) to batch form."""
-
-    def wrapped(batch):
-        return np.array([fn(batch.sample(i)) for i in range(batch.n)], dtype=float)
-
-    return wrapped
-
-
 def _run_block(f, cfg, csit, block):
     start = block * BLOCK_SIZE
     size = min(BLOCK_SIZE, cfg.n_samples - start)

@@ -7,12 +7,14 @@ TDMA / ZF / MAT-style / rate-split-ZF baselines.  Expectations are Monte
 Carlo estimates over joint draws of channels and estimates; transmit policies
 may depend on the estimates only.
 
-Covariances are explicit (..., 2, 2) matrices on the public surface.  Inside
-the Monte Carlo integrands every quadratic form is summed beam by beam from
-one kernel's projections of h and g onto the unit estimate directions.  That
-matters numerically: at very high SNR the matrix entries are ~P while
-quadratic forms along nulled directions are O(1), and forming the matrix
-first loses them to cancellation.
+The built-in schemes never form a covariance matrix: each covariance is a
+sum of rank-1 beams along a unit estimate direction and its orthogonal
+complement, and every quadratic form is summed beam by beam from one
+kernel's projections of h and g onto those directions.  That matters
+numerically: at very high SNR the matrix entries are ~P while quadratic
+forms along nulled directions are O(1), and forming the matrix first loses
+them to cancellation.  Only ``rate_common_message``, which evaluates a
+caller's policy, and ``interference_power`` take (..., 2, 2) matrices.
 
 Each scheme is a (width, fill, finalize) triple: ``fill(batch, proj, out)``
 writes its per-sample log terms into ``out``, its (n, width) slice of one
@@ -29,62 +31,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mc
-from .channel import CsitConfig, projector
+from .channel import CsitConfig
 from .regions import Scheme
 
 _E1 = (1.0 + 0.0j, 0.0j)  # fallback beams for zero estimates; tuples key the kernel memo
 _E2 = (0.0j, 1.0 + 0.0j)
 
 _ZERO_DIR_TOL = 1e-12
-_PSD_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class PowerPolicy:
-    """Covariance, power-split, and distortion parameters of one scheme use.
-
-    Matrices are complex (..., 2, 2); a leading batch axis carries
-    per-sample (estimate-dependent) covariances.  ``d1_tilde``/``d2_tilde``
-    are the normalized quantizer distortions in (0, 1].
-    """
-
-    q_u: np.ndarray
-    q_v: np.ndarray
-    q_c: np.ndarray
-    q_p1: np.ndarray
-    q_p2: np.ndarray
-    p1: float
-    p2: float
-    p_c: float
-    p_p: float
-    d1_tilde: float
-    d2_tilde: float
-
-    def validate(self, snr_p):
-        budget = snr_p * (1.0 + 1e-9)
-        tr_phase1 = _trace(self.q_u) + _trace(self.q_v)
-        tr_phase2 = _trace(self.q_c) + _trace(self.q_p1) + _trace(self.q_p2)
-        if np.any(tr_phase1 > budget) or np.any(tr_phase2 > budget):
-            raise ValueError("policy exceeds the transmit power budget")
-        for q in (self.q_u, self.q_v, self.q_c, self.q_p1, self.q_p2):
-            _check_psd(q)
-        if not (0.0 < self.d1_tilde <= 1.0 and 0.0 < self.d2_tilde <= 1.0):
-            raise ValueError("normalized distortions must lie in (0, 1]")
-
-
-def _trace(q):
-    return np.asarray(q)[..., 0, 0].real + np.asarray(q)[..., 1, 1].real
-
-
-def _check_psd(q):
-    q = np.asarray(q)
-    herm_err = np.max(np.abs(q - np.conj(np.swapaxes(q, -1, -2))))
-    scale = np.maximum(_trace(q), 1.0)
-    if herm_err > _PSD_TOL * np.max(scale):
-        raise ValueError("covariance matrix is not Hermitian")
-    min_eig = np.min(np.linalg.eigvalsh(q), axis=-1)
-    if np.any(min_eig < -_PSD_TOL * scale):
-        raise ValueError("covariance matrix is not positive semidefinite")
 
 
 @dataclass(frozen=True)
@@ -134,24 +87,6 @@ def _unit_cols(x, fallback):
     inv = 1.0 / np.where(degenerate, 1.0, norm)
     return (np.where(degenerate, fallback[0], x1 * inv),
             np.where(degenerate, fallback[1], x2 * inv))
-
-
-def _unit_or(x, fallback):
-    return np.stack(_unit_cols(x, fallback), axis=-1)
-
-
-def _perp_unit(x, fallback):
-    x = np.asarray(x, dtype=complex)
-    v = np.stack([-np.conj(x[..., 1]), np.conj(x[..., 0])], axis=-1)
-    return _unit_or(v, fallback)
-
-
-def _pair_entries(h, g, q):
-    """Entries (m00, m11, |m01|^2) of S Q S^H with S = [h^H; g^H]."""
-    s = np.stack([np.conj(h), np.conj(g)], axis=-2)
-    sh = np.conj(np.swapaxes(s, -1, -2))
-    m = s @ np.asarray(q, dtype=complex) @ sh
-    return m[..., 0, 0].real, m[..., 1, 1].real, _abs2(m[..., 0, 1])
 
 
 def _project(batch, est, fallback):
@@ -205,56 +140,6 @@ def _distortion(cfg):
     return min(raw, 1.0)
 
 
-def _policy_components(cfg, h_hat, g_hat):
-    """Rank-1 components of all five covariances of the default policy."""
-    p1, p2, p_c, p_p = _power_split(cfg)
-    perp_g = _perp_unit(g_hat, _E1)
-    par_g = _unit_or(g_hat, _E2)
-    perp_h = _perp_unit(h_hat, _E1)
-    par_h = _unit_or(h_hat, _E2)
-    return {
-        "q_u": ((p1 / 2.0, perp_g), (p2 / 2.0, par_g)),
-        "q_v": ((p1 / 2.0, perp_h), (p2 / 2.0, par_h)),
-        "q_c": ((p_c / 2.0, _E1), (p_c / 2.0, _E2)),
-        "q_p1": ((p_p / 2.0, perp_g),),
-        "q_p2": ((p_p / 2.0, perp_h),),
-        "powers": (p1, p2, p_c, p_p),
-    }
-
-
-def _matrix_of(components):
-    total = 0.0
-    for coeff, w in components:
-        total = total + coeff * projector(w)
-    return np.asarray(total, dtype=complex)
-
-
-def default_policy(cfg, sample):
-    """The fixed precoding/power/distortion choices of the proposed scheme.
-
-    ``sample`` may be a ChannelSample or a ChannelBatch; covariances are
-    built from the estimates only.  Zero estimates (no-CSIT regime) fall
-    back to the fixed orthonormal pair (e1, e2), under which the phase-1
-    covariances become isotropic because p1 == p2 there.
-    """
-    comps = _policy_components(cfg, sample.h_hat, sample.g_hat)
-    p1, p2, p_c, p_p = comps["powers"]
-    d_tilde = _distortion(cfg)
-    return PowerPolicy(
-        q_u=_matrix_of(comps["q_u"]), q_v=_matrix_of(comps["q_v"]),
-        q_c=_matrix_of(comps["q_c"]), q_p1=_matrix_of(comps["q_p1"]),
-        q_p2=_matrix_of(comps["q_p2"]),
-        p1=p1, p2=p2, p_c=p_c, p_p=p_p,
-        d1_tilde=d_tilde, d2_tilde=d_tilde,
-    )
-
-
-def default_phase2_policy(cfg, h_hat, g_hat):
-    """Policy map for the common-message phase: (q_c, q_p1, q_p2) matrices."""
-    comps = _policy_components(cfg, h_hat, g_hat)
-    return _matrix_of(comps["q_c"]), _matrix_of(comps["q_p1"]), _matrix_of(comps["q_p2"])
-
-
 def interference_power(h, q_v):
     """Quadratic form h^H Q h: received power of a covariance at channel h."""
     h = np.asarray(h, dtype=complex)
@@ -288,7 +173,8 @@ def _det_rowscaled(m00, m11, off, r0, r1):
 def _mimo_logdets(u, v, d1, d2):
     """Per-sample rates of both users' equivalent 2x2 channels (phase 1).
 
-    ``u``, ``v``: the ``_pair_entries`` of q_u and q_v.  Each receiver stacks
+    ``u``, ``v``: the entries (m00, m11, |m01|^2) of q_u and q_v that
+    ``_beam_pair`` returns for the g_hat and h_hat beams.  Each receiver stacks
     its direct observation (aligned interference removed, residual
     quantization noise folded into the noise floor) with the decoded
     quantized version of what the other receiver overheard.
@@ -300,18 +186,6 @@ def _mimo_logdets(u, v, d1, d2):
     det1 = _det_rowscaled(u00, u11, u_off, 1.0 / (1.0 + sig1 * d1), _side_gain(sig2, d2))
     det2 = _det_rowscaled(v00, v11, v_off, _side_gain(sig1, d1), 1.0 / (1.0 + sig2 * d2))
     return np.log2(np.maximum(det1, 1.0)), np.log2(np.maximum(det2, 1.0))
-
-
-def mimo_rate(sample, policy, user):
-    """Equivalent-MIMO rate of one user for a single channel sample."""
-    if user not in (1, 2):
-        raise ValueError(f"user must be 1 or 2, got {user}")
-    for q in (policy.q_u, policy.q_v):
-        _check_psd(q)
-    m1, m2 = _mimo_logdets(_pair_entries(sample.h, sample.g, policy.q_u),
-                           _pair_entries(sample.h, sample.g, policy.q_v),
-                           policy.d1_tilde, policy.d2_tilde)
-    return float(m1 if user == 1 else m2)
 
 
 def _phase2_logs(ch, ph1, ph2, cg, pg1, pg2, out):
@@ -351,15 +225,12 @@ def rate_common_message(cfg, policy_map, mc_cfg):
 
     ``policy_map(cfg, h_hat, g_hat)`` must build the covariances
     (q_c, q_p1, q_p2) from the estimates only; it receives batched estimate
-    arrays (n, 2) and may return (2, 2) or (n, 2, 2) matrices (or a full
-    PowerPolicy).  The common-message rate takes the outer min of the two
-    users' expectations.
+    arrays (n, 2) and may return (2, 2) or (n, 2, 2) matrices.  The
+    common-message rate takes the outer min of the two users' expectations.
     """
 
     def fill(batch, proj, out):
         qs = policy_map(cfg, batch.h_hat, batch.g_hat)
-        if isinstance(qs, PowerPolicy):
-            qs = (qs.q_c, qs.q_p1, qs.q_p2)
         _phase2_logs(*(np.maximum(interference_power(x, q), 0.0)
                        for x in (batch.h, batch.g) for q in qs), out)
 

@@ -1,0 +1,74 @@
+"""Explicit-matrix reference for the default policy's beams.
+
+``misodof.rates`` never forms a covariance matrix: every integrand sums
+quadratic forms beam by beam from the projection kernel.  The tests check
+that arithmetic against the covariances written out here, so this module
+builds them independently of the kernel: rank-1 projectors, unit and
+orthogonal-complement directions with the policy's zero-estimate fallbacks,
+and the five covariances (q_u, q_v, q_c, q_p1, q_p2) of the default policy.
+Only the scalar power split comes from ``rates``.
+"""
+
+import numpy as np
+
+from misodof.rates import _power_split
+
+E1 = np.array([1.0 + 0j, 0.0])
+E2 = np.array([0.0 + 0j, 1.0])
+
+
+def projector(x):
+    """Rank-1 orthogonal projector onto the direction of ``x``, (..., 2) -> (..., 2, 2)."""
+    x = np.asarray(x, dtype=complex)
+    norm_sq = np.sum(x.real ** 2 + x.imag ** 2, axis=-1)
+    if np.any(norm_sq <= 0.0):
+        raise ValueError("projector of the zero vector is undefined")
+    return x[..., :, None] * np.conj(x)[..., None, :] / norm_sq[..., None, None]
+
+
+def orthogonal_complement(x):
+    """Unit vector (-conj(x2), conj(x1)) / ||x|| orthogonal to ``x``, (..., 2)."""
+    x = np.asarray(x, dtype=complex)
+    norm = np.sqrt(np.sum(x.real ** 2 + x.imag ** 2, axis=-1))
+    if np.any(norm <= 0.0):
+        raise ValueError("orthogonal complement of the zero vector is undefined")
+    return np.stack([-np.conj(x[..., 1]), np.conj(x[..., 0])], axis=-1) / norm[..., None]
+
+
+def unit(x, fallback):
+    """x / ||x|| per row, or ``fallback`` where x is zero."""
+    norm = np.linalg.norm(x, axis=-1, keepdims=True)
+    return np.where(norm > 0, x / np.where(norm > 0, norm, 1.0), fallback)
+
+
+def perp(x, fallback):
+    """The orthogonal complement of x per row, or ``fallback`` where x is zero."""
+    zero = np.linalg.norm(x, axis=-1, keepdims=True) == 0
+    return np.where(zero, fallback, orthogonal_complement(np.where(zero, E1, x)))
+
+
+def pair_entries(h, g, q):
+    """Entries (m00, m11, |m01|^2) of S Q S^H with S = [h^H; g^H]."""
+    s = np.stack([np.conj(h), np.conj(g)], axis=-2)
+    m = s @ np.asarray(q, dtype=complex) @ np.conj(np.swapaxes(s, -1, -2))
+    return m[..., 0, 0].real, m[..., 1, 1].real, np.abs(m[..., 0, 1]) ** 2
+
+
+def policy_beams(cfg, h_hat, g_hat):
+    """(power, unit beam) pairs of the default policy's five covariances."""
+    p1, p2, p_c, p_p = _power_split(cfg)
+    perp_g, par_g = perp(g_hat, E1), unit(g_hat, E2)
+    perp_h, par_h = perp(h_hat, E1), unit(h_hat, E2)
+    return {
+        "q_u": ((p1 / 2.0, perp_g), (p2 / 2.0, par_g)),
+        "q_v": ((p1 / 2.0, perp_h), (p2 / 2.0, par_h)),
+        "q_c": ((p_c / 2.0, E1), (p_c / 2.0, E2)),
+        "q_p1": ((p_p / 2.0, perp_g),),
+        "q_p2": ((p_p / 2.0, perp_h),),
+    }
+
+
+def policy_matrices(cfg, h_hat, g_hat):
+    """The default policy's five covariances as explicit (..., 2, 2) matrices."""
+    return {name: sum(c * projector(w) for c, w in beams)
+            for name, beams in policy_beams(cfg, h_hat, g_hat).items()}

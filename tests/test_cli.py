@@ -188,7 +188,13 @@ class TestOraclesCommand:
         assert "conditional-bounds: 100/100 batches pass" in out
 
     def test_injected_fault_exits_1(self, capsys):
-        assert _run(["oracles", "--max-panels", "4"]) == 1
+        # 0 and 4 are rejected by the quadrature config; 64 is accepted but
+        # every quadrature runs out of panels, including the bound check's
+        for panels in ("0", "4", "64"):
+            assert _run(["oracles", "--max-panels", panels, "--samples", "10000"]) == 1, panels
+            out = capsys.readouterr().out
+            assert "FAIL" in out, panels
+        assert "conditional-bounds: FAIL" in out
 
     def test_strict_mode_passes(self):
         assert _run(["oracles", "--strict", "--samples", "100000", "--seed", "2"]) == 0

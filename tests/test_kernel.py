@@ -2,10 +2,11 @@
 
 The integrands work from one projection kernel (``rates._project``).  Here
 each one is checked sample by sample against (a) explicit covariance
-matrices built from ``default_policy`` and rank-1 projectors, evaluated with
-``interference_power`` and a 2x2 determinant, and (b) an mpmath evaluation
-of the same per-sample formulas at extreme SNR, where forming a covariance
-in double precision would lose the nulled quadratic forms.
+matrices that ``reference.policy_matrices`` builds from rank-1 projectors,
+evaluated with ``interference_power`` and a 2x2 determinant, and (b) an
+mpmath evaluation of the same per-sample formulas at extreme SNR, where
+forming a covariance in double precision would lose the nulled quadratic
+forms.
 """
 
 import mpmath
@@ -14,13 +15,12 @@ import pytest
 from numpy.random import Generator, Philox
 
 from misodof import mc, rates
-from misodof.channel import CsitConfig, orthogonal_complement, projector, sample_batch
+from misodof.channel import CsitConfig, sample_batch
 from misodof.mc import McConfig
-from misodof.rates import default_policy, interference_power, rate_scheme
+from misodof.rates import interference_power, rate_scheme
+from reference import E1, E2, perp, policy_matrices, projector, unit
 
 SCHEMES = ("tdma", "zf", "mat", "rszf", "proposed")
-E1 = np.array([1.0 + 0j, 0.0])
-E2 = np.array([0.0 + 0j, 1.0])
 
 
 def _integrand(scheme, cfg):
@@ -49,22 +49,10 @@ def _policy_cfg(scheme, cfg):
     return CsitConfig.from_sigma_sq(cfg.snr_p, 1.0) if scheme == "mat" else cfg
 
 
-def _unit(x, fallback):
-    norm = np.linalg.norm(x, axis=-1, keepdims=True)
-    return np.where(norm > 0, x / np.where(norm > 0, norm, 1.0), fallback)
-
-
-def _perp(x, fallback):
-    zero = np.linalg.norm(x, axis=-1, keepdims=True) == 0
-    safe = np.where(zero, E1, x)
-    return np.where(zero, fallback, orthogonal_complement(safe))
-
-
-def _explicit_mimo(h, g, pol):
+def _explicit_mimo(h, g, q_u, q_v, d):
     s = np.stack([np.conj(h), np.conj(g)], axis=-2)
     sh = np.conj(np.swapaxes(s, -1, -2))
-    m_u, m_v = s @ pol.q_u @ sh, s @ pol.q_v @ sh
-    d = pol.d1_tilde
+    m_u, m_v = s @ q_u @ sh, s @ q_v @ sh
     sig1, sig2 = m_v[:, 0, 0].real, m_u[:, 1, 1].real
 
     def gain(sig):
@@ -82,23 +70,24 @@ def _explicit_mimo(h, g, pol):
 def _explicit_integrand(scheme, cfg, batch):
     h, g, p = batch.h, batch.g, cfg.snr_p
     if scheme == "tdma":
-        q_h = p * projector(_unit(batch.h_hat, E1))
-        q_g = p * projector(_unit(batch.g_hat, E1))
+        q_h = p * projector(unit(batch.h_hat, E1))
+        q_g = p * projector(unit(batch.g_hat, E1))
         return np.stack([np.log2(1.0 + interference_power(h, q_h)),
                          np.log2(1.0 + interference_power(g, q_g))], axis=-1)
     if scheme == "zf":
-        q1 = p / 2.0 * projector(_perp(batch.g_hat, E1))
-        q2 = p / 2.0 * projector(_perp(batch.h_hat, E2))
+        q1 = p / 2.0 * projector(perp(batch.g_hat, E1))
+        q2 = p / 2.0 * projector(perp(batch.h_hat, E2))
         ip = interference_power
         return np.stack([np.log2(1.0 + ip(h, q1) / (1.0 + ip(h, q2))),
                          np.log2(1.0 + ip(g, q2) / (1.0 + ip(g, q1)))], axis=-1)
-    pol = default_policy(_policy_cfg(scheme, cfg), batch)
-    ch, ph1, ph2, cg, pg1, pg2 = (interference_power(x, q) for x in (h, g)
-                                  for q in (pol.q_c, pol.q_p1, pol.q_p2))
+    pcfg = _policy_cfg(scheme, cfg)
+    q = policy_matrices(pcfg, batch.h_hat, batch.g_hat)
+    ch, ph1, ph2, cg, pg1, pg2 = (interference_power(x, q[name]) for x in (h, g)
+                                  for name in ("q_c", "q_p1", "q_p2"))
     cols = [np.log2(1.0 + ch / (1.0 + ph1 + ph2)), np.log2(1.0 + cg / (1.0 + pg1 + pg2)),
             np.log2(1.0 + ph1 / (1.0 + ph2)), np.log2(1.0 + pg2 / (1.0 + pg1))]
     if scheme != "rszf":
-        cols += _explicit_mimo(h, g, pol)
+        cols += _explicit_mimo(h, g, q["q_u"], q["q_v"], rates._distortion(pcfg))
     return np.stack(cols, axis=-1)
 
 
@@ -119,7 +108,7 @@ def test_kernel_columns_match_projectors(alpha, fallback):
     cfg = CsitConfig.from_alpha(1e4, alpha)
     batch = _batch(cfg, 256, seed=42)
     for est in (batch.h_hat, batch.g_hat):
-        w = _unit(est, fallback)
+        w = unit(est, fallback)
         w_perp = np.stack([-np.conj(w[:, 1]), np.conj(w[:, 0])], axis=-1)
         h_par, h_perp, g_par, g_perp = rates._project(batch, est, fallback)
         for col, x, beam in ((h_par, batch.h, w), (h_perp, batch.h, w_perp),

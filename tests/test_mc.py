@@ -9,7 +9,6 @@ from misodof.mc import (
     McConfig,
     NonFiniteSampleError,
     estimate,
-    per_sample,
 )
 
 CFG = CsitConfig.from_sigma_sq(100.0, 0.25)
@@ -114,18 +113,6 @@ def test_non_finite_in_later_block():
     with pytest.raises(NonFiniteSampleError) as err:
         estimate(f, McConfig(BLOCK_SIZE * 2, 9), CFG)
     assert err.value.index == target
-
-
-def test_per_sample_adapter_matches_batch():
-    def scalar(sample):
-        return float(np.sum(np.abs(sample.h) ** 2))
-
-    def batched(batch):
-        return np.sum(np.abs(batch.h) ** 2, axis=1)
-
-    a = estimate(per_sample(scalar), McConfig(2_000, 10), CFG)
-    b = estimate(batched, McConfig(2_000, 10), CFG)
-    assert abs(a.mean - b.mean) < 1e-12
 
 
 def test_bad_config_rejected():

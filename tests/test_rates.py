@@ -5,16 +5,17 @@ import pytest
 from numpy.random import Generator, Philox
 
 from misodof import rates
-from misodof.channel import CsitConfig, sample_batch, sample_channel
+from misodof.channel import CsitConfig, sample_batch
 from misodof.mc import McConfig, estimate
 from misodof.rates import (
-    PowerPolicy,
     RateResult,
-    _policy_components,
-    default_phase2_policy,
-    default_policy,
+    _E2,
+    _beam_pair,
+    _distortion,
+    _mimo_logdets,
+    _power_split,
+    _project,
     interference_power,
-    mimo_rate,
     quantization_rate,
     rate_baseline,
     rate_common_message,
@@ -22,6 +23,7 @@ from misodof.rates import (
     rate_scheme,
 )
 from misodof.regions import Scheme
+from reference import E1, E2, pair_entries, perp, policy_beams, policy_matrices, projector, unit
 
 # Frozen by a straight-line determinant evaluation done ahead of the
 # implementation: h=(1,0), g=(0,1), Q_u=diag(4,1), Q_v=diag(1,4), D=0.5.
@@ -32,70 +34,61 @@ def _rng(seed=0):
     return Generator(Philox(key=np.array([seed, 0], dtype=np.uint64)))
 
 
-def _fixed_sample():
-    from misodof.channel import ChannelSample
-
+def _fixed_mimo_rates(q_u, q_v, d):
+    # both users' equivalent-MIMO rates at h = (1, 0), g = (0, 1)
     h = np.array([1.0 + 0j, 0.0 + 0j])
     g = np.array([0.0 + 0j, 1.0 + 0j])
-    zero = np.zeros(2, dtype=complex)
-    return ChannelSample(h=h, g=g, h_hat=h, g_hat=g, h_tilde=zero, g_tilde=zero)
-
-
-def _manual_policy(q_u, q_v, d1=1.0, d2=1.0):
-    zero = np.zeros((2, 2), dtype=complex)
-    return PowerPolicy(q_u=q_u, q_v=q_v, q_c=zero, q_p1=zero, q_p2=zero,
-                       p1=0.0, p2=0.0, p_c=0.0, p_p=0.0,
-                       d1_tilde=d1, d2_tilde=d2)
+    return _mimo_logdets(pair_entries(h, g, q_u), pair_entries(h, g, q_v), d, d)
 
 
 class TestDefaultPolicy:
     def test_no_csit_split(self):
         cfg = CsitConfig.from_sigma_sq(1e4, 1.0)
-        sample = sample_channel(_rng(1), cfg)
-        pol = default_policy(cfg, sample)
+        p1, p2, p_c, p_p = _power_split(cfg)
         p = cfg.snr_p
-        assert pol.p_p == 0.0
-        assert pol.p_c == pytest.approx(p)
-        assert pol.p1 == pytest.approx(p / 2.0)
-        assert pol.p2 == pytest.approx(p / 2.0)
-        # isotropic phase-1 covariances in the no-CSIT regime
-        assert np.allclose(pol.q_u, (p / 4.0) * np.eye(2), rtol=1e-12)
+        assert p_p == 0.0
+        assert p_c == pytest.approx(p)
+        assert p1 == pytest.approx(p / 2.0)
+        assert p2 == pytest.approx(p / 2.0)
+        # isotropic phase-1 covariances in the no-CSIT regime: the zero
+        # estimate's fallback beams carry p/4 each
+        batch = sample_batch(_rng(1), cfg, 64)
+        (m00, m11, off), _, _ = _beam_pair(_project(batch, batch.g_hat, _E2), p1 / 2.0, p2 / 2.0)
+        np.testing.assert_allclose(m00, p / 4.0 * np.sum(np.abs(batch.h) ** 2, axis=1), rtol=1e-12)
+        np.testing.assert_allclose(m11, p / 4.0 * np.sum(np.abs(batch.g) ** 2, axis=1), rtol=1e-12)
+        cross = np.abs(np.sum(np.conj(batch.h) * batch.g, axis=1)) ** 2
+        np.testing.assert_allclose(off, (p / 4.0) ** 2 * cross, rtol=1e-9)
 
     def test_perfect_csit_split(self):
         cfg = CsitConfig.from_sigma_sq(1e4, 1e-4)
-        sample = sample_channel(_rng(2), cfg)
-        pol = default_policy(cfg, sample)
-        assert pol.p_p == pytest.approx(cfg.snr_p, rel=1e-9)
-        assert pol.p_c == pytest.approx(0.0, abs=1e-6)
-        assert pol.p2 == pytest.approx(0.0, abs=1e-9)
-        assert pol.p1 == pytest.approx(cfg.snr_p, rel=1e-9)
-        assert pol.d1_tilde == 1.0
+        p1, p2, p_c, p_p = _power_split(cfg)
+        assert p_p == pytest.approx(cfg.snr_p, rel=1e-9)
+        assert p_c == pytest.approx(0.0, abs=1e-6)
+        assert p2 == pytest.approx(0.0, abs=1e-9)
+        assert p1 == pytest.approx(cfg.snr_p, rel=1e-9)
+        assert _distortion(cfg) == 1.0
 
     def test_traces_meet_power_budget_exactly(self):
-        cfg = CsitConfig.from_alpha(10 ** 4.7, 0.3)
+        p = 10 ** 4.7
+        for alpha in (0.0, 0.3, 0.5, 1.0):
+            p1, p2, p_c, p_p = _power_split(CsitConfig.from_alpha(p, alpha))
+            assert abs(p1 + p2 - p) < 1e-9 * p
+            assert abs(p_c + p_p - p) < 1e-9 * p
+        # the explicit covariances built from the split spend exactly P per phase
+        cfg = CsitConfig.from_alpha(p, 0.3)
         batch = sample_batch(_rng(3), cfg, 512)
-        pol = default_policy(cfg, batch)
-        tr1 = np.real(np.trace(pol.q_u, axis1=-2, axis2=-1)
-                      + np.trace(pol.q_v, axis1=-2, axis2=-1))
-        tr2 = np.real(np.trace(pol.q_c) + np.trace(pol.q_p1, axis1=-2, axis2=-1)
-                      + np.trace(pol.q_p2, axis1=-2, axis2=-1))
+        q = policy_matrices(cfg, batch.h_hat, batch.g_hat)
+        tr1 = np.real(np.trace(q["q_u"], axis1=-2, axis2=-1)
+                      + np.trace(q["q_v"], axis1=-2, axis2=-1))
+        tr2 = np.real(np.trace(q["q_c"]) + np.trace(q["q_p1"], axis1=-2, axis2=-1)
+                      + np.trace(q["q_p2"], axis1=-2, axis2=-1))
         assert np.max(np.abs(tr1 - cfg.snr_p)) < 1e-9 * cfg.snr_p
         assert np.max(np.abs(tr2 - cfg.snr_p)) < 1e-9 * cfg.snr_p
-        pol_single = default_policy(cfg, batch.sample(0))
-        pol_single.validate(cfg.snr_p)
 
     def test_distortion_clamped(self):
-        cfg = CsitConfig.from_alpha(2.0 ** 10, 0.5)
-        sample = sample_channel(_rng(4), cfg)
-        pol = default_policy(cfg, sample)
-        assert pol.d1_tilde == pytest.approx(2.0 ** -5)
-
-    def test_validate_rejects_over_budget(self):
-        cfg = CsitConfig.from_alpha(100.0, 0.5)
-        sample = sample_channel(_rng(5), cfg)
-        pol = default_policy(cfg, sample)
-        with pytest.raises(ValueError):
-            pol.validate(cfg.snr_p / 10.0)
+        assert _distortion(CsitConfig.from_alpha(2.0 ** 10, 0.5)) == pytest.approx(2.0 ** -5)
+        # clamped at 1 when the error variance is below the AWGN level
+        assert _distortion(CsitConfig.from_sigma_sq(1e4, 1e-6)) == 1.0
 
 
 class TestInterferencePower:
@@ -106,9 +99,9 @@ class TestInterferencePower:
     def test_estimate_sees_only_aligned_power(self):
         cfg = CsitConfig.from_alpha(1e4, 0.5)
         batch = sample_batch(_rng(6), cfg, 256)
-        pol = default_policy(cfg, batch)
-        got = interference_power(batch.h_hat, pol.q_v)
-        expected = (pol.p2 / 2.0) * np.sum(np.abs(batch.h_hat) ** 2, axis=1)
+        q_v = policy_matrices(cfg, batch.h_hat, batch.g_hat)["q_v"]
+        got = interference_power(batch.h_hat, q_v)
+        expected = (_power_split(cfg)[1] / 2.0) * np.sum(np.abs(batch.h_hat) ** 2, axis=1)
         assert np.allclose(got, expected, rtol=1e-9, atol=1e-9)
 
     def test_mean_scaling_with_power(self):
@@ -119,7 +112,7 @@ class TestInterferencePower:
             cfg = CsitConfig.from_alpha(2.0 ** log2p, alpha)
 
             def f(batch):
-                comps = _policy_components(cfg, batch.h_hat, batch.g_hat)
+                comps = policy_beams(cfg, batch.h_hat, batch.g_hat)
                 return np.maximum(
                     sum(c * np.abs(np.sum(np.conj(batch.h) * w, axis=-1)) ** 2
                         for c, w in comps["q_v"]), 0.0)
@@ -137,7 +130,6 @@ class TestQuantizationRate:
         assert math.copysign(1.0, quantization_rate(1.0)) == 1.0   # never -0.0
         assert quantization_rate(0.25) == pytest.approx(2.0)
         cfg = CsitConfig.from_alpha(2.0 ** 10, 0.5)
-        from misodof.rates import _distortion
         assert quantization_rate(_distortion(cfg)) == pytest.approx(5.0)
 
     @pytest.mark.parametrize("bad", [0.0, -0.1, 1.5])
@@ -148,40 +140,27 @@ class TestQuantizationRate:
 
 class TestMimoRate:
     def test_zero_covariance_gives_zero(self):
-        sample = _fixed_sample()
-        pol = _manual_policy(np.zeros((2, 2), complex), np.zeros((2, 2), complex), 0.5, 0.5)
-        assert mimo_rate(sample, pol, 1) == 0.0
+        zero = np.zeros((2, 2), complex)
+        assert _fixed_mimo_rates(zero, zero, 0.5) == (0.0, 0.0)
 
     def test_unit_distortion_reduces_to_sinr(self):
         cfg = CsitConfig.from_alpha(1e3, 0.5)
-        sample = sample_channel(_rng(8), cfg)
+        batch = sample_batch(_rng(8), cfg, 64)
         q_u = np.array([[2.0, 0.3 + 0.1j], [0.3 - 0.1j, 1.0]], dtype=complex)
         q_v = np.array([[1.0, -0.2j], [0.2j, 3.0]], dtype=complex)
-        pol = _manual_policy(q_u, q_v, d1=1.0, d2=1.0)
-        sig = interference_power(sample.h, q_u)
-        noise = interference_power(sample.h, q_v)
-        expected = math.log2(1.0 + sig / (1.0 + noise))
-        assert mimo_rate(sample, pol, 1) == pytest.approx(expected, rel=1e-12)
+        u = pair_entries(batch.h, batch.g, q_u)
+        v = pair_entries(batch.h, batch.g, q_v)
+        m1, m2 = _mimo_logdets(u, v, 1.0, 1.0)
+        sig, noise = interference_power(batch.h, q_u), interference_power(batch.h, q_v)
+        np.testing.assert_allclose(m1, np.log2(1.0 + sig / (1.0 + noise)), rtol=1e-12)
+        sig, noise = interference_power(batch.g, q_v), interference_power(batch.g, q_u)
+        np.testing.assert_allclose(m2, np.log2(1.0 + sig / (1.0 + noise)), rtol=1e-12)
 
     def test_frozen_fixed_sample_value(self):
-        sample = _fixed_sample()
-        pol = _manual_policy(np.diag([4.0, 1.0]).astype(complex),
-                             np.diag([1.0, 4.0]).astype(complex), 0.5, 0.5)
-        assert mimo_rate(sample, pol, 1) == pytest.approx(MIMO_FIXED_SAMPLE_RATE, rel=1e-12)
-        assert mimo_rate(sample, pol, 2) == pytest.approx(MIMO_FIXED_SAMPLE_RATE, rel=1e-12)
-
-    def test_rejects_non_psd(self):
-        sample = _fixed_sample()
-        pol = _manual_policy(np.diag([1.0, -0.5]).astype(complex),
-                             np.eye(2, dtype=complex), 0.5, 0.5)
-        with pytest.raises(ValueError):
-            mimo_rate(sample, pol, 1)
-
-    def test_rejects_bad_user(self):
-        sample = _fixed_sample()
-        pol = _manual_policy(np.eye(2, dtype=complex), np.eye(2, dtype=complex))
-        with pytest.raises(ValueError):
-            mimo_rate(sample, pol, 3)
+        m1, m2 = _fixed_mimo_rates(np.diag([4.0, 1.0]).astype(complex),
+                                   np.diag([1.0, 4.0]).astype(complex), 0.5)
+        assert m1 == pytest.approx(MIMO_FIXED_SAMPLE_RATE, rel=1e-12)
+        assert m2 == pytest.approx(MIMO_FIXED_SAMPLE_RATE, rel=1e-12)
 
 
 class TestCommonMessage:
@@ -201,34 +180,20 @@ class TestCommonMessage:
         cfg = CsitConfig.from_alpha(2.0 ** 40, 1.0)
 
         def fixed_power_map(cfg_, h_hat, g_hat):
-            from misodof.rates import _perp_unit, _E1, _E2
-            from misodof.channel import projector
-            q_p1 = 5.0 * projector(_perp_unit(g_hat, _E1))
-            q_p2 = 5.0 * projector(_perp_unit(h_hat, _E2))
+            q_p1 = 5.0 * projector(perp(g_hat, E1))
+            q_p2 = 5.0 * projector(perp(h_hat, E2))
             return np.zeros((2, 2), dtype=complex), q_p1, q_p2
 
         mc_cfg = McConfig(20_000, 11)
         cm = rate_common_message(cfg, fixed_power_map, mc_cfg)
 
         def clean(batch):
-            from misodof.rates import _perp_unit, _E1
-            w = _perp_unit(batch.g_hat, _E1)
+            w = perp(batch.g_hat, E1)
             sig = 5.0 * np.abs(np.sum(np.conj(batch.h) * w, axis=-1)) ** 2
             return np.log2(1.0 + sig)
 
         ref = estimate(clean, mc_cfg, cfg)
         assert cm.r_p1 == pytest.approx(ref.mean, abs=1e-8)
-
-    def test_accepts_power_policy_return(self):
-        cfg = CsitConfig.from_alpha(1e3, 0.5)
-
-        def policy_map(cfg_, h_hat, g_hat):
-            return default_policy(cfg_, type("E", (), {"h_hat": h_hat, "g_hat": g_hat})())
-
-        cm_a = rate_common_message(cfg, policy_map, McConfig(5_000, 12))
-        cm_b = rate_common_message(cfg, default_phase2_policy, McConfig(5_000, 12))
-        assert cm_a.r_c == pytest.approx(cm_b.r_c, rel=1e-12)
-        assert cm_a.r_p1 == pytest.approx(cm_b.r_p1, rel=1e-12)
 
 
 class TestProposedScheme:
@@ -283,7 +248,7 @@ class TestProposedScheme:
             cfg = CsitConfig.from_alpha(2.0 ** log2p, alpha)
 
             def f(batch):
-                comps = _policy_components(cfg, batch.h_hat, batch.g_hat)
+                comps = policy_beams(cfg, batch.h_hat, batch.g_hat)
                 s1 = np.maximum(
                     sum(c * np.abs(np.sum(np.conj(batch.h) * w, axis=-1)) ** 2
                         for c, w in comps["q_v"]), 1e-300)
@@ -322,8 +287,7 @@ class TestBaselines:
         cfg = CsitConfig.from_alpha(1e4, 0.5)
 
         def full_slot(batch):
-            from misodof.rates import _unit_or, _E1
-            beam = _unit_or(batch.h_hat, _E1)
+            beam = unit(batch.h_hat, E1)
             sig = cfg.snr_p * np.abs(np.sum(np.conj(batch.h) * beam, axis=-1)) ** 2
             return np.log2(1.0 + sig)
 
@@ -336,8 +300,7 @@ class TestBaselines:
         # the beam serving user 2 carries no power toward user 1's estimate
         cfg = CsitConfig.from_alpha(1e4, 0.5)
         batch = sample_batch(_rng(22), cfg, 1024)
-        from misodof.rates import _perp_unit, _E2
-        w2 = _perp_unit(batch.h_hat, _E2)
+        w2 = perp(batch.h_hat, E2)
         leak = np.abs(np.sum(np.conj(batch.h_hat) * w2, axis=-1)) ** 2
         assert leak.max() < 1e-20
 
