@@ -110,7 +110,8 @@ class DopplerParams:
 
 @dataclass(frozen=True)
 class ChannelBatch:
-    """Vectorized collection of channel samples; all arrays are (n, 2)."""
+    """Vectorized collection of channel samples drawn at config ``csit``;
+    all arrays are (n, 2)."""
 
     h: np.ndarray
     g: np.ndarray
@@ -118,18 +119,25 @@ class ChannelBatch:
     g_hat: np.ndarray
     h_tilde: np.ndarray
     g_tilde: np.ndarray
+    csit: CsitConfig
 
     @property
     def n(self):
         return self.h.shape[0]
 
 
-def _draw(rng, n, est_scale, err_scale):
-    # Fixed draw layout: 16 reals per sample, estimates first.
+def _draw(rng, n):
+    # Fixed draw layout: 16 reals per sample, estimates first; unit-variance
+    # complex entries, scaled per config.
     z = rng.standard_normal((n, 16))
-    est = (z[:, 0:4] + 1j * z[:, 4:8]) * est_scale
-    err = (z[:, 8:12] + 1j * z[:, 12:16]) * err_scale
-    return est, err
+    return z[:, 0:4] + 1j * z[:, 4:8], z[:, 8:12] + 1j * z[:, 12:16]
+
+
+def _degenerate(est):
+    # Rows where h_hat or g_hat has norm below _DEGENERATE_NORM.
+    sq = est.real ** 2 + est.imag ** 2
+    return ((sq[:, 0] + sq[:, 1] < _DEGENERATE_NORM ** 2)
+            | (sq[:, 2] + sq[:, 3] < _DEGENERATE_NORM ** 2))
 
 
 def sample_batch(rng, cfg, n):
@@ -140,32 +148,63 @@ def sample_batch(rng, cfg, n):
     Samples with a degenerate estimate direction (norm below 1e-12) are
     redrawn, except in the no-CSIT regime sigma_sq == 1 where the estimates
     are deterministically zero.
+
+    Given a sequence of configs instead, the normals are drawn here once,
+    and an iterator yields one ChannelBatch per config, each scaled only
+    when asked for.  Each equals this function's batch for that config
+    alone from the same ``rng``; release it before asking for the next.
     """
-    s2 = cfg.sigma_sq
-    est_scale = math.sqrt(max(1.0 - s2, 0.0) / 2.0)
-    err_scale = math.sqrt(s2 / 2.0)
-    est, err = _draw(rng, n, est_scale, err_scale)
-    if s2 < 1.0:
-        for _ in range(_MAX_REDRAWS):
-            sq = est.real ** 2 + est.imag ** 2
-            bad = ((sq[:, 0] + sq[:, 1] < _DEGENERATE_NORM ** 2)
-                   | (sq[:, 2] + sq[:, 3] < _DEGENERATE_NORM ** 2))
-            if not bad.any():
-                break
-            est_new, err_new = _draw(rng, int(bad.sum()), est_scale, err_scale)
-            est[bad] = est_new
-            err[bad] = err_new
+    single = isinstance(cfg, CsitConfig)
+    est0, err0 = _draw(rng, n)
+    batches = _scaled_batches(rng, est0, err0, [cfg] if single else list(cfg))
+    return next(batches) if single else batches
+
+
+def _scaled_batches(rng, est0, err0, cfgs):
+    after_draw = None
+    for i, cfg in enumerate(cfgs):
+        last = i + 1 == len(cfgs)
+        s2 = cfg.sigma_sq
+        est_scale = math.sqrt(max(1.0 - s2, 0.0) / 2.0)
+        err_scale = math.sqrt(s2 / 2.0)
+        if last:  # no later config needs the unscaled arrays: scale them in place
+            est, err = est0, err0
+            est *= est_scale
+            err *= err_scale
         else:
-            raise RuntimeError(
-                "degenerate channel estimates persisted through "
-                f"{_MAX_REDRAWS} redraws; generator is broken"
-            )
-    h_hat, g_hat = est[:, 0:2], est[:, 2:4]
-    h_tilde, g_tilde = err[:, 0:2], err[:, 2:4]
-    return ChannelBatch(
-        h=h_hat + h_tilde, g=g_hat + g_tilde,
-        h_hat=h_hat, g_hat=g_hat,
-        h_tilde=h_tilde, g_tilde=g_tilde,
+            est, err = est0 * est_scale, err0 * err_scale
+        if s2 < 1.0 and _degenerate(est).any():
+            # Redraw as this config alone would: from the generator state the
+            # shared draw left, which the first config to redraw saves for
+            # the later ones.
+            if after_draw is not None:
+                rng.bit_generator.state = after_draw
+            elif not last:
+                after_draw = rng.bit_generator.state
+            _redraw(rng, est, err, est_scale, err_scale)
+        h_hat, g_hat = est[:, 0:2], est[:, 2:4]
+        h_tilde, g_tilde = err[:, 0:2], err[:, 2:4]
+        yield ChannelBatch(
+            h=h_hat + h_tilde, g=g_hat + g_tilde,
+            h_hat=h_hat, g_hat=g_hat,
+            h_tilde=h_tilde, g_tilde=g_tilde, csit=cfg,
+        )
+        # hold nothing of this batch while the next one is built
+        del est, err, h_hat, g_hat, h_tilde, g_tilde
+
+
+def _redraw(rng, est, err, est_scale, err_scale):
+    # Replace the degenerate rows of ``est`` (and their errors) in place.
+    for _ in range(_MAX_REDRAWS):
+        bad = _degenerate(est)
+        if not bad.any():
+            return
+        est_new, err_new = _draw(rng, int(bad.sum()))
+        est[bad] = est_new * est_scale
+        err[bad] = err_new * err_scale
+    raise RuntimeError(
+        "degenerate channel estimates persisted through "
+        f"{_MAX_REDRAWS} redraws; generator is broken"
     )
 
 

@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 oracle failure, 2 bad usage/arguments, 3 non-finite
 Monte Carlo result.  Numeric output is deterministic for a fixed seed
-regardless of the worker count.  In ``rates`` the schemes at one SNR share
-their channel draws: one ``rate_scheme`` call evaluates them together.
+regardless of the worker count.  In ``rates`` and ``slopes`` every scheme and
+SNR of a run shares its channel draws: one ``rate_scheme`` call evaluates
+them together.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from .regions import (
 )
 
 LOG2_10 = math.log2(10.0)
+_ROTATION_FAIL_LINES = 20
 
 CSV_HEADER = [
     "snr_db", "scheme", "alpha", "r1", "r2", "rsum", "stderr_sum",
@@ -179,22 +181,24 @@ def _scheme_list(name):
 
 
 def _rate_rows(schemes, cells, mc_cfg):
-    # One call per SNR.  A lone scheme goes bare: bench/tracing.py keys each
-    # call's integrand time by this argument, per scheme name.
+    # One call per run, over every SNR.  A lone scheme goes bare:
+    # bench/tracing.py keys each call's integrand time by this argument,
+    # per scheme name.
     group = tuple(schemes) if len(schemes) > 1 else schemes[0]
+    try:
+        results = rate_scheme(group, [cfg for _, cfg in cells], mc_cfg)
+    except NonFiniteSampleError as exc:
+        named = exc.scheme.value if exc.scheme else "/".join(s.value for s in schemes)
+        cell = f"snr_db {_fmt(cells[exc.config_index][0])}, scheme {named}"
+        raise _Exit(3, f"{exc} in cell ({cell})") from exc
     rows = []
-    for snr_db, cfg in cells:
-        cell = f"snr_db {_fmt(snr_db)}, scheme "
-        try:
-            results = rate_scheme(group, cfg, mc_cfg)
-        except NonFiniteSampleError as exc:
-            named = exc.scheme.value if exc.scheme else "/".join(s.value for s in schemes)
-            raise _Exit(3, f"{exc} in cell ({cell}{named})") from exc
-        for scheme, res in zip(schemes, results if len(schemes) > 1 else [results]):
+    for (snr_db, cfg), at_snr in zip(cells, results):
+        for scheme, res in zip(schemes, at_snr if len(schemes) > 1 else [at_snr]):
             rsum = res.r1 + res.r2
             stderr_sum = math.sqrt(res.se_r1 ** 2 + res.se_r2 ** 2)
             if not all(math.isfinite(v) for v in (res.r1, res.r2, rsum)):
-                raise _Exit(3, f"non-finite rate in cell ({cell}{scheme.value})")
+                raise _Exit(3, f"non-finite rate in cell "
+                               f"(snr_db {_fmt(snr_db)}, scheme {scheme.value})")
             rows.append([
                 _fmt(snr_db), scheme.value, _fmt(cfg.alpha),
                 _fmt(res.r1), _fmt(res.r2), _fmt(rsum), _fmt(stderr_sum),
@@ -316,8 +320,7 @@ def cmd_oracles(args):
 
     rng = Generator(Philox(key=np.array([mc_cfg.seed, 0], dtype=np.uint64)))
     pairs = rng.uniform(0.05, 10.0, size=(1000, 2))
-    max_err = 0.0
-    n_pass = 0
+    errs = []
     for a, b in pairs:
         try:
             err = abs(rotation_mean_log_quadrature(a, b, quad_cfg)
@@ -325,12 +328,18 @@ def cmd_oracles(args):
         except QuadratureError:
             failures.append(f"rotation identity did not converge at ({a}, {b})")
             continue
-        max_err = max(max_err, err)
-        if err < tol:
-            n_pass += 1
-        else:
+        errs.append(err)
+        if err >= tol:
             failures.append(f"rotation identity off by {err:.3e} at ({a:.4f}, {b:.4f})")
-    print(f"rotation-identity: {n_pass}/{len(pairs)} pass (max err {max_err:.3e})")
+    n_pass = sum(err < tol for err in errs)
+    details = [f"max err {max(errs):.3e}"] if errs else []
+    if len(errs) < len(pairs):
+        details.append(f"{len(pairs) - len(errs)} did not converge")
+    print(f"rotation-identity: {n_pass}/{len(pairs)} pass ({', '.join(details)})")
+    # one line per failing pair, up to a cap, so the later checks still show
+    if len(failures) > _ROTATION_FAIL_LINES:
+        more = len(failures) - _ROTATION_FAIL_LINES
+        failures[_ROTATION_FAIL_LINES:] = [f"... and {more} more rotation identity failures"]
 
     try:
         gamma_quad = exp_log_mean(quad_cfg)
@@ -350,7 +359,7 @@ def cmd_oracles(args):
             failures.append("exp-log constant mismatch between quadrature and Monte Carlo")
     except QuadratureError as exc:
         print(f"exp-log-constant: FAIL ({exc})")
-        failures.append(str(exc))
+        failures.append(f"exp-log constant: {exc}")
 
     bounds_cfg = CsitConfig.from_sigma_sq(1000.0, 0.1)
     try:
@@ -358,7 +367,7 @@ def cmd_oracles(args):
             (bounds_cfg.snr_p, 0.0), bounds_cfg, mc_cfg, quad_config=quad_cfg)
     except QuadratureError as exc:
         print(f"conditional-bounds: FAIL ({exc})")
-        failures.append(str(exc))
+        failures.append(f"conditional log bounds: {exc}")
     else:
         n_ok = int(np.sum((report.upper_margins >= 0) & (report.lower_margins >= 0)))
         print(f"conditional-bounds: {n_ok}/{report.upper_margins.size} batches pass "
@@ -367,7 +376,7 @@ def cmd_oracles(args):
         if not report.passed:
             failures.append("conditional log bounds violated")
 
-    for failure in failures[:20]:
+    for failure in failures:
         print(f"FAIL: {failure}")
     return 1 if failures else 0
 

@@ -20,7 +20,8 @@ Each scheme is a (width, fill, finalize) triple: ``fill(batch, proj, out)``
 writes its per-sample log terms into ``out``, its (n, width) slice of one
 array, from the kernel columns ``proj(estimate name, fallback)``, and
 ``finalize(mean, se)`` maps their means and standard errors to a result.
-Any set of schemes at one config is thus one estimate over one draw per block.
+Any set of schemes at any set of configs (say, every SNR of a sweep) is
+thus one estimate over one draw per block.
 """
 
 from __future__ import annotations
@@ -234,7 +235,8 @@ def rate_common_message(cfg, policy_map, mc_cfg):
         _phase2_logs(*(np.maximum(interference_power(x, q), 0.0)
                        for x in (batch.h, batch.g) for q in qs), out)
 
-    return _estimate_group([None], [(4, fill, _common_message_rates)], cfg, mc_cfg)[0]
+    return _estimate_group([None], lambda c: [(4, fill, _common_message_rates)],
+                           [cfg], mc_cfg)[0][0]
 
 
 def _combine_rate(r_c, se_c, r_m, se_m, r_p, se_p, r_eta):
@@ -350,11 +352,14 @@ _COLUMNS = {
 }
 
 
-def _estimate_group(schemes, columns, cfg, mc_cfg):
-    """Finalized results of the schemes' columns from one estimate: each block
-    is drawn once and fills one array, each scheme its own slice, and each
-    distinct (estimate, fallback) kernel projection is computed once a block."""
-    bounds = np.cumsum([0] + [width for width, _, _ in columns])
+def _estimate_group(schemes, columns_at, cfgs, mc_cfg):
+    """Finalized results of the schemes' columns at each config of ``cfgs``,
+    from one estimate.  ``columns_at(cfg)`` lists the schemes' column triples
+    at a config.  Each block is drawn once for every config; at each config it
+    fills one array, each scheme its own slice, and each distinct (estimate,
+    fallback) kernel projection is computed once."""
+    columns = {cfg: columns_at(cfg) for cfg in cfgs}
+    bounds = np.cumsum([0] + [width for width, _, _ in columns[cfgs[0]]])
     spans = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
     def f(batch):
@@ -366,17 +371,18 @@ def _estimate_group(schemes, columns, cfg, mc_cfg):
             return kernel[name, fallback]
 
         out = np.empty((batch.n, bounds[-1]))
-        for (_, fill, _), span in zip(columns, spans):
+        for (_, fill, _), span in zip(columns[batch.csit], spans):
             fill(batch, proj, out[:, span])
         return out
 
     try:
-        est = mc.estimate(f, mc_cfg, cfg)
+        estimates = mc.estimate(f, mc_cfg, cfgs)
     except mc.NonFiniteSampleError as exc:
         exc.scheme = schemes[np.searchsorted(bounds, exc.column, side="right") - 1]
         raise
-    return [finalize(est.mean[span], est.std_error[span])
-            for (_, _, finalize), span in zip(columns, spans)]
+    return [[finalize(est.mean[span], est.std_error[span])
+             for (_, _, finalize), span in zip(columns[cfg], spans)]
+            for cfg, est in zip(cfgs, estimates)]
 
 
 def rate_proposed(cfg, mc_cfg, policy_cfg=None):
@@ -387,7 +393,8 @@ def rate_proposed(cfg, mc_cfg, policy_cfg=None):
     no-current-CSIT (MAT-style) variant is evaluated.
     """
     pcfg = cfg if policy_cfg is None else policy_cfg
-    return _estimate_group([Scheme.PROPOSED], [_proposed_columns(cfg, pcfg)], cfg, mc_cfg)[0]
+    return _estimate_group([Scheme.PROPOSED], lambda c: [_proposed_columns(c, pcfg)],
+                           [cfg], mc_cfg)[0][0]
 
 
 def rate_baseline(scheme, cfg, mc_cfg):
@@ -398,13 +405,20 @@ def rate_baseline(scheme, cfg, mc_cfg):
 
 
 def rate_scheme(scheme, cfg, mc_cfg):
-    """Ergodic rates of one scheme, or of a tuple of schemes at one config.
+    """Ergodic rates of one scheme, or of a tuple of schemes, at one config
+    or at each config of a sequence.
 
-    A tuple gives RateResults in its order from one ``mc.estimate``, each
-    block drawn once for all of them and each result exactly the scheme's own
-    one.  A ``NonFiniteSampleError`` names, as ``scheme``, the failing scheme.
+    A tuple gives RateResults in its order; a sequence of configs gives a
+    list with one entry per config.  It is all one ``mc.estimate``: each
+    block is drawn once for every scheme and config, and each result is
+    exactly the scheme's own one at that config.  A ``NonFiniteSampleError``
+    names, as ``scheme`` and ``config_index``, the failing scheme and config.
     """
     single = isinstance(scheme, str)
     schemes = [Scheme(s) for s in ((scheme,) if single else scheme)]
-    results = _estimate_group(schemes, [_COLUMNS[s](cfg) for s in schemes], cfg, mc_cfg)
-    return results[0] if single else tuple(results)
+    one_cfg = isinstance(cfg, CsitConfig)
+    cfgs = [cfg] if one_cfg else list(cfg)
+    results = _estimate_group(schemes, lambda c: [_COLUMNS[s](c) for s in schemes],
+                              cfgs, mc_cfg)
+    results = [at[0] if single else tuple(at) for at in results]
+    return results[0] if one_cfg else results

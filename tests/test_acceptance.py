@@ -19,9 +19,10 @@ from misodof.oracles import (
     rotation_mean_log_closed_form,
     rotation_mean_log_quadrature,
 )
-from misodof.rates import rate_common_message, rate_proposed, rate_scheme
+from misodof.rates import rate_common_message, rate_scheme
 from misodof.regions import (
     DelayedCsitQuality,
+    Scheme,
     dof_imperfect_delayed,
     region_common_message,
     region_main,
@@ -104,9 +105,9 @@ def test_criterion_3_slope_suite():
     mc_cfg = McConfig(n_samples=100_000, seed=SEED)
     schemes = tuple(theory)
     sums = {scheme: [] for scheme in schemes}
-    for db in grid_db:
-        cfg = CsitConfig.from_alpha(10.0 ** (db / 10.0), 0.5)
-        for scheme, res in zip(schemes, rate_scheme(schemes, cfg, mc_cfg)):
+    cfgs = [CsitConfig.from_alpha(10.0 ** (db / 10.0), 0.5) for db in grid_db]
+    for at_snr in rate_scheme(schemes, cfgs, mc_cfg):
+        for scheme, res in zip(schemes, at_snr):
             sums[scheme].append(res.r1 + res.r2)
     lines = []
     for scheme, target in theory.items():
@@ -124,13 +125,13 @@ def test_criterion_4_proposed_slope_across_alpha():
     log2p = [db / 10.0 * math.log2(10.0) for db in grid_db]
     mc_cfg = McConfig(n_samples=100_000, seed=SEED)
     lines = []
-    for alpha in (0.0, 0.25, 0.5, 0.75, 1.0):
-        sums = []
-        for db in grid_db:
-            cfg = CsitConfig.from_alpha(10.0 ** (db / 10.0), alpha)
-            res = rate_proposed(cfg, mc_cfg)
-            sums.append(res.r1 + res.r2)
-        slope = _fit(log2p, sums)
+    alphas = (0.0, 0.25, 0.5, 0.75, 1.0)
+    cfgs = [CsitConfig.from_alpha(10.0 ** (db / 10.0), alpha)
+            for alpha in alphas for db in grid_db]
+    results = rate_scheme(Scheme.PROPOSED, cfgs, mc_cfg)
+    for k, alpha in enumerate(alphas):
+        at_alpha = results[k * len(grid_db):(k + 1) * len(grid_db)]
+        slope = _fit(log2p, [res.r1 + res.r2 for res in at_alpha])
         target = 2.0 * (2.0 + alpha) / 3.0
         assert abs(slope - target) <= 0.08, f"alpha={alpha}: {slope} vs {target}"
         lines.append(f"a={alpha}: {slope:.3f}")
@@ -171,14 +172,13 @@ def test_criterion_6_mimo_rate_slope():
     start = time.time()
     mc_cfg = McConfig(n_samples=100_000, seed=SEED)
     lines = []
-    for alpha in (0.0, 0.5, 1.0):
-        xs, ys = [], []
-        for log2_power in (40, 60, 80):
-            cfg = CsitConfig.from_alpha(2.0 ** log2_power, alpha)
-            res = rate_proposed(cfg, mc_cfg)
-            xs.append(float(log2_power))
-            ys.append(res.r_mimo1)
-        slope = _fit(xs, ys)
+    alphas, log2_powers = (0.0, 0.5, 1.0), (40, 60, 80)
+    cfgs = [CsitConfig.from_alpha(2.0 ** log2_power, alpha)
+            for alpha in alphas for log2_power in log2_powers]
+    results = rate_scheme(Scheme.PROPOSED, cfgs, mc_cfg)
+    for k, alpha in enumerate(alphas):
+        at_alpha = results[k * len(log2_powers):(k + 1) * len(log2_powers)]
+        slope = _fit(log2_powers, [res.r_mimo1 for res in at_alpha])
         assert abs(slope - (2.0 - alpha)) <= 0.08, f"alpha={alpha}: {slope}"
         lines.append(f"a={alpha}: {slope:.3f}")
     elapsed = time.time() - start

@@ -114,8 +114,8 @@ class TestRatesCommand:
         assert code == 2
 
     def test_non_finite_exits_3(self, tmp_path, monkeypatch):
-        def broken(scheme, cfg, mc_cfg):
-            return RateResult(r1=float("nan"), r2=1.0, se_r1=0.0, se_r2=0.0)
+        def broken(scheme, cfgs, mc_cfg):
+            return [RateResult(r1=float("nan"), r2=1.0, se_r1=0.0, se_r2=0.0)] * len(cfgs)
 
         monkeypatch.setattr(cli, "rate_scheme", broken)
         code = _run(["rates", "--scheme", "zf", "--alpha", "0.5",
@@ -195,6 +195,15 @@ class TestOraclesCommand:
             out = capsys.readouterr().out
             assert "FAIL" in out, panels
         assert "conditional-bounds: FAIL" in out
+        # at 64 panels no rotation pair converges: no maximum error is claimed,
+        # and the capped per-pair lines leave room for every later check
+        assert "rotation-identity: 0/1000 pass (1000 did not converge)\n" in out
+        assert "max err" not in out
+        fail_lines = [line for line in out.splitlines() if line.startswith("FAIL: ")]
+        assert fail_lines[20] == "FAIL: ... and 980 more rotation identity failures"
+        assert fail_lines[21].startswith("FAIL: exp-log constant: ")
+        assert fail_lines[22].startswith("FAIL: conditional log bounds: ")
+        assert len(fail_lines) == 23
 
     def test_strict_mode_passes(self):
         assert _run(["oracles", "--strict", "--samples", "100000", "--seed", "2"]) == 0
@@ -257,10 +266,10 @@ def test_bad_input_exit_codes(argv, env_seed, code, fragment, tmp_path, monkeypa
 
 @pytest.mark.parametrize("failure", ["nan_rate", "nan_sample"])
 def test_non_finite_names_the_cell(failure, tmp_path, monkeypatch, capsys):
-    def broken(scheme, cfg, mc_cfg):
+    def broken(scheme, cfgs, mc_cfg):
         if failure == "nan_sample":
             raise NonFiniteSampleError(7)
-        return RateResult(r1=float("nan"), r2=1.0, se_r1=0.0, se_r2=0.0)
+        return [RateResult(r1=float("nan"), r2=1.0, se_r1=0.0, se_r2=0.0)] * len(cfgs)
 
     monkeypatch.setattr(cli, "rate_scheme", broken)
     assert cli.main(_RATES_ZF + ["--samples", "100", "--out", str(tmp_path / "x.csv")]) == 3
@@ -295,11 +304,34 @@ def test_non_finite_column_names_its_scheme(scheme, tmp_path, monkeypatch, capsy
     assert "sample index 5" in err and f"(snr_db 10, scheme {scheme})" in err
 
 
+def test_non_finite_names_its_snr(tmp_path, monkeypatch, capsys):
+    # One estimate serves every SNR of a run; a NaN from 20 dB on names the
+    # first such cell, not the run's first SNR.
+    real = rates._COLUMNS[Scheme.ZF]
+
+    def poisoned(cfg):
+        width, fill, finalize = real(cfg)
+
+        def bad_fill(batch, proj, out):
+            fill(batch, proj, out)
+            out[5, 0] = np.nan
+
+        return width, (bad_fill if cfg.snr_p > 50.0 else fill), finalize
+
+    monkeypatch.setitem(rates._COLUMNS, Scheme.ZF, poisoned)
+    argv = ["rates", "--scheme", "zf", "--alpha", "0.5", "--snr-db", "10:10:30",
+            "--samples", "100", "--out", str(tmp_path / "x.csv")]
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "sample index 5" in err and "(snr_db 20, scheme zf)" in err
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_traced_seams_call_counts(workers, tmp_path, monkeypatch):
     # The outside-in tracer wraps these module attributes; the rates command
     # must reach every one of them through its module: one rate_scheme call
-    # and one estimate per SNR, one draw per block of that estimate.
+    # and one estimate per run, one draw per block for every SNR.
     counts, keys, lock = Counter(), Counter(), threading.Lock()
     open_cells, first_args = [], []
 
@@ -337,10 +369,10 @@ def test_traced_seams_call_counts(workers, tmp_path, monkeypatch):
     assert cli.main(["rates", "--scheme", "all", "--alpha", "0.5", "--snr-db", "10:10:20",
                      "--samples", "10000", "--seed", "3", "--workers", str(workers),
                      "--out", str(out)]) == 0
-    assert counts == {"rate_scheme": 2, "estimate": 2, "estimate_in_cell": 2,
-                      "block_rng": 4, "sample_batch": 4}
-    assert keys == {(3, 0): 2, (3, 1): 2}
-    assert first_args == [tuple(Scheme)] * 2
+    assert counts == {"rate_scheme": 1, "estimate": 1, "estimate_in_cell": 1,
+                      "block_rng": 2, "sample_batch": 2}
+    assert keys == {(3, 0): 1, (3, 1): 1}
+    assert first_args == [tuple(Scheme)]
     hash(first_args[0])  # the tracer keys its spans by this argument
     first_args.clear()
     assert cli.main(["rates", "--scheme", "mat", "--alpha", "0.5", "--snr-db", "10:10:10",

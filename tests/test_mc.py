@@ -99,6 +99,47 @@ def test_non_finite_reports_first_bad_column():
     assert (err.value.index, err.value.column) == (4, 1)
 
 
+def test_non_finite_found_through_column_sums():
+    # Values are searched only where a column's sum is non-finite.  +inf and
+    # -inf in one column sum to NaN and still name the first bad sample;
+    # finite values whose column sum overflows are not an error.
+    def f(batch):
+        vals = np.ones((batch.n, 3))
+        vals[9, 1], vals[2, 1] = np.inf, -np.inf
+        return vals
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteSampleError) as err:
+            estimate(f, McConfig(100, 8), CFG)
+        est = estimate(lambda batch: np.full((batch.n, 2), 1e308), McConfig(100, 8), CFG)
+    assert (err.value.index, err.value.column) == (2, 1)
+    assert np.all(est.mean == np.inf)
+
+
+def test_non_finite_names_its_config():
+    other = CsitConfig.from_sigma_sq(1000.0, 0.25)
+
+    def f(batch):
+        vals = np.ones(batch.n)
+        vals[5] = np.nan if batch.csit == other else 1.0
+        return vals
+
+    with pytest.raises(NonFiniteSampleError) as err:
+        estimate(f, McConfig(BLOCK_SIZE + 10, 8), [CFG, other, CFG])
+    assert (err.value.index, err.value.config_index) == (5, 1)
+
+
+def test_grid_estimates_equal_per_config_estimates():
+    grid = [CsitConfig.from_sigma_sq(p, 0.25) for p in (10.0, 100.0, 1e4)]
+
+    def f(batch):
+        return np.log2(1.0 + batch.csit.snr_p * np.sum(np.abs(batch.h) ** 2, axis=1))
+
+    for workers in (1, 2):
+        cfg = McConfig(2 * BLOCK_SIZE + 5, 10, n_workers=workers)
+        assert estimate(f, cfg, grid) == [estimate(f, cfg, c) for c in grid]
+
+
 def test_non_finite_in_later_block():
     target = BLOCK_SIZE + 17
     seen = {"block": -1}

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.random import Generator, Philox
 
-from misodof import rates
+from misodof import channel, mc, rates
 from misodof.channel import CsitConfig, sample_batch
 from misodof.mc import McConfig, estimate
 from misodof.rates import (
@@ -335,6 +335,36 @@ def test_scheme_group_equals_single_schemes(alpha, workers):
     assert rate_scheme(tuple(Scheme), cfg, mc_cfg) == tuple(singles.values())
     permuted = (Scheme.PROPOSED, Scheme.TDMA, Scheme.RS_ZF, Scheme.MAT, Scheme.ZF)
     assert rate_scheme(permuted, cfg, mc_cfg) == tuple(singles[s] for s in permuted)
+
+
+@pytest.mark.parametrize("degenerate_norm", [None, 0.5])
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+def test_snr_grid_equals_per_config_calls(alpha, workers, degenerate_norm, monkeypatch):
+    # One call over a grid of SNRs draws each block once and scales it to
+    # every config; each config's batches and results stay exactly those of
+    # its own call.  A raised degeneracy threshold makes each scale redraw
+    # different rows, each from where the shared draw left the generator.
+    # alpha 0 is the no-CSIT regime, which never redraws.
+    if degenerate_norm is not None:
+        monkeypatch.setattr(channel, "_DEGENERATE_NORM", degenerate_norm)
+    cfgs = [CsitConfig.from_alpha(10.0 ** (db / 10.0), alpha) for db in (10.0, 30.0, 50.0)]
+    grid_batches = list(sample_batch(mc.block_rng(27, 0), cfgs, 8192))
+    fields = ("h", "g", "h_hat", "g_hat", "h_tilde", "g_tilde")
+    for cfg, batch in zip(cfgs, grid_batches):
+        own = sample_batch(mc.block_rng(27, 0), cfg, 8192)
+        assert batch.csit == own.csit == cfg
+        assert all(np.array_equal(getattr(batch, k), getattr(own, k)) for k in fields)
+    if degenerate_norm is not None and alpha > 0.0:
+        est0, _ = channel._draw(mc.block_rng(27, 0), 8192)
+        masks = [channel._degenerate(est0 * math.sqrt((1.0 - c.sigma_sq) / 2.0)) for c in cfgs]
+        assert all(m.any() for m in masks)
+        assert not all(np.array_equal(m, masks[0]) for m in masks[1:])
+
+    mc_cfg = McConfig(2 * 8192 + 100, 27, workers)
+    grid = rate_scheme(tuple(Scheme), cfgs, mc_cfg)
+    assert grid == [rate_scheme(tuple(Scheme), cfg, mc_cfg) for cfg in cfgs]
+    assert rate_scheme(Scheme.PROPOSED, cfgs, mc_cfg) == [at[-1] for at in grid]
 
 
 @pytest.mark.parametrize("group, kernel_calls", [
