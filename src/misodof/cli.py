@@ -2,7 +2,10 @@
 
 Exit codes: 0 success, 1 oracle failure, 2 bad usage/arguments, 3 non-finite
 Monte Carlo result.  Numeric output is deterministic for a fixed seed
-regardless of the worker count.  In ``rates`` and ``slopes`` every scheme and
+regardless of the worker count, so ``rates``, ``slopes`` and ``oracles`` run
+their Monte Carlo blocks on every CPU this process may use unless
+``--workers`` says otherwise; the ``rates`` and ``slopes`` manifests record
+the count.  In ``rates`` and ``slopes`` every scheme and
 SNR of a run shares its channel draws: one ``rate_scheme`` call evaluates
 them together.
 """
@@ -67,6 +70,14 @@ def _fmt(x):
     return format(float(x), ".12g")
 
 
+def _default_workers():
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
 def _mc_config(args):
     """McConfig from --samples, --workers and --seed (else MISO_DOF_SEED, else 0)."""
     env = os.environ.get("MISO_DOF_SEED", "0")
@@ -75,7 +86,7 @@ def _mc_config(args):
     except ValueError:
         raise _Exit(2, f"MISO_DOF_SEED must be an integer, got {env!r}") from None
     try:
-        return McConfig(args.samples, seed, getattr(args, "workers", 1))
+        return McConfig(args.samples, seed, args.workers)
     except ValueError as exc:
         raise _Exit(2, str(exc)) from None
 
@@ -138,10 +149,13 @@ def _config_hash(params):
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _write_manifest(out_path, argv, seed, params):
+def _write_manifest(out_path, argv, mc_cfg, params):
+    # The worker count is recorded but left out of the hash: it never
+    # changes the numbers.
     manifest = {
         "command_line": shlex.join(argv),
-        "seed": int(seed),
+        "seed": int(mc_cfg.seed),
+        "workers": mc_cfg.n_workers,
         "config_hash": _config_hash(params),
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "version": __version__,
@@ -244,7 +258,7 @@ def cmd_rates(args, argv):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_HEADER)
         writer.writerows(rows)
-    _write_manifest(args.out, argv, seed, {
+    _write_manifest(args.out, argv, mc_cfg, {
         "command": "rates", "scheme": args.scheme,
         "snr_db": grid, "samples": args.samples, "seed": seed, **quality,
     })
@@ -305,6 +319,10 @@ def cmd_slopes(args, argv):
         "seed": seed,
     }
     _write_json(args.out, payload)
+    _write_manifest(args.out, argv, mc_cfg, {
+        "command": "slopes", "scheme": scheme.value, "alpha": alpha,
+        "snr_db": grid, "samples": args.samples, "seed": seed,
+    })
     return 0
 
 
@@ -320,14 +338,14 @@ def cmd_oracles(args):
 
     rng = Generator(Philox(key=np.array([mc_cfg.seed, 0], dtype=np.uint64)))
     pairs = rng.uniform(0.05, 10.0, size=(1000, 2))
+    # one batched quadrature for every pair; NaN marks a pair out of panels
+    quads = rotation_mean_log_quadrature(pairs[:, 0], pairs[:, 1], quad_cfg)
     errs = []
-    for a, b in pairs:
-        try:
-            err = abs(rotation_mean_log_quadrature(a, b, quad_cfg)
-                      - rotation_mean_log_closed_form(a, b))
-        except QuadratureError:
+    for (a, b), quad in zip(pairs, quads):
+        if math.isnan(quad):
             failures.append(f"rotation identity did not converge at ({a}, {b})")
             continue
+        err = abs(quad - rotation_mean_log_closed_form(a, b))
         errs.append(err)
         if err >= tol:
             failures.append(f"rotation identity off by {err:.3e} at ({a:.4f}, {b:.4f})")
@@ -341,8 +359,14 @@ def cmd_oracles(args):
         more = len(failures) - _ROTATION_FAIL_LINES
         failures[_ROTATION_FAIL_LINES:] = [f"... and {more} more rotation identity failures"]
 
+    # gamma is computed once; the bound check below reuses it
     try:
         gamma_quad = exp_log_mean(quad_cfg)
+    except QuadratureError as exc:
+        gamma_quad, gamma_error = None, exc
+        print(f"exp-log-constant: FAIL ({exc})")
+        failures.append(f"exp-log constant: {exc}")
+    else:
         cfg = CsitConfig.from_sigma_sq(100.0, 0.25)
 
         def f(batch):
@@ -357,18 +381,14 @@ def cmd_oracles(args):
               f"{'pass' if ok else 'FAIL'}")
         if not ok:
             failures.append("exp-log constant mismatch between quadrature and Monte Carlo")
-    except QuadratureError as exc:
-        print(f"exp-log-constant: FAIL ({exc})")
-        failures.append(f"exp-log constant: {exc}")
 
-    bounds_cfg = CsitConfig.from_sigma_sq(1000.0, 0.1)
-    try:
-        report = conditional_log_bounds_check(
-            (bounds_cfg.snr_p, 0.0), bounds_cfg, mc_cfg, quad_config=quad_cfg)
-    except QuadratureError as exc:
-        print(f"conditional-bounds: FAIL ({exc})")
-        failures.append(f"conditional log bounds: {exc}")
+    if gamma_quad is None:
+        print(f"conditional-bounds: FAIL ({gamma_error})")
+        failures.append(f"conditional log bounds: {gamma_error}")
     else:
+        bounds_cfg = CsitConfig.from_sigma_sq(1000.0, 0.1)
+        report = conditional_log_bounds_check(
+            (bounds_cfg.snr_p, 0.0), bounds_cfg, mc_cfg, gamma=gamma_quad)
         n_ok = int(np.sum((report.upper_margins >= 0) & (report.lower_margins >= 0)))
         print(f"conditional-bounds: {n_ok}/{report.upper_margins.size} batches pass "
               f"(min upper margin {report.upper_margins.min():.4f}, "
@@ -379,6 +399,14 @@ def cmd_oracles(args):
     for failure in failures:
         print(f"FAIL: {failure}")
     return 1 if failures else 0
+
+
+def _add_workers(parser):
+    workers = _default_workers()
+    parser.add_argument("--workers", type=int, default=workers,
+                        help="Monte Carlo worker threads (default: the CPUs this "
+                             f"process may run on, {workers} here); the output "
+                             "does not depend on it")
 
 
 def _build_parser():
@@ -408,7 +436,7 @@ def _build_parser():
     p_rates.add_argument("--snr-db", required=True, metavar="START:STEP:STOP")
     p_rates.add_argument("--samples", type=int, default=100_000)
     p_rates.add_argument("--seed", type=int, default=None)
-    p_rates.add_argument("--workers", type=int, default=1)
+    _add_workers(p_rates)
     p_rates.add_argument("--out", required=True)
 
     p_slopes = sub.add_parser("slopes", help="high-SNR sum-rate slope fit, JSON output")
@@ -419,7 +447,7 @@ def _build_parser():
     p_slopes.add_argument("--points", type=int, default=9)
     p_slopes.add_argument("--samples", type=int, default=100_000)
     p_slopes.add_argument("--seed", type=int, default=None)
-    p_slopes.add_argument("--workers", type=int, default=1)
+    _add_workers(p_slopes)
     p_slopes.add_argument("--out", required=True)
 
     p_oracles = sub.add_parser("oracles", help="run the analytic verification suite")
@@ -429,6 +457,7 @@ def _build_parser():
                            help="quadrature panel budget (testing hook)")
     p_oracles.add_argument("--samples", type=int, default=1_000_000)
     p_oracles.add_argument("--seed", type=int, default=None)
+    _add_workers(p_oracles)
 
     return parser
 

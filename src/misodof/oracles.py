@@ -4,6 +4,11 @@ Quadrature evaluations of the uniform-phase log identity and the
 exponential-log constant, plus exact one-dimensional-integral checks of the
 slack-free conditional log bounds used by the converse analysis.  Everything
 here is decoupled from the rate-evaluation path so it can serve as an oracle.
+
+One batched midpoint rule serves both quadratures: the rotation identity
+takes arrays of pairs and refines only the pairs not yet converged, and the
+exponential-log constant is its one-row case.  Its working set is bounded by
+``_CHUNK`` values per temporary array, whatever the panel budget.
 """
 
 from __future__ import annotations
@@ -14,7 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox
 
-_CHUNK = 1 << 20
+# Nodes per summed chunk of a quadrature level, and values per integrand
+# call: 0.5 MiB per temporary array.  The CLI keeps freed heap memory, and
+# the Monte Carlo pool threads allocate in arenas of their own, so larger
+# quadrature temporaries would stay resident for the rest of a run.
+_CHUNK = 1 << 16
 _START_PANELS = 64
 
 # Key-space offset separating bound-check batches from mc-engine blocks.
@@ -44,25 +53,45 @@ class QuadratureConfig:
 _DEFAULT_QUAD = QuadratureConfig()
 
 
-def _midpoint_dyadic(fn, config):
-    """Midpoint rule on (0, 1), doubling panels until two successive levels
-    agree within half the tolerance.  Midpoints never touch the interval
-    endpoints, so integrable endpoint/interior log singularities are safe.
+def _midpoint_dyadic(fn, n_rows, config):
+    """Midpoint rule on (0, 1) for ``n_rows`` integrands at once.
+
+    ``fn(t, rows)`` returns the integrands of the selected rows at the nodes
+    ``t``, shape (len(rows), len(t)).  Each row doubles its panels until two
+    successive levels agree within half the tolerance; only the rows still
+    refining are evaluated at the next level.  Midpoints never touch the
+    interval endpoints, so integrable endpoint/interior log singularities are
+    safe.  Returns the (n_rows,) integrals, NaN where a row ran out of panels.
+
+    A level is summed in chunks of ``_CHUNK`` nodes, each chunk of a row with
+    its own pairwise sum, so a row's value does not depend on which rows it
+    is batched with.  Rows are batched so that one call holds at most
+    ``_CHUNK`` values: 0.5 MiB per temporary array.
     """
-    n = min(_START_PANELS, config.n_points)
+    out = np.full(n_rows, np.nan)
+    active = np.arange(n_rows)
     prev = None
-    while n <= config.n_points:
-        total = 0.0
+    n = min(_START_PANELS, config.n_points)
+    while n <= config.n_points and active.size:
+        totals = np.zeros(active.size)
         for lo in range(0, n, _CHUNK):
             hi = min(lo + _CHUNK, n)
             t = (np.arange(lo, hi, dtype=float) + 0.5) / n
-            total += float(np.sum(fn(t)))
-        val = total / n
-        if prev is not None and abs(val - prev) <= 0.5 * config.tolerance:
-            return val
+            step = max(1, _CHUNK // (hi - lo))
+            for r in range(0, active.size, step):
+                totals[r:r + step] += np.sum(fn(t, active[r:r + step]), axis=1)
+        val = totals / n
+        if prev is not None:
+            done = np.abs(val - prev) <= 0.5 * config.tolerance
+            out[active[done]] = val[done]
+            active, val = active[~done], val[~done]
         prev = val
         n <<= 1
-    raise QuadratureError(
+    return out
+
+
+def _no_convergence(config):
+    return QuadratureError(
         f"midpoint refinement did not reach tolerance {config.tolerance} "
         f"within {config.n_points} panels"
     )
@@ -84,23 +113,33 @@ def rotation_mean_log_closed_form(a_mag, b_mag):
 def rotation_mean_log_quadrature(a_mag, b_mag, config=None):
     """Same mean evaluated by direct quadrature of the phase integral.
 
+    ``a_mag`` and ``b_mag`` are scalars or arrays that broadcast together.
+    Scalars give a float and raise QuadratureError when the panel budget
+    runs out; arrays give one value per pair, NaN where that pair's budget
+    ran out.  Each pair's value is bitwise that of its own scalar call.
+
     The integrand has an integrable log singularity when a == b; midpoint
     panels (even counts) never hit it exactly.
     """
-    a, b = float(a_mag), float(b_mag)
-    if a < 0.0 or b < 0.0:
+    a, b = np.broadcast_arrays(np.asarray(a_mag, dtype=float), np.asarray(b_mag, dtype=float))
+    if np.any(a < 0.0) or np.any(b < 0.0):
         raise ValueError("magnitudes must be nonnegative")
-    if a == 0.0 and b == 0.0:
+    if np.any((a == 0.0) & (b == 0.0)):
         raise ValueError("log of zero: a and b cannot both vanish")
     config = config or _DEFAULT_QUAD
-    c = a * a + b * b
-    d = 2.0 * a * b
+    c = (a * a + b * b).ravel()
+    d = (2.0 * a * b).ravel()
 
-    def fn(t):
-        arg = c + d * np.cos(2.0 * math.pi * t)
+    def fn(t, rows):
+        arg = c[rows, None] + d[rows, None] * np.cos(2.0 * math.pi * t)
         return np.log2(np.maximum(arg, 1e-300))
 
-    return _midpoint_dyadic(fn, config)
+    vals = _midpoint_dyadic(fn, c.size, config).reshape(a.shape)
+    if vals.ndim:
+        return vals
+    if np.isnan(vals):
+        raise _no_convergence(config)
+    return float(vals)
 
 
 def exp_log_mean(config=None):
@@ -108,13 +147,17 @@ def exp_log_mean(config=None):
 
     Evaluates the integral of exp(-x) log2(x) over (0, inf) through the
     substitution x = -log(1 - u); the exact value is -EulerGamma / ln 2.
+    Raises QuadratureError when the panel budget runs out.
     """
     config = config or _DEFAULT_QUAD
 
-    def fn(t):
-        return np.log2(np.maximum(-np.log1p(-t), 1e-300))
+    def fn(t, rows):
+        return np.log2(np.maximum(-np.log1p(-t), 1e-300))[None, :]
 
-    return _midpoint_dyadic(fn, config)
+    val = _midpoint_dyadic(fn, 1, config)[0]
+    if np.isnan(val):
+        raise _no_convergence(config)
+    return float(val)
 
 
 def mean_log2_quadratic(weights, mean_sq, sigma_sq):
@@ -158,21 +201,25 @@ class BoundsCheckReport:
         return bool(np.all(self.upper_margins >= 0.0) and np.all(self.lower_margins >= 0.0))
 
 
-def conditional_log_bounds_check(k_eigs, cfg, mc_cfg, n_batches=100, quad_config=None):
+def conditional_log_bounds_check(k_eigs, cfg, mc_cfg, n_batches=100, gamma=None):
     """Exact check of the slack-free conditional-expectation bounds.
 
     For a PSD matrix with eigenvalues ``k_eigs = (lambda1, lambda2)``,
     verifies per estimate-conditioned batch that
     (i)  E[log2(1 + l1 ||h||^2) | h_hat] <= log2(1 + l1 ||h_hat||^2 + 2 sigma^2 l1),
     (ii) E[log2(1 + g^H K g) | g_hat] >= max(log2(2^gamma sigma^2 l1), 0),
-    where gamma is the exponential-log constant.  Batch b draws its estimates
-    from its own Philox key; both sides are exact, so the margins carry no noise.
+    where gamma is the exponential-log constant E[log2 X], X ~ Exp(1).  Pass
+    ``gamma`` when it is already known (say, ``exp_log_mean`` of a run's own
+    quadrature config); otherwise ``exp_log_mean()`` is evaluated here.
+    Batch b draws its estimates from its own Philox key; both sides are
+    exact, so the margins carry no noise.
     """
     lam1, lam2 = float(k_eigs[0]), float(k_eigs[1])
     if not lam1 >= lam2 >= 0.0 or lam1 <= 0.0:
         raise ValueError("eigenvalues must satisfy lambda1 >= lambda2 >= 0 with lambda1 > 0")
     s2 = cfg.sigma_sq
-    gamma = exp_log_mean(quad_config)
+    if gamma is None:
+        gamma = exp_log_mean()
     rhs_lower = max(gamma + math.log2(s2 * lam1), 0.0)
 
     est_scale = math.sqrt(max(1.0 - s2, 0.0) / 2.0)

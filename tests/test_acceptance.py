@@ -255,74 +255,72 @@ def test_criterion_9_cli_determinism(tmp_path):
 
 
 def _brute_force_common_message(policy_fn, snr_p, sigma_sq, n, seed):
-    """Independent single-threaded evaluator of the common-message rates."""
-    rng = np.random.default_rng(seed)
+    """Independent evaluator of the common-message rates from explicit 2x2 matrices.
+
+    Row i of the (n, 16) normals is sample i's stream: the real then the
+    imaginary parts of h_hat, g_hat, then of the errors of h and g.
+    """
+    z = np.random.default_rng(seed).standard_normal((n, 16))
     est_scale = math.sqrt((1.0 - sigma_sq) / 2.0)
     err_scale = math.sqrt(sigma_sq / 2.0)
-    acc = np.zeros(4)
-    acc_sq = np.zeros(4)
+    h_hat = (z[:, 0:2] + 1j * z[:, 2:4]) * est_scale
+    g_hat = (z[:, 4:6] + 1j * z[:, 6:8]) * est_scale
+    h = h_hat + (z[:, 8:10] + 1j * z[:, 10:12]) * err_scale
+    g = g_hat + (z[:, 12:14] + 1j * z[:, 14:16]) * err_scale
+    q_c, q_p1, q_p2 = policy_fn(snr_p, h_hat, g_hat)
 
     def quad(x, q):
-        return float(np.real(np.conj(x) @ q @ x))
+        return np.einsum("ni,nij,nj->n", np.conj(x), q, x).real
 
-    for _ in range(n):
-        h_hat = (rng.standard_normal(2) + 1j * rng.standard_normal(2)) * est_scale
-        g_hat = (rng.standard_normal(2) + 1j * rng.standard_normal(2)) * est_scale
-        h = h_hat + (rng.standard_normal(2) + 1j * rng.standard_normal(2)) * err_scale
-        g = g_hat + (rng.standard_normal(2) + 1j * rng.standard_normal(2)) * err_scale
-        q_c, q_p1, q_p2 = policy_fn(snr_p, h_hat, g_hat)
-        vals = np.array([
-            math.log2(1.0 + quad(h, q_c) / (1.0 + quad(h, q_p1) + quad(h, q_p2))),
-            math.log2(1.0 + quad(g, q_c) / (1.0 + quad(g, q_p1) + quad(g, q_p2))),
-            math.log2(1.0 + quad(h, q_p1) / (1.0 + quad(h, q_p2))),
-            math.log2(1.0 + quad(g, q_p2) / (1.0 + quad(g, q_p1))),
-        ])
-        acc += vals
-        acc_sq += vals * vals
-    mean = acc / n
-    var = np.maximum(acc_sq - n * mean * mean, 0.0) / (n - 1)
+    vals = np.stack([
+        np.log2(1.0 + quad(h, q_c) / (1.0 + quad(h, q_p1) + quad(h, q_p2))),
+        np.log2(1.0 + quad(g, q_c) / (1.0 + quad(g, q_p1) + quad(g, q_p2))),
+        np.log2(1.0 + quad(h, q_p1) / (1.0 + quad(h, q_p2))),
+        np.log2(1.0 + quad(g, q_p2) / (1.0 + quad(g, q_p1))),
+    ], axis=1)
+    mean = vals.sum(axis=0) / n
+    var = np.maximum((vals * vals).sum(axis=0) - n * mean * mean, 0.0) / (n - 1)
     se = np.sqrt(var / n)
     branch = 0 if mean[0] <= mean[1] else 1
     return ((mean[branch], se[branch]), (mean[2], se[2]), (mean[3], se[3]))
 
 
+# Policies map (P, h_hat, g_hat), estimates of shape (n, 2), to the three
+# (n, 2, 2) covariances (q_c, q_p1, q_p2).
+
+def _per_sample(q, n):
+    return np.broadcast_to(q, (n, 2, 2))
+
+
 def _policy_fixed(p, h_hat, g_hat):
+    n = h_hat.shape[0]
     q_c = 0.5 * p * np.diag([0.7, 0.3]).astype(complex)
     q_p1 = (p / 8.0) * np.array([[1.0, 0.5], [0.5, 1.0]], dtype=complex)
     q_p2 = (p / 8.0) * np.eye(2, dtype=complex)
-    return q_c, q_p1, q_p2
+    return _per_sample(q_c, n), _per_sample(q_p1, n), _per_sample(q_p2, n)
 
 
 def _policy_zero_forced(p, h_hat, g_hat):
     p_priv = p ** 0.6
 
     def perp(x):
-        v = np.array([-np.conj(x[1]), np.conj(x[0])])
-        return v / np.linalg.norm(v)
+        v = np.stack([-np.conj(x[:, 1]), np.conj(x[:, 0])], axis=1)
+        return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+    def outer(w):
+        return np.einsum("ni,nj->nij", w, np.conj(w))
 
     w1, w2 = perp(g_hat), perp(h_hat)
     q_c = ((p - p_priv) / 2.0) * np.eye(2, dtype=complex)
-    q_p1 = (p_priv / 2.0) * np.outer(w1, np.conj(w1))
-    q_p2 = (p_priv / 2.0) * np.outer(w2, np.conj(w2))
-    return q_c, q_p1, q_p2
+    return (_per_sample(q_c, h_hat.shape[0]),
+            (p_priv / 2.0) * outer(w1), (p_priv / 2.0) * outer(w2))
 
 
 def _policy_common_only(p, h_hat, g_hat):
+    n = h_hat.shape[0]
     zero = np.zeros((2, 2), dtype=complex)
-    return (p / 2.0) * np.eye(2, dtype=complex), zero, zero
-
-
-def _batchify(policy_fn):
-    def mapped(cfg, h_hat, g_hat):
-        n = h_hat.shape[0]
-        q_c = np.empty((n, 2, 2), dtype=complex)
-        q_p1 = np.empty((n, 2, 2), dtype=complex)
-        q_p2 = np.empty((n, 2, 2), dtype=complex)
-        for i in range(n):
-            q_c[i], q_p1[i], q_p2[i] = policy_fn(cfg.snr_p, h_hat[i], g_hat[i])
-        return q_c, q_p1, q_p2
-
-    return mapped
+    return _per_sample((p / 2.0) * np.eye(2, dtype=complex), n), \
+        _per_sample(zero, n), _per_sample(zero, n)
 
 
 def test_criterion_10_common_message_oracle_equivalence():
@@ -339,7 +337,9 @@ def test_criterion_10_common_message_oracle_equivalence():
         for snr_db in (20.0, 30.0, 40.0):
             snr_p = 10.0 ** (snr_db / 10.0)
             cfg = CsitConfig.from_sigma_sq(snr_p, sigma_sq)
-            cm = rate_common_message(cfg, _batchify(policy_fn), McConfig(n, SEED))
+            cm = rate_common_message(
+                cfg, lambda c, h_hat, g_hat: policy_fn(c.snr_p, h_hat, g_hat),
+                McConfig(n, SEED))
             oracle = _brute_force_common_message(policy_fn, snr_p, sigma_sq, n, SEED + 1)
             pairs = [
                 (cm.r_c, cm.se_r_c, *oracle[0]),

@@ -1,11 +1,12 @@
 import json
+import os
 import threading
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from misodof import cli, mc, rates
+from misodof import cli, mc, oracles, rates
 from misodof.mc import NonFiniteSampleError
 from misodof.rates import RateResult
 from misodof.regions import Scheme
@@ -132,12 +133,14 @@ class TestRatesCommand:
             assert _run(args) == 0
             return json.loads((tmp_path / (name + ".manifest.json")).read_text())
 
-        base = manifest_for(["--seed", "1"], "base.csv")
+        base = manifest_for(["--seed", "1", "--workers", "1"], "base.csv")
         same = manifest_for(["--seed", "1", "--workers", "4"], "same.csv")
         other = manifest_for(["--seed", "2"], "other.csv")
         assert base["config_hash"] == same["config_hash"]
         assert base["config_hash"] != other["config_hash"]
         assert base["version"] == "0.1.0"
+        # the worker count is recorded, outside the hash
+        assert (base["workers"], same["workers"]) == (1, 4)
 
     def test_env_seed_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("MISO_DOF_SEED", "77")
@@ -167,6 +170,18 @@ class TestSlopesCommand:
                      "--samples", "20000", "--seed", "5", "--out", str(out)]) == 0
         data = json.loads(out.read_text())
         assert abs(data["slope"] - 1.0) < 0.08
+
+    def test_manifest_records_workers_outside_hash(self, tmp_path):
+        manifests = []
+        for workers in ("1", "4"):
+            out = tmp_path / f"slope{workers}.json"
+            assert _run(["slopes", "--scheme", "zf", "--alpha", "0.5", "--points", "3",
+                         "--samples", "500", "--seed", "1", "--workers", workers,
+                         "--out", str(out)]) == 0
+            manifests.append(json.loads((tmp_path / (out.name + ".manifest.json")).read_text()))
+        assert [m["workers"] for m in manifests] == [1, 4]
+        assert manifests[0]["config_hash"] == manifests[1]["config_hash"]
+        assert manifests[0]["seed"] == 1
 
     def test_too_few_points_exits_2(self, tmp_path):
         code = _run(["slopes", "--scheme", "zf", "--alpha", "0.5",
@@ -208,6 +223,42 @@ class TestOraclesCommand:
     def test_strict_mode_passes(self):
         assert _run(["oracles", "--strict", "--samples", "100000", "--seed", "2"]) == 0
 
+    def test_stdout_independent_of_workers(self, capsys):
+        outs = []
+        for workers in (["--workers", "1"], ["--workers", "2"], []):
+            assert _run(["oracles", "--samples", "100000", "--seed", "4", *workers]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1] == outs[2]
+
+    def test_one_quadrature_call_and_gamma_once(self, monkeypatch):
+        # every rotation pair goes through one batched call, and the bound
+        # check reuses the run's gamma instead of computing its own
+        calls = Counter()
+
+        def counted(module, name):
+            fn = getattr(module, name)
+            monkeypatch.setattr(module, name,
+                                lambda *a, **k: calls.update([name]) or fn(*a, **k))
+
+        counted(cli, "rotation_mean_log_quadrature")
+        counted(cli, "exp_log_mean")
+        counted(oracles, "exp_log_mean")
+        assert _run(["oracles", "--samples", "2000", "--seed", "1"]) == 0
+        assert calls == {"rotation_mean_log_quadrature": 1, "exp_log_mean": 1}
+
+
+def test_workers_default_to_usable_cpus(monkeypatch):
+    for command in (["oracles"], ["rates", "--scheme", "zf", "--alpha", "0.5",
+                                  "--snr-db", "10:10:10", "--out", "x.csv"],
+                    ["slopes", "--scheme", "zf", "--alpha", "0.5", "--out", "x.json"]):
+        args = cli._build_parser().parse_args(command)
+        assert args.workers == len(os.sched_getaffinity(0))
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert cli._build_parser().parse_args(["oracles"]).workers == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert cli._build_parser().parse_args(["oracles"]).workers == 1
+
 
 def test_fit_slope_recovers_line():
     x = np.arange(10.0)
@@ -242,6 +293,7 @@ BAD_INPUT_CASES = [
     (["slopes", "--scheme", "zf", "--alpha", "0.5"], "abc", 2, "MISO_DOF_SEED"),
     (["oracles", "--seed", "-1"], None, 2, "seed must fit"),
     (["oracles", "--samples", "0"], None, 2, "n_samples must be positive"),
+    (["oracles", "--workers", "0"], None, 2, "n_workers must be positive"),
     (["oracles"], "1.5", 2, "MISO_DOF_SEED must be an integer"),
     (["region", "--alpha", "nan"], None, 2, "alpha must be a nonnegative number"),
     (["rates", "--scheme", "zf", "--alpha", "0.5", "--snr-db", "nan:1:2"], None, 2,

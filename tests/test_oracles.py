@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 from scipy import stats
 
 from misodof import oracles
@@ -58,6 +59,81 @@ class TestRotationIdentity:
         starved = QuadratureConfig(n_points=64, tolerance=1e-9)
         with pytest.raises(QuadratureError):
             rotation_mean_log_quadrature(1.0, 1.0, starved)
+
+
+def _batch_pairs():
+    # the oracles command's 1000 pairs at seed 0, then a == b and a ratio of 1e-3
+    rng = Generator(Philox(key=np.array([0, 0], dtype=np.uint64)))
+    extra = [(1.0, 1.0), (3.7, 3.7), (0.01, 10.0), (10.0, 0.01), (0.0, 2.0)]
+    return np.vstack([rng.uniform(0.05, 10.0, size=(1000, 2)), extra])
+
+
+def _rotation_reference(a, b, config):
+    # the midpoint rule one pair at a time, summed in chunks of _CHUNK nodes;
+    # NaN where the panel budget runs out
+    n, prev = 64, None
+    while n <= config.n_points:
+        total = 0.0
+        for lo in range(0, n, oracles._CHUNK):
+            t = (np.arange(lo, min(lo + oracles._CHUNK, n), dtype=float) + 0.5) / n
+            arg = (a * a + b * b) + (2.0 * a * b) * np.cos(2.0 * math.pi * t)
+            total += float(np.sum(np.log2(np.maximum(arg, 1e-300))))
+        val = total / n
+        if prev is not None and abs(val - prev) <= 0.5 * config.tolerance:
+            return val
+        prev, n = val, 2 * n
+    return math.nan
+
+
+def _scalar_or_nan(a, b, config):
+    try:
+        return rotation_mean_log_quadrature(a, b, config)
+    except QuadratureError:
+        return math.nan
+
+
+class TestBatchedRotation:
+    @pytest.mark.parametrize("config", [
+        QuadratureConfig(tolerance=1e-6),
+        QuadratureConfig(n_points=1 << 20, tolerance=1e-7),
+        QuadratureConfig(n_points=128, tolerance=1e-6),
+    ], ids=["default", "strict", "starved"])
+    def test_array_call_bitwise_equals_scalar_calls(self, config):
+        # an entry is NaN exactly where the scalar call raises QuadratureError
+        pairs = _batch_pairs()
+        batched = rotation_mean_log_quadrature(pairs[:, 0], pairs[:, 1], config)
+        scalar = np.array([_scalar_or_nan(a, b, config) for a, b in pairs])
+        assert batched.shape == (len(pairs),)
+        assert np.array_equal(batched, scalar, equal_nan=True)
+        some = np.r_[0:40, len(pairs) - 5:len(pairs)]
+        reference = [_rotation_reference(a, b, config) for a, b in pairs[some]]
+        assert np.array_equal(batched[some], reference, equal_nan=True)
+        if config.n_points == 128:
+            # the budget splits the pairs: some converge, some run out
+            assert 0 < np.isnan(batched).sum() < len(pairs)
+
+    def test_broadcast_shape_and_domain(self):
+        vals = rotation_mean_log_quadrature(np.array([[1.0], [2.0]]), np.array([0.5, 3.0]))
+        assert vals.shape == (2, 2)
+        assert vals[1, 0] == pytest.approx(2.0, abs=1e-6)
+        with pytest.raises(ValueError):
+            rotation_mean_log_quadrature(np.array([1.0, -1.0]), 2.0)
+        with pytest.raises(ValueError):
+            rotation_mean_log_quadrature(np.array([1.0, 0.0]), np.array([1.0, 0.0]))
+
+    def test_integrand_calls_stay_within_chunk(self):
+        # every call holds at most _CHUNK values, however many rows and panels;
+        # rows 0-2 (t^-1/2, slow to converge) refine up to the 2^18-panel budget
+        sizes = []
+
+        def fn(t, rows):
+            sizes.append(len(rows) * len(t))
+            return np.where(rows[:, None] < 3, t ** -0.5, 1.0)
+
+        config = QuadratureConfig(n_points=1 << 18, tolerance=1e-6)
+        vals = oracles._midpoint_dyadic(fn, 3000, config)
+        assert np.isnan(vals[:3]).all() and np.array_equal(vals[3:], np.ones(2997))
+        assert max(sizes) == oracles._CHUNK
 
 
 class TestExpLogConstant:
@@ -139,6 +215,20 @@ class TestConditionalLogBounds:
             (100.0, 10.0), cfg, McConfig(20_000, 37), n_batches=20)
         assert report.passed
         assert np.max(np.abs(report.upper_margins)) < 1e-9
+
+    def test_given_gamma_is_used(self):
+        cfg = CsitConfig.from_sigma_sq(1000.0, 0.1)
+        k_eigs, mc_cfg = (cfg.snr_p, 0.0), McConfig(100, 39)
+        own = conditional_log_bounds_check(k_eigs, cfg, mc_cfg, n_batches=10)
+        given = conditional_log_bounds_check(k_eigs, cfg, mc_cfg, n_batches=10,
+                                             gamma=exp_log_mean())
+        assert np.array_equal(own.upper_margins, given.upper_margins)
+        assert np.array_equal(own.lower_margins, given.lower_margins)
+        # the lower bound's right side is gamma + log2(sigma^2 lambda1) here
+        shifted = conditional_log_bounds_check(k_eigs, cfg, mc_cfg, n_batches=10,
+                                               gamma=exp_log_mean() - 0.5)
+        assert np.allclose(shifted.lower_margins, own.lower_margins + 0.5, atol=1e-12)
+        assert np.array_equal(shifted.upper_margins, own.upper_margins)
 
     def test_eigenvalue_validation(self):
         cfg = CsitConfig.from_sigma_sq(100.0, 0.25)
