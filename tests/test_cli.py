@@ -293,13 +293,13 @@ BAD_INPUT_CASES = [
     (["slopes", "--scheme", "zf", "--alpha", "0.5"], "abc", 2, "MISO_DOF_SEED"),
     (["oracles", "--seed", "-1"], None, 2, "seed must fit"),
     (["oracles", "--samples", "0"], None, 2, "n_samples must be positive"),
-    (["oracles", "--workers", "0"], None, 2, "n_workers must be positive"),
     (["oracles"], "1.5", 2, "MISO_DOF_SEED must be an integer"),
     (["region", "--alpha", "nan"], None, 2, "alpha must be a nonnegative number"),
     (["rates", "--scheme", "zf", "--alpha", "0.5", "--snr-db", "nan:1:2"], None, 2,
      "malformed --snr-db range"),
     (["slopes", "--scheme", "zf", "--alpha", "0.5", "--snr-db-range", "40:inf"], None, 2,
      "malformed --snr-db-range"),
+    (["oracles", "--workers", "0"], None, 2, "n_workers must be positive"),
 ]
 
 
