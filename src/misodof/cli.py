@@ -13,9 +13,7 @@ them together.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
-import ctypes
 import hashlib
 import json
 import math
@@ -142,6 +140,14 @@ def _write_json(path, payload):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
+
+
+def _check_out(path):
+    # Raises what writing would, before any estimate runs; keeps an existing file.
+    existed = os.path.exists(path)
+    open(path, "a").close()
+    if not existed:
+        os.remove(path)
 
 
 def _config_hash(params):
@@ -462,24 +468,17 @@ def _build_parser():
     return parser
 
 
-def _keep_freed_heap():
-    # Each Monte Carlo block frees a few MiB of numpy temporaries; glibc's adaptive
-    # thresholds return them to the system and fault them back in every block.
-    with contextlib.suppress(OSError):  # not glibc: its defaults stay
-        libc = ctypes.CDLL("libc.so.6")
-        libc.mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: block arrays use the heap
-        libc.mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD: freed heap is kept
-
-
 def main(argv=None):
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    _keep_freed_heap()
+    mc._keep_freed_heap()  # now, as the oracles' quadrature runs before any estimate
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
+        if args.command != "oracles":  # before any estimate runs
+            _check_out(args.out)
         if args.command == "region":
             return cmd_region(args)
         if args.command == "rates":
@@ -490,6 +489,9 @@ def main(argv=None):
     except _Exit as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except OSError as exc:  # commands open only --out and its manifest
+        print(f"error: cannot write {exc.filename or args.out!r}: {exc.strerror}", file=sys.stderr)
+        return 2
 
 
 def cli():

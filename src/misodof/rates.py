@@ -16,18 +16,20 @@ forms along nulled directions are O(1), and forming the matrix first loses
 them to cancellation.  Only ``rate_common_message``, which evaluates a
 caller's policy, and ``interference_power`` take (..., 2, 2) matrices.
 
-Each scheme is a (width, fill, finalize) triple: ``fill(batch, proj, out)``
+Each scheme is a (width, fill, finalize) triple: ``fill(batch, shared, out)``
 writes its per-sample log terms into ``out``, its (n, width) slice of one
-array, from the kernel columns ``proj(estimate name, fallback)``, and
+array, from ``shared``, the batch's ``_Shared`` memo, and
 ``finalize(mean, se)`` maps their means and standard errors to a result.
 Any set of schemes at any set of configs (say, every SNR of a sweep) is
-thus one estimate over one draw per block.
+thus one estimate over one draw per block.  The memo computes each kernel
+projection, its |.|^2 and each power split's phase-2 columns once per batch.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -35,7 +37,7 @@ from . import mc
 from .channel import CsitConfig
 from .regions import Scheme
 
-_E1 = (1.0 + 0.0j, 0.0j)  # fallback beams for zero estimates; tuples key the kernel memo
+_E1 = (1.0 + 0.0j, 0.0j)  # fallback beams for zero estimates; tuples key the memo
 _E2 = (0.0j, 1.0 + 0.0j)
 
 _ZERO_DIR_TOL = 1e-12
@@ -80,26 +82,38 @@ def _abs2(z):
 
 
 def _unit_cols(x, fallback):
-    """Entries (w_1, w_2) of w = x/|x|, or of ``fallback`` where |x| < _ZERO_DIR_TOL."""
-    x, fallback = np.asarray(x, dtype=complex), np.asarray(fallback, dtype=complex)
+    """Entries (w_1, w_2) of w = x/|x|, or of ``fallback`` where |x| < _ZERO_DIR_TOL,
+    and whether any row took the fallback."""
+    x = np.asarray(x, dtype=complex)
     x1, x2 = x[..., 0], x[..., 1]
     norm = np.sqrt(_abs2(x1) + _abs2(x2))
     degenerate = norm < _ZERO_DIR_TOL
+    if not degenerate.any():
+        inv = 1.0 / norm
+        return x1 * inv, x2 * inv, False
     inv = 1.0 / np.where(degenerate, 1.0, norm)
     return (np.where(degenerate, fallback[0], x1 * inv),
-            np.where(degenerate, fallback[1], x2 * inv))
+            np.where(degenerate, fallback[1], x2 * inv), True)
+
+
+class _Kernel(list):
+    """Columns (h.w, h.w-perp, g.w, g.w-perp) of a projection, ``sq`` their |.|^2."""
+
+    @cached_property
+    def sq(self):
+        return [_abs2(z) for z in self]
 
 
 def _project(batch, est, fallback):
     """The one kernel behind every scheme's integrand: coefficients w^H x of
     h and g along the unit estimate direction w = est/|est| and along
-    w-perp = (-conj(w_2), conj(w_1)), as (n,) complex columns (h.w, h.w-perp,
-    g.w, g.w-perp).  A zero estimate's w falls back to the given axis, and
-    w-perp to the other axis up to a sign, which no beam power or m01 sees.
+    w-perp = (-conj(w_2), conj(w_1)), as a _Kernel of (n,) complex columns.
+    A zero estimate's w falls back to the given axis, and w-perp to the
+    other axis up to a sign, which no beam power or m01 sees.
     """
-    w1, w2 = _unit_cols(est, fallback)
+    kernel = _Kernel()
+    w1, w2, kernel.fell_back = _unit_cols(est, fallback)
     w1c, w2c = np.conj(w1), np.conj(w2)
-    cols = []
     for x in (batch.h, batch.g):
         # x before w: complex products are not bitwise commutative, and this
         # order keeps each column bitwise equal to conj(x^H w).
@@ -107,19 +121,49 @@ def _project(batch, est, fallback):
         par += x[:, 1] * w2c
         perp = x[:, 1] * w1
         perp -= x[:, 0] * w2
-        cols += (par, perp)
-    return cols
+        kernel += (par, perp)
+    return kernel
 
 
-def _beam_pair(cols, a, b):
-    # Entries (m00, m11, |m01|^2) of S Q S^H for Q = a w-perp w-perp^H + b w w^H
-    # from one direction's kernel columns, plus |h.w-perp|^2 and |g.w-perp|^2.
-    h_par, h_perp, g_par, g_perp = cols
-    h_perp2, g_perp2 = _abs2(h_perp), _abs2(g_perp)
-    m00 = a * h_perp2 + b * _abs2(h_par)
-    m11 = a * g_perp2 + b * _abs2(g_par)
+def _beam_pair(kernel, a, b):
+    # Entries (m00, m11, |m01|^2) of S Q S^H, Q = a w-perp w-perp^H + b w w^H, from a _Kernel.
+    h_par, h_perp, g_par, g_perp = kernel
+    h_par2, h_perp2, g_par2, g_perp2 = kernel.sq
+    m00 = a * h_perp2 + b * h_par2
+    m11 = a * g_perp2 + b * g_par2
     off = _abs2(a * h_perp * np.conj(g_perp) + b * h_par * np.conj(g_par))
-    return (m00, m11, off), h_perp2, g_perp2
+    return m00, m11, off
+
+
+class _Shared:
+    """What a group's schemes read from one batch, each computed once: the
+    _Kernels, |h_i|^2 and |g_i|^2, and the default policy's phase-2 columns."""
+
+    def __init__(self, batch):
+        self.batch, self._kernels, self._phase2 = batch, {}, {}
+
+    def kernel(self, name, fallback):
+        if name not in self._kernels and (name, fallback) not in self._kernels:
+            kernel = _project(self.batch, getattr(self.batch, name), fallback)
+            self._kernels[(name, fallback) if kernel.fell_back else name] = kernel
+        return self._kernels.get(name) or self._kernels[name, fallback]
+
+    @cached_property
+    def antenna_sq(self):
+        return [_abs2(x[:, i]) for x in (self.batch.h, self.batch.g) for i in (0, 1)]
+
+    def phase2(self, p_c, p_p, out):
+        # Phase-2 log terms of the default policy, q_c = (p_c/2) I and q_p1,
+        # q_p2 = (p_p/2) along g_hat-perp, h_hat-perp, into out[:, :4].
+        if (p_c, p_p) in self._phase2:
+            out[:, :4] = self._phase2[p_c, p_p]
+            return
+        c, s = p_c / 2.0, p_p / 2.0
+        h0, h1, g0, g1 = self.antenna_sq
+        _, hg, _, gg = self.kernel("g_hat", _E2).sq  # |h.g_hat-perp|^2, |g.g_hat-perp|^2
+        _, hh, _, gh = self.kernel("h_hat", _E2).sq
+        _phase2_logs(c * h0 + c * h1, s * hg, s * hh, c * g0 + c * g1, s * gg, s * gh, out)
+        self._phase2[p_c, p_p] = out[:, :4]
 
 
 def _power_split(cfg):
@@ -197,18 +241,6 @@ def _phase2_logs(ch, ph1, ph2, cg, pg1, pg2, out):
     out[:, 1] = np.log2(1.0 + cg / (1.0 + pg1 + pg2))
     out[:, 2] = np.log2(1.0 + ph1 / (1.0 + ph2))
     out[:, 3] = np.log2(1.0 + pg2 / (1.0 + pg1))
-    return out
-
-
-def _policy_phase2(batch, g_perp2, h_perp2, p_c, p_p, out):
-    # Phase-2 log terms of the default policy: q_c = (p_c/2) I and
-    # q_p1, q_p2 = (p_p/2) along g_hat-perp, h_hat-perp.  ``g_perp2`` holds
-    # |h.g_hat-perp|^2 and |g.g_hat-perp|^2, ``h_perp2`` the same for h_hat.
-    c, s = p_c / 2.0, p_p / 2.0
-    ch = c * _abs2(batch.h[:, 0]) + c * _abs2(batch.h[:, 1])
-    cg = c * _abs2(batch.g[:, 0]) + c * _abs2(batch.g[:, 1])
-    return _phase2_logs(ch, s * g_perp2[0], s * h_perp2[0],
-                        cg, s * g_perp2[1], s * h_perp2[1], out)
 
 
 def _common_message_rates(mean, se):
@@ -230,7 +262,7 @@ def rate_common_message(cfg, policy_map, mc_cfg):
     common-message rate takes the outer min of the two users' expectations.
     """
 
-    def fill(batch, proj, out):
+    def fill(batch, shared, out):
         qs = policy_map(cfg, batch.h_hat, batch.g_hat)
         _phase2_logs(*(np.maximum(interference_power(x, q), 0.0)
                        for x in (batch.h, batch.g) for q in qs), out)
@@ -261,12 +293,12 @@ def _proposed_columns(cfg, pcfg):
     r_eta1 = r_eta2 = quantization_rate(d_tilde)
     r_eta = r_eta1 + r_eta2
 
-    def fill(batch, proj, out):
+    def fill(batch, shared, out):
         # q_u = a g_hat-perp + b g_hat and q_v = a h_hat-perp + b h_hat,
         # one beam pair per estimate direction
-        u, *g_perp2 = _beam_pair(proj("g_hat", _E2), a, b)
-        v, *h_perp2 = _beam_pair(proj("h_hat", _E2), a, b)
-        _policy_phase2(batch, g_perp2, h_perp2, p_c, p_p, out)
+        u = _beam_pair(shared.kernel("g_hat", _E2), a, b)
+        v = _beam_pair(shared.kernel("h_hat", _E2), a, b)
+        shared.phase2(p_c, p_p, out)
         out[:, 4], out[:, 5] = _mimo_logdets(u, v, d_tilde, d_tilde)
 
     def finalize(mean, se):
@@ -300,9 +332,9 @@ def _tdma_columns(cfg):
     # estimated channel (e1 when the estimate is zero).
     p = cfg.snr_p
 
-    def fill(batch, proj, out):
-        out[:, 0] = np.log2(1.0 + p * _abs2(proj("h_hat", _E1)[0]))
-        out[:, 1] = np.log2(1.0 + p * _abs2(proj("g_hat", _E1)[2]))
+    def fill(batch, shared, out):
+        out[:, 0] = np.log2(1.0 + p * shared.kernel("h_hat", _E1).sq[0])
+        out[:, 1] = np.log2(1.0 + p * shared.kernel("g_hat", _E1).sq[2])
 
     return 2, fill, _user_pair(0.5)
 
@@ -312,11 +344,11 @@ def _zf_columns(cfg):
     # h_hat-perp (e2 when h_hat is zero), leakage treated as noise.
     half_p = cfg.snr_p / 2.0
 
-    def fill(batch, proj, out):
-        _, h_w1, _, g_w1 = proj("g_hat", _E2)
-        _, h_w2, _, g_w2 = proj("h_hat", _E1)
-        out[:, 0] = np.log2(1.0 + half_p * _abs2(h_w1) / (1.0 + half_p * _abs2(h_w2)))
-        out[:, 1] = np.log2(1.0 + half_p * _abs2(g_w2) / (1.0 + half_p * _abs2(g_w1)))
+    def fill(batch, shared, out):
+        _, h_w1, _, g_w1 = shared.kernel("g_hat", _E2).sq
+        _, h_w2, _, g_w2 = shared.kernel("h_hat", _E1).sq
+        out[:, 0] = np.log2(1.0 + half_p * h_w1 / (1.0 + half_p * h_w2))
+        out[:, 1] = np.log2(1.0 + half_p * g_w2 / (1.0 + half_p * g_w1))
 
     return 2, fill, _user_pair(1.0)
 
@@ -326,10 +358,8 @@ def _rs_zf_columns(cfg):
     # user gets common + private in one slot and private-only in the other.
     _, _, p_c, p_p = _power_split(cfg)
 
-    def fill(batch, proj, out):
-        g_perp2 = [_abs2(z) for z in proj("g_hat", _E2)[1::2]]
-        h_perp2 = [_abs2(z) for z in proj("h_hat", _E2)[1::2]]
-        _policy_phase2(batch, g_perp2, h_perp2, p_c, p_p, out)
+    def fill(batch, shared, out):
+        shared.phase2(p_c, p_p, out)
 
     def finalize(mean, se):
         cm = _common_message_rates(mean, se)
@@ -356,23 +386,18 @@ def _estimate_group(schemes, columns_at, cfgs, mc_cfg):
     """Finalized results of the schemes' columns at each config of ``cfgs``,
     from one estimate.  ``columns_at(cfg)`` lists the schemes' column triples
     at a config.  Each block is drawn once for every config; at each config it
-    fills one array, each scheme its own slice, and each distinct (estimate,
-    fallback) kernel projection is computed once."""
+    fills one array, each scheme its own slice, from one ``_Shared`` memo of
+    the batch.  One projection of an estimate serves every fallback unless
+    a row of it is zero: in practice always when sigma_sq < 1, as
+    ``sample_batch`` redraws zero estimates, and never at alpha 0."""
     columns = {cfg: columns_at(cfg) for cfg in cfgs}
     bounds = np.cumsum([0] + [width for width, _, _ in columns[cfgs[0]]])
     spans = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
     def f(batch):
-        kernel = {}
-
-        def proj(name, fallback):
-            if (name, fallback) not in kernel:
-                kernel[name, fallback] = _project(batch, getattr(batch, name), fallback)
-            return kernel[name, fallback]
-
-        out = np.empty((batch.n, bounds[-1]))
+        shared, out = _Shared(batch), np.empty((batch.n, bounds[-1]))
         for (_, fill, _), span in zip(columns[batch.csit], spans):
-            fill(batch, proj, out[:, span])
+            fill(batch, shared, out[:, span])
         return out
 
     try:

@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import threading
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from misodof import cli, mc, oracles, rates
+from misodof.channel import CsitConfig
 from misodof.mc import NonFiniteSampleError
 from misodof.rates import RateResult
 from misodof.regions import Scheme
@@ -316,6 +318,35 @@ def test_bad_input_exit_codes(argv, env_seed, code, fragment, tmp_path, monkeypa
     assert fragment in err
 
 
+@pytest.mark.parametrize("command", [
+    ["region", "--alpha", "0.5"], _RATES_ZF, ["slopes", "--scheme", "zf", "--alpha", "0.5"]])
+@pytest.mark.parametrize("where", ["missing_dir", "directory"])
+def test_unwritable_out_exits_2_before_estimating(command, where, tmp_path, monkeypatch,
+                                                  capsys):
+    # An --out that cannot be written is bad usage: one error line, exit 2,
+    # and no Monte Carlo estimate is run first.
+    def never(*_):
+        raise AssertionError("rate_scheme ran before --out was checked")
+
+    monkeypatch.setattr(cli, "rate_scheme", never)
+    out = tmp_path / "missing" / "x.out" if where == "missing_dir" else tmp_path
+    assert cli.main(command + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_out_check_keeps_existing_file(tmp_path, capsys):
+    # The check leaves an existing output untouched when a later argument fails.
+    out = tmp_path / "x.csv"
+    out.write_text("old\n")
+    assert cli.main(["rates", "--scheme", "zf", "--alpha", "-1", "--snr-db", "10:10:10",
+                     "--out", str(out)]) == 2
+    assert out.read_text() == "old\n"
+    assert cli.main(["region", "--alpha", "-1", "--out", str(tmp_path / "new.json")]) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["x.csv"]
+
+
 @pytest.mark.parametrize("failure", ["nan_rate", "nan_sample"])
 def test_non_finite_names_the_cell(failure, tmp_path, monkeypatch, capsys):
     def broken(scheme, cfgs, mc_cfg):
@@ -441,10 +472,25 @@ def test_oracle_suite_estimates_through_mc_module(monkeypatch):
 
 
 def test_runs_without_glibc(tmp_path, monkeypatch):
-    # The heap thresholds are a glibc setting; elsewhere the CLI keeps the
-    # C library's defaults and runs as before.
+    # The heap thresholds are a glibc setting, pinned once per process by the
+    # CLI or by the first estimate; elsewhere the C library's defaults stay.
+    tried = []
+
     def no_glibc(name):
+        tried.append(name)
         raise OSError(f"{name}: cannot open shared object file")
 
-    monkeypatch.setattr(cli.ctypes, "CDLL", no_glibc)
-    assert _run(["region", "--alpha", "0.5", "--out", str(tmp_path / "r.json")]) == 0
+    monkeypatch.setattr(mc.ctypes, "CDLL", no_glibc)
+    for _ in range(2):
+        # a fresh cache, so that the CLI run tries to set them
+        monkeypatch.setattr(mc, "_keep_freed_heap",
+                            functools.cache(mc._keep_freed_heap.__wrapped__))
+        assert _run(["region", "--alpha", "0.5", "--out", str(tmp_path / "r.json")]) == 0
+        assert _run(_RATES_ZF + ["--samples", "100", "--out", str(tmp_path / "x.csv")]) == 0
+        assert tried == ["libc.so.6"]
+        tried.clear()
+    # a library estimate outside the CLI sets them too
+    monkeypatch.setattr(mc, "_keep_freed_heap", functools.cache(mc._keep_freed_heap.__wrapped__))
+    mc.estimate(lambda batch: batch.h.real[:, 0], mc.McConfig(100, 1),
+                CsitConfig.from_alpha(10.0, 0.5))
+    assert tried == ["libc.so.6"]

@@ -110,7 +110,8 @@ def test_kernel_columns_match_projectors(alpha, fallback):
     for est in (batch.h_hat, batch.g_hat):
         w = unit(est, fallback)
         w_perp = np.stack([-np.conj(w[:, 1]), np.conj(w[:, 0])], axis=-1)
-        h_par, h_perp, g_par, g_perp = rates._project(batch, est, fallback)
+        kernel = rates._project(batch, est, fallback)
+        h_par, h_perp, g_par, g_perp = kernel
         for col, x, beam in ((h_par, batch.h, w), (h_perp, batch.h, w_perp),
                              (g_par, batch.g, w), (g_perp, batch.g, w_perp)):
             np.testing.assert_allclose(np.abs(col) ** 2, interference_power(x, projector(beam)),
@@ -119,12 +120,12 @@ def test_kernel_columns_match_projectors(alpha, fallback):
         q = a * projector(w_perp) + b * projector(w)
         s = np.stack([np.conj(batch.h), np.conj(batch.g)], axis=-2)
         m = s @ q @ np.conj(np.swapaxes(s, -1, -2))
-        (m00, m11, off), h_perp2, g_perp2 = rates._beam_pair((h_par, h_perp, g_par, g_perp), a, b)
+        m00, m11, off = rates._beam_pair(kernel, a, b)
         np.testing.assert_allclose(m00, m[:, 0, 0].real, rtol=1e-12)
         np.testing.assert_allclose(m11, m[:, 1, 1].real, rtol=1e-12)
         np.testing.assert_allclose(off, np.abs(m[:, 0, 1]) ** 2, rtol=1e-10)
-        np.testing.assert_allclose(h_perp2, np.abs(h_perp) ** 2, rtol=1e-15)
-        np.testing.assert_allclose(g_perp2, np.abs(g_perp) ** 2, rtol=1e-15)
+        for col, col_sq in zip(kernel, kernel.sq):
+            np.testing.assert_allclose(col_sq, np.abs(col) ** 2, rtol=1e-15)
 
 
 # --- mpmath evaluation of the same per-sample formulas --------------------

@@ -53,7 +53,7 @@ class TestDefaultPolicy:
         # isotropic phase-1 covariances in the no-CSIT regime: the zero
         # estimate's fallback beams carry p/4 each
         batch = sample_batch(_rng(1), cfg, 64)
-        (m00, m11, off), _, _ = _beam_pair(_project(batch, batch.g_hat, _E2), p1 / 2.0, p2 / 2.0)
+        m00, m11, off = _beam_pair(_project(batch, batch.g_hat, _E2), p1 / 2.0, p2 / 2.0)
         np.testing.assert_allclose(m00, p / 4.0 * np.sum(np.abs(batch.h) ** 2, axis=1), rtol=1e-12)
         np.testing.assert_allclose(m11, p / 4.0 * np.sum(np.abs(batch.g) ** 2, axis=1), rtol=1e-12)
         cross = np.abs(np.sum(np.conj(batch.h) * batch.g, axis=1)) ** 2
@@ -367,13 +367,18 @@ def test_snr_grid_equals_per_config_calls(alpha, workers, degenerate_norm, monke
     assert rate_scheme(Scheme.PROPOSED, cfgs, mc_cfg) == [at[-1] for at in grid]
 
 
-@pytest.mark.parametrize("group, kernel_calls", [
+@pytest.mark.parametrize("group, kernel_pairs", [
     (tuple(Scheme), 4), (tuple(reversed(Scheme)), 4), ("proposed", 2), ("tdma", 2)])
-def test_group_runs_each_kernel_pair_once_per_block(group, kernel_calls, monkeypatch):
-    # In any order the whole group needs four (estimate, fallback) kernel
-    # calls per block: (h_hat, e1), (g_hat, e1), (g_hat, e2) and (h_hat, e2).
-    calls = []
-    real = rates._project
-    monkeypatch.setattr(rates, "_project", lambda *a: calls.append(a[1:]) or real(*a))
-    rate_scheme(group, CsitConfig.from_alpha(1e3, 0.5), McConfig(2 * 8192, 26))
-    assert len(calls) == 2 * kernel_calls
+def test_group_runs_each_kernel_pair_once_per_block(group, kernel_pairs, monkeypatch):
+    # In any order the whole group reads four (estimate, fallback) kernel
+    # pairs: (h_hat, e1), (g_hat, e1), (g_hat, e2) and (h_hat, e2).  At
+    # alpha 0 every estimate is zero and each row takes its fallback, so
+    # each pair is one projection per block; at alpha 0.5 no row does, and
+    # one projection per estimate serves every fallback.
+    for alpha, per_block in ((0.0, kernel_pairs), (0.5, 2)):
+        calls = []
+        real = rates._project
+        monkeypatch.setattr(rates, "_project", lambda *a: calls.append(a[1:]) or real(*a))
+        rate_scheme(group, CsitConfig.from_alpha(1e3, alpha), McConfig(2 * 8192, 26))
+        monkeypatch.undo()
+        assert len(calls) == 2 * per_block
