@@ -7,13 +7,7 @@ rate formulas and quadrature oracles for the analytic ingredients.
 
 __version__ = "0.1.0"
 
-from .channel import (
-    ChannelBatch,
-    CsitConfig,
-    DopplerParams,
-    alpha_from_doppler,
-    sample_batch,
-)
+from .channel import ChannelBatch, CsitConfig, sample_batch
 from .mc import McConfig, McEstimate, NonFiniteSampleError, estimate
 from .oracles import (
     BoundsCheckReport,
@@ -29,16 +23,13 @@ from .rates import (
     RateResult,
     interference_power,
     quantization_rate,
-    rate_baseline,
     rate_common_message,
-    rate_proposed,
     rate_scheme,
 )
 from .regions import (
     DelayedCsitQuality,
     DofRegion,
     Scheme,
-    contains,
     dof_imperfect_delayed,
     dof_scheme,
     region_common_message,

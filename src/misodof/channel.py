@@ -16,12 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-LIGHT_SPEED_MPS = 3.0e8
-
-# Estimates with norm below this are considered degenerate and redrawn.
-_DEGENERATE_NORM = 1e-12
-_MAX_REDRAWS = 100
-
 
 @dataclass(frozen=True)
 class CsitConfig:
@@ -30,7 +24,9 @@ class CsitConfig:
     ``sigma_hat_sq`` is the error variance floored at the noise-limited
     level ``1/snr_p`` and ``alpha_hat`` its exponent; power allocations use
     the floored pair so they stay meaningful when the raw error variance
-    drops below the AWGN floor.
+    drops below the AWGN floor.  Under band-limited Doppler fading with
+    normalized bandwidth F = v f_c T / c < 1/2 (speed, carrier, slot,
+    light speed), one-step prediction from delayed CSI gives alpha = 1 - 2F.
     """
 
     snr_p: float
@@ -81,34 +77,6 @@ class CsitConfig:
 
 
 @dataclass(frozen=True)
-class DopplerParams:
-    """Band-limited Doppler fading parameters.
-
-    The normalized one-sided Doppler bandwidth is
-    ``F = speed_mps * carrier_hz * slot_sec / light_mps`` and must stay
-    below 1/2 for channel prediction to be useful.
-    """
-
-    speed_mps: float
-    carrier_hz: float
-    slot_sec: float
-    light_mps: float = LIGHT_SPEED_MPS
-
-    def __post_init__(self):
-        if self.speed_mps < 0 or self.carrier_hz <= 0 or self.slot_sec <= 0 or self.light_mps <= 0:
-            raise ValueError("Doppler parameters must be positive (speed may be zero)")
-        if not self.normalized_bandwidth < 0.5:
-            raise ValueError(
-                f"normalized Doppler bandwidth F = {self.normalized_bandwidth} >= 1/2; "
-                "prediction-based CSIT is useless"
-            )
-
-    @property
-    def normalized_bandwidth(self):
-        return self.speed_mps * self.carrier_hz * self.slot_sec / self.light_mps
-
-
-@dataclass(frozen=True)
 class ChannelBatch:
     """Vectorized collection of channel samples drawn at config ``csit``;
     all arrays are (n, 2)."""
@@ -133,21 +101,11 @@ def _draw(rng, n):
     return z[:, 0:4] + 1j * z[:, 4:8], z[:, 8:12] + 1j * z[:, 12:16]
 
 
-def _degenerate(est):
-    # Rows where h_hat or g_hat has norm below _DEGENERATE_NORM.
-    sq = est.real ** 2 + est.imag ** 2
-    return ((sq[:, 0] + sq[:, 1] < _DEGENERATE_NORM ** 2)
-            | (sq[:, 2] + sq[:, 3] < _DEGENERATE_NORM ** 2))
-
-
 def sample_batch(rng, cfg, n):
     """Draw ``n`` independent channel samples as a ChannelBatch.
 
     Entries of the estimates are i.i.d. CN(0, 1 - sigma_sq), entries of the
     errors i.i.d. CN(0, sigma_sq), all four vectors mutually independent.
-    Samples with a degenerate estimate direction (norm below 1e-12) are
-    redrawn, except in the no-CSIT regime sigma_sq == 1 where the estimates
-    are deterministically zero.
 
     Given a sequence of configs instead, the normals are drawn here once,
     and an iterator yields one ChannelBatch per config, each scaled only
@@ -156,12 +114,11 @@ def sample_batch(rng, cfg, n):
     """
     single = isinstance(cfg, CsitConfig)
     est0, err0 = _draw(rng, n)
-    batches = _scaled_batches(rng, est0, err0, [cfg] if single else list(cfg))
+    batches = _scaled_batches(est0, err0, [cfg] if single else list(cfg))
     return next(batches) if single else batches
 
 
-def _scaled_batches(rng, est0, err0, cfgs):
-    after_draw = None
+def _scaled_batches(est0, err0, cfgs):
     for i, cfg in enumerate(cfgs):
         last = i + 1 == len(cfgs)
         s2 = cfg.sigma_sq
@@ -173,15 +130,6 @@ def _scaled_batches(rng, est0, err0, cfgs):
             err *= err_scale
         else:
             est, err = est0 * est_scale, err0 * err_scale
-        if s2 < 1.0 and _degenerate(est).any():
-            # Redraw as this config alone would: from the generator state the
-            # shared draw left, which the first config to redraw saves for
-            # the later ones.
-            if after_draw is not None:
-                rng.bit_generator.state = after_draw
-            elif not last:
-                after_draw = rng.bit_generator.state
-            _redraw(rng, est, err, est_scale, err_scale)
         h_hat, g_hat = est[:, 0:2], est[:, 2:4]
         h_tilde, g_tilde = err[:, 0:2], err[:, 2:4]
         yield ChannelBatch(
@@ -191,31 +139,3 @@ def _scaled_batches(rng, est0, err0, cfgs):
         )
         # hold nothing of this batch while the next one is built
         del est, err, h_hat, g_hat, h_tilde, g_tilde
-
-
-def _redraw(rng, est, err, est_scale, err_scale):
-    # Replace the degenerate rows of ``est`` (and their errors) in place.
-    for _ in range(_MAX_REDRAWS):
-        bad = _degenerate(est)
-        if not bad.any():
-            return
-        est_new, err_new = _draw(rng, int(bad.sum()))
-        est[bad] = est_new * est_scale
-        err[bad] = err_new * err_scale
-    raise RuntimeError(
-        "degenerate channel estimates persisted through "
-        f"{_MAX_REDRAWS} redraws; generator is broken"
-    )
-
-
-def alpha_from_doppler(params):
-    """Current-CSIT quality exponent of a band-limited Doppler channel.
-
-    With noise-free feedback of the channel observations, one-step
-    prediction leaves an error decaying as P**-(1 - 2F), so
-    alpha = 1 - 2F.
-    """
-    f = params.normalized_bandwidth
-    if f >= 0.5:
-        raise ValueError(f"normalized Doppler bandwidth F = {f} >= 1/2")
-    return 1.0 - 2.0 * f

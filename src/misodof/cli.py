@@ -470,7 +470,6 @@ def _build_parser():
 
 def main(argv=None):
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    mc._keep_freed_heap()  # now, as the oracles' quadrature runs before any estimate
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

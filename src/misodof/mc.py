@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
-import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -113,13 +112,15 @@ def _reduce(block_sums, n):
     return McEstimate(mean=mean, std_error=std_error, n=n)
 
 
-@functools.cache
 def _keep_freed_heap():
     # Each block frees MiBs of temporaries that glibc would unmap and fault in again.
     with contextlib.suppress(OSError):  # not glibc: its defaults stay
         libc = ctypes.CDLL("libc.so.6")
         libc.mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: block arrays use the heap
         libc.mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD: freed heap is kept
+
+
+_keep_freed_heap()  # once per process, for estimates and the oracles' quadrature alike
 
 
 def estimate(f, cfg, csit):
@@ -132,10 +133,8 @@ def estimate(f, cfg, csit):
     config, so each block's normals are drawn once for the whole grid and
     scaled to each config in turn; ``f`` sees one batch per config, and
     ``batch.csit`` names it.  Each estimate is bitwise identical to that
-    config's own, and to itself for any ``n_workers``.  The first call pins
-    glibc's heap thresholds for the rest of the process.
+    config's own, and to itself for any ``n_workers``.
     """
-    _keep_freed_heap()
     single = isinstance(csit, CsitConfig)
     grid = [csit] if single else list(csit)
     n = cfg.n_samples

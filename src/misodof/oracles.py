@@ -20,9 +20,10 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 # Nodes per summed chunk of a quadrature level, and values per integrand
-# call: 0.5 MiB per temporary array.  The CLI keeps freed heap memory, and
-# the Monte Carlo pool threads allocate in arenas of their own, so larger
-# quadrature temporaries would stay resident for the rest of a run.
+# call: 0.5 MiB per temporary array.  The package keeps freed heap memory
+# (see ``mc``), and the Monte Carlo pool threads allocate in arenas of their
+# own, so larger quadrature temporaries would stay resident for the rest of a
+# run.
 _CHUNK = 1 << 16
 _START_PANELS = 64
 

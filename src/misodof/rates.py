@@ -283,10 +283,8 @@ def _combine_rate(r_c, se_c, r_m, se_m, r_p, se_p, r_eta):
     return val, se
 
 
-def _proposed_columns(cfg, pcfg):
+def _proposed_columns(pcfg):
     # Quantize-and-multicast with powers and distortions derived from ``pcfg``.
-    if pcfg.snr_p != cfg.snr_p:
-        raise ValueError("policy config must use the same transmit power")
     p1, p2, p_c, p_p = _power_split(pcfg)
     a, b = p1 / 2.0, p2 / 2.0
     d_tilde = _distortion(pcfg)
@@ -377,8 +375,8 @@ def _rs_zf_columns(cfg):
 _COLUMNS = {
     Scheme.TDMA: _tdma_columns, Scheme.ZF: _zf_columns, Scheme.RS_ZF: _rs_zf_columns,
     # MAT: the proposed scheme with powers and distortions as if sigma_sq were 1
-    Scheme.MAT: lambda cfg: _proposed_columns(cfg, CsitConfig.from_sigma_sq(cfg.snr_p, 1.0)),
-    Scheme.PROPOSED: lambda cfg: _proposed_columns(cfg, cfg),
+    Scheme.MAT: lambda cfg: _proposed_columns(CsitConfig.from_sigma_sq(cfg.snr_p, 1.0)),
+    Scheme.PROPOSED: _proposed_columns,
 }
 
 
@@ -388,8 +386,8 @@ def _estimate_group(schemes, columns_at, cfgs, mc_cfg):
     at a config.  Each block is drawn once for every config; at each config it
     fills one array, each scheme its own slice, from one ``_Shared`` memo of
     the batch.  One projection of an estimate serves every fallback unless
-    a row of it is zero: in practice always when sigma_sq < 1, as
-    ``sample_batch`` redraws zero estimates, and never at alpha 0."""
+    a row of it is zero: in practice always when sigma_sq < 1, and never at
+    alpha 0."""
     columns = {cfg: columns_at(cfg) for cfg in cfgs}
     bounds = np.cumsum([0] + [width for width, _, _ in columns[cfgs[0]]])
     spans = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
@@ -408,25 +406,6 @@ def _estimate_group(schemes, columns_at, cfgs, mc_cfg):
     return [[finalize(est.mean[span], est.std_error[span])
              for (_, _, finalize), span in zip(columns[cfg], spans)]
             for cfg, est in zip(cfgs, estimates)]
-
-
-def rate_proposed(cfg, mc_cfg, policy_cfg=None):
-    """Ergodic rate pair of the two-phase quantize-and-multicast scheme.
-
-    ``policy_cfg`` optionally overrides the config used to derive powers and
-    distortions (the channel itself still follows ``cfg``); it is how the
-    no-current-CSIT (MAT-style) variant is evaluated.
-    """
-    pcfg = cfg if policy_cfg is None else policy_cfg
-    return _estimate_group([Scheme.PROPOSED], lambda c: [_proposed_columns(c, pcfg)],
-                           [cfg], mc_cfg)[0][0]
-
-
-def rate_baseline(scheme, cfg, mc_cfg):
-    """Ergodic rates of a baseline scheme: TDMA, ZF, MAT, or RS_ZF."""
-    if Scheme(scheme) is Scheme.PROPOSED:
-        raise ValueError(f"{scheme} is not a baseline; use rate_proposed")
-    return rate_scheme(scheme, cfg, mc_cfg)
 
 
 def rate_scheme(scheme, cfg, mc_cfg):

@@ -45,10 +45,6 @@ class DofRegion:
         return sum(1 for c, b in self.inequalities if abs(float(c @ point) - b) <= tol)
 
 
-def contains(region, point, tol=MEMBERSHIP_TOL):
-    return region.contains(point, tol=tol)
-
-
 def _dedup_ordered(points, tol=1e-12):
     kept = []
     for p in points:

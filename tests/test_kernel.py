@@ -9,6 +9,8 @@ forming a covariance in double precision would lose the nulled quadratic
 forms.
 """
 
+import dataclasses
+
 import mpmath
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from misodof import mc, rates
 from misodof.channel import CsitConfig, sample_batch
 from misodof.mc import McConfig
 from misodof.rates import interference_power, rate_scheme
+from misodof.regions import Scheme
 from reference import E1, E2, perp, policy_matrices, projector, unit
 
 SCHEMES = ("tdma", "zf", "mat", "rszf", "proposed")
@@ -100,6 +103,28 @@ def test_integrand_matches_explicit_matrices(scheme, snr_p, alpha):
     got = _integrand(scheme, cfg)(batch)
     np.testing.assert_allclose(got, _explicit_integrand(scheme, cfg, batch),
                                rtol=1e-9, atol=1e-12)
+
+
+def test_zero_estimate_rows_take_fallback_beams_in_a_group():
+    # An estimate of zero norm has probability zero when sigma_sq < 1, and
+    # the sampler keeps it like any other row: the group's shared kernels
+    # must then give those rows, and only those, each scheme's fallback beams.
+    cfg = CsitConfig.from_alpha(1e4, 0.5)
+    batch = _batch(cfg, 64, seed=44)
+    h_hat, g_hat = batch.h_hat.copy(), batch.g_hat.copy()
+    h_hat[[3, 17, 40]] = 0.0
+    g_hat[[5, 18, 63]] = 0.0
+    batch = dataclasses.replace(batch, h_hat=h_hat, g_hat=g_hat,
+                                h=h_hat + batch.h_tilde, g=g_hat + batch.g_tilde)
+    got = _integrand(tuple(Scheme), cfg)(batch)
+    assert np.isfinite(got).all()
+    lo = 0
+    for scheme in Scheme:
+        want = _explicit_integrand(scheme.value, cfg, batch)
+        np.testing.assert_allclose(got[:, lo:lo + want.shape[1]], want, rtol=1e-9,
+                                   err_msg=scheme.value)
+        lo += want.shape[1]
+    assert lo == got.shape[1]
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])

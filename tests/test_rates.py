@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.random import Generator, Philox
 
-from misodof import channel, mc, rates
+from misodof import mc, rates
 from misodof.channel import CsitConfig, sample_batch
 from misodof.mc import McConfig, estimate
 from misodof.rates import (
@@ -17,9 +17,7 @@ from misodof.rates import (
     _project,
     interference_power,
     quantization_rate,
-    rate_baseline,
     rate_common_message,
-    rate_proposed,
     rate_scheme,
 )
 from misodof.regions import Scheme
@@ -199,14 +197,14 @@ class TestCommonMessage:
 class TestProposedScheme:
     def test_perfect_csit_degenerates_to_single_phase(self):
         cfg = CsitConfig.from_alpha(1e4, 1.0)
-        res = rate_proposed(cfg, McConfig(20_000, 13))
+        res = rate_scheme("proposed", cfg, McConfig(20_000, 13))
         assert res.r_eta1 == 0.0 and res.r_eta2 == 0.0
         assert res.r1 == res.r_mimo1
         assert res.r2 == res.r_mimo2
 
     def test_no_csit_has_no_private_messages(self):
         cfg = CsitConfig.from_alpha(1e4, 0.0)
-        res = rate_proposed(cfg, McConfig(20_000, 14))
+        res = rate_scheme("proposed", cfg, McConfig(20_000, 14))
         assert res.r_p1 == 0.0 and res.r_p2 == 0.0
         r_eta = res.r_eta1 + res.r_eta2
         assert res.r_eta1 == pytest.approx(math.log2(1e4))
@@ -214,7 +212,7 @@ class TestProposedScheme:
 
     def test_user_symmetry(self):
         cfg = CsitConfig.from_alpha(1e4, 0.5)
-        res = rate_proposed(cfg, McConfig(100_000, 15))
+        res = rate_scheme("proposed", cfg, McConfig(100_000, 15))
         combined = math.hypot(res.se_r1, res.se_r2)
         assert abs(res.r1 - res.r2) < 3.0 * combined
 
@@ -223,7 +221,7 @@ class TestProposedScheme:
         sums, errs = [], []
         for alpha in np.linspace(0.0, 1.0, 6):
             cfg = CsitConfig.from_alpha(2.0 ** 40, alpha)
-            res = rate_proposed(cfg, mc_cfg)
+            res = rate_scheme("proposed", cfg, mc_cfg)
             sums.append(res.r1 + res.r2)
             errs.append(math.hypot(res.se_r1, res.se_r2))
         for k in range(len(sums) - 1):
@@ -232,7 +230,7 @@ class TestProposedScheme:
 
     def test_all_components_nonnegative(self):
         cfg = CsitConfig.from_alpha(1e3, 0.3)
-        res = rate_proposed(cfg, McConfig(10_000, 17))
+        res = rate_scheme("proposed", cfg, McConfig(10_000, 17))
         for field in ("r1", "r2", "r_c", "r_p1", "r_p2", "r_mimo1", "r_mimo2",
                       "r_eta1", "r_eta2"):
             assert getattr(res, field) >= 0.0
@@ -270,16 +268,13 @@ class TestBaselines:
     def test_mat_matches_forced_policy(self):
         cfg = CsitConfig.from_alpha(1e4, 0.6)
         mc_cfg = McConfig(20_000, 19)
-        mat = rate_baseline("mat", cfg, mc_cfg)
-        forced = rate_proposed(cfg, mc_cfg,
-                               policy_cfg=CsitConfig.from_sigma_sq(cfg.snr_p, 1.0))
-        assert mat.r1 == forced.r1 and mat.r2 == forced.r2
+        mat = rate_scheme("mat", cfg, mc_cfg)
         assert mat.r_eta1 == pytest.approx(math.log2(cfg.snr_p))
         assert mat.r_p1 == 0.0
 
     def test_rs_zf_time_sharing_identity(self):
         cfg = CsitConfig.from_alpha(1e4, 0.5)
-        res = rate_baseline("rszf", cfg, McConfig(20_000, 20))
+        res = rate_scheme("rszf", cfg, McConfig(20_000, 20))
         assert res.r1 == pytest.approx(0.5 * res.r_c + res.r_p1, rel=1e-12)
         assert res.r2 == pytest.approx(0.5 * res.r_c + res.r_p2, rel=1e-12)
 
@@ -292,7 +287,7 @@ class TestBaselines:
             return np.log2(1.0 + sig)
 
         mc_cfg = McConfig(20_000, 21)
-        res = rate_baseline("tdma", cfg, mc_cfg)
+        res = rate_scheme("tdma", cfg, mc_cfg)
         ref = estimate(full_slot, mc_cfg, cfg)
         assert res.r1 == pytest.approx(0.5 * ref.mean, rel=1e-12)
 
@@ -311,11 +306,6 @@ class TestBaselines:
             res = rate_scheme(scheme, cfg, mc_cfg)
             assert res.r1 > 0 and res.r2 > 0
             assert res.se_r1 >= 0 and res.se_r2 >= 0
-
-    def test_proposed_not_a_baseline(self):
-        cfg = CsitConfig.from_alpha(1e3, 0.5)
-        with pytest.raises(ValueError):
-            rate_baseline("proposed", cfg, McConfig(1_000, 24))
 
 
 def test_rate_result_dataclass_defaults():
@@ -337,17 +327,12 @@ def test_scheme_group_equals_single_schemes(alpha, workers):
     assert rate_scheme(permuted, cfg, mc_cfg) == tuple(singles[s] for s in permuted)
 
 
-@pytest.mark.parametrize("degenerate_norm", [None, 0.5])
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
-def test_snr_grid_equals_per_config_calls(alpha, workers, degenerate_norm, monkeypatch):
+def test_snr_grid_equals_per_config_calls(alpha, workers):
     # One call over a grid of SNRs draws each block once and scales it to
     # every config; each config's batches and results stay exactly those of
-    # its own call.  A raised degeneracy threshold makes each scale redraw
-    # different rows, each from where the shared draw left the generator.
-    # alpha 0 is the no-CSIT regime, which never redraws.
-    if degenerate_norm is not None:
-        monkeypatch.setattr(channel, "_DEGENERATE_NORM", degenerate_norm)
+    # its own call.
     cfgs = [CsitConfig.from_alpha(10.0 ** (db / 10.0), alpha) for db in (10.0, 30.0, 50.0)]
     grid_batches = list(sample_batch(mc.block_rng(27, 0), cfgs, 8192))
     fields = ("h", "g", "h_hat", "g_hat", "h_tilde", "g_tilde")
@@ -355,11 +340,6 @@ def test_snr_grid_equals_per_config_calls(alpha, workers, degenerate_norm, monke
         own = sample_batch(mc.block_rng(27, 0), cfg, 8192)
         assert batch.csit == own.csit == cfg
         assert all(np.array_equal(getattr(batch, k), getattr(own, k)) for k in fields)
-    if degenerate_norm is not None and alpha > 0.0:
-        est0, _ = channel._draw(mc.block_rng(27, 0), 8192)
-        masks = [channel._degenerate(est0 * math.sqrt((1.0 - c.sigma_sq) / 2.0)) for c in cfgs]
-        assert all(m.any() for m in masks)
-        assert not all(np.array_equal(m, masks[0]) for m in masks[1:])
 
     mc_cfg = McConfig(2 * 8192 + 100, 27, workers)
     grid = rate_scheme(tuple(Scheme), cfgs, mc_cfg)

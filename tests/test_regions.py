@@ -4,7 +4,6 @@ import pytest
 from misodof.regions import (
     DelayedCsitQuality,
     Scheme,
-    contains,
     dof_imperfect_delayed,
     dof_scheme,
     region_common_message,
@@ -65,9 +64,9 @@ class TestMainRegion:
 
     def test_known_points(self):
         region = region_main(0.5)
-        assert contains(region, (5.0 / 6.0, 5.0 / 6.0))
-        assert not contains(region, (5.0 / 6.0 + 1e-3, 5.0 / 6.0))
-        assert not contains(region_main(0.0), (0.7, 0.7))
+        assert region.contains((5.0 / 6.0, 5.0 / 6.0))
+        assert not region.contains((5.0 / 6.0 + 1e-3, 5.0 / 6.0))
+        assert not region_main(0.0).contains((0.7, 0.7))
 
     def test_sum_dof_maximized_at_symmetric_vertex(self):
         for alpha in ALPHAS:
