@@ -7,12 +7,15 @@ of the current channel vectors: the true vectors decompose as
 errors are independent circularly-symmetric complex Gaussians with per-entry
 variances ``1 - sigma_sq`` and ``sigma_sq``.  Estimation quality is tracked
 through the exponent ``alpha`` defined by ``sigma_sq = snr_p ** -alpha``.
+A draw keeps that split, as unit normals that each config scales: the
+rounded sums h and g lose h's part along h_hat-perp once sigma ~ eps |h_hat|.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -77,28 +80,39 @@ class CsitConfig:
 
 
 @dataclass(frozen=True)
+class Normals:
+    """One block's unit-variance complex normals, (n, 4) with columns (h_1,
+    h_2, g_1, g_2): ``e`` for the estimates, ``n`` for the errors, shared by
+    the block's batches; ``memo`` keeps what is derived from them alone."""
+
+    e: np.ndarray
+    n: np.ndarray
+    memo: dict = field(default_factory=dict, repr=False, compare=False)
+
+
+def _scaled(normals, first, scale):
+    # columns first, first + 1 of the normals times the config's scale
+    return cached_property(lambda batch: getattr(batch.normals, normals)[:, first:first + 2]
+                           * getattr(batch, scale))
+
+
+@dataclass(frozen=True)
 class ChannelBatch:
-    """Vectorized collection of channel samples drawn at config ``csit``;
-    all arrays are (n, 2)."""
+    """The block's ``normals`` at config ``csit``: h_hat = a e_h and h_tilde =
+    b n_h (likewise g), with a = sqrt((1 - sigma_sq)/2) and b =
+    sqrt(sigma_sq/2).  The (n, 2) vectors are formed on first use."""
 
-    h: np.ndarray
-    g: np.ndarray
-    h_hat: np.ndarray
-    g_hat: np.ndarray
-    h_tilde: np.ndarray
-    g_tilde: np.ndarray
+    normals: Normals
     csit: CsitConfig
-
-    @property
-    def n(self):
-        return self.h.shape[0]
-
-
-def _draw(rng, n):
-    # Fixed draw layout: 16 reals per sample, estimates first; unit-variance
-    # complex entries, scaled per config.
-    z = rng.standard_normal((n, 16))
-    return z[:, 0:4] + 1j * z[:, 4:8], z[:, 8:12] + 1j * z[:, 12:16]
+    n = property(lambda self: self.normals.e.shape[0])
+    a = property(lambda self: math.sqrt(max(1.0 - self.csit.sigma_sq, 0.0) / 2.0))
+    b = property(lambda self: math.sqrt(self.csit.sigma_sq / 2.0))
+    h_hat = _scaled("e", 0, "a")
+    g_hat = _scaled("e", 2, "a")
+    h_tilde = _scaled("n", 0, "b")
+    g_tilde = _scaled("n", 2, "b")
+    h = cached_property(lambda self: self.h_hat + self.h_tilde)
+    g = cached_property(lambda self: self.g_hat + self.g_tilde)
 
 
 def sample_batch(rng, cfg, n):
@@ -108,34 +122,13 @@ def sample_batch(rng, cfg, n):
     errors i.i.d. CN(0, sigma_sq), all four vectors mutually independent.
 
     Given a sequence of configs instead, the normals are drawn here once,
-    and an iterator yields one ChannelBatch per config, each scaled only
-    when asked for.  Each equals this function's batch for that config
-    alone from the same ``rng``; release it before asking for the next.
+    and an iterator yields one ChannelBatch per config, all sharing them.
+    Each equals this function's batch for that config alone from the same
+    ``rng``.
     """
-    single = isinstance(cfg, CsitConfig)
-    est0, err0 = _draw(rng, n)
-    batches = _scaled_batches(est0, err0, [cfg] if single else list(cfg))
-    return next(batches) if single else batches
-
-
-def _scaled_batches(est0, err0, cfgs):
-    for i, cfg in enumerate(cfgs):
-        last = i + 1 == len(cfgs)
-        s2 = cfg.sigma_sq
-        est_scale = math.sqrt(max(1.0 - s2, 0.0) / 2.0)
-        err_scale = math.sqrt(s2 / 2.0)
-        if last:  # no later config needs the unscaled arrays: scale them in place
-            est, err = est0, err0
-            est *= est_scale
-            err *= err_scale
-        else:
-            est, err = est0 * est_scale, err0 * err_scale
-        h_hat, g_hat = est[:, 0:2], est[:, 2:4]
-        h_tilde, g_tilde = err[:, 0:2], err[:, 2:4]
-        yield ChannelBatch(
-            h=h_hat + h_tilde, g=g_hat + g_tilde,
-            h_hat=h_hat, g_hat=g_hat,
-            h_tilde=h_tilde, g_tilde=g_tilde, csit=cfg,
-        )
-        # hold nothing of this batch while the next one is built
-        del est, err, h_hat, g_hat, h_tilde, g_tilde
+    # Fixed draw layout: 16 reals per sample, estimates first.
+    z = rng.standard_normal((n, 16))
+    normals = Normals(z[:, 0:4] + 1j * z[:, 4:8], z[:, 8:12] + 1j * z[:, 12:16])
+    if isinstance(cfg, CsitConfig):
+        return ChannelBatch(normals, cfg)
+    return (ChannelBatch(normals, c) for c in cfg)

@@ -93,7 +93,7 @@ def _run_block(f, cfg, grid, block):
                 raise NonFiniteSampleError(start + int(bad_row), int(bad_col), i)
         sums.append((total, np.einsum("ij,ij->j", vals, vals) if rowwise
                      else (vals * vals).sum(axis=0)))
-        del batch, vals  # the next config's batch is built without this one
+        del batch, vals  # the next config runs without this one's arrays
     return sums
 
 
@@ -130,10 +130,10 @@ def estimate(f, cfg, csit):
     shape (m,) for a scalar integrand or (m, k) for k components evaluated
     jointly.  ``csit`` is one CsitConfig, or a sequence of them (a grid) for
     a list of estimates, one per config.  Block keys do not depend on the
-    config, so each block's normals are drawn once for the whole grid and
-    scaled to each config in turn; ``f`` sees one batch per config, and
-    ``batch.csit`` names it.  Each estimate is bitwise identical to that
-    config's own, and to itself for any ``n_workers``.
+    config, so each block's normals are drawn once for the whole grid; ``f``
+    sees one batch per config, all sharing them, and ``batch.csit`` names
+    it.  Each estimate is bitwise identical to that config's own, and to
+    itself for any ``n_workers``.
     """
     single = isinstance(csit, CsitConfig)
     grid = [csit] if single else list(csit)

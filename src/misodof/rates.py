@@ -13,23 +13,24 @@ complement, and every quadratic form is summed beam by beam from one
 kernel's projections of h and g onto those directions.  That matters
 numerically: at very high SNR the matrix entries are ~P while quadratic
 forms along nulled directions are O(1), and forming the matrix first loses
-them to cancellation.  Only ``rate_common_message``, which evaluates a
-caller's policy, and ``interference_power`` take (..., 2, 2) matrices.
+them to cancellation.  So is the rounding of h = h_hat + h_tilde: the kernel
+projects estimate and error normals apart, which nulls h_hat exactly.  Only
+``rate_common_message``, which evaluates a caller's policy, and
+``interference_power`` take (..., 2, 2) matrices.
 
 Each scheme is a (width, fill, finalize) triple: ``fill(batch, shared, out)``
 writes its per-sample log terms into ``out``, its (n, width) slice of one
 array, from ``shared``, the batch's ``_Shared`` memo, and
 ``finalize(mean, se)`` maps their means and standard errors to a result.
 Any set of schemes at any set of configs (say, every SNR of a sweep) is
-thus one estimate over one draw per block.  The memo computes each kernel
-projection, its |.|^2 and each power split's phase-2 columns once per batch.
+thus one estimate over one draw per block.  Each block's frames are projected
+once, and the memo forms each kernel and phase-2 split once per batch.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -37,10 +38,8 @@ from . import mc
 from .channel import CsitConfig
 from .regions import Scheme
 
-_E1 = (1.0 + 0.0j, 0.0j)  # fallback beams for zero estimates; tuples key the memo
-_E2 = (0.0j, 1.0 + 0.0j)
-
-_ZERO_DIR_TOL = 1e-12
+_E1 = (0, 1)  # fallback beams of a zero estimate: the antennas of (w, w-perp)
+_E2 = (1, 0)
 
 
 @dataclass(frozen=True)
@@ -81,76 +80,85 @@ def _abs2(z):
     return z.real ** 2 + z.imag ** 2
 
 
-def _unit_cols(x, fallback):
-    """Entries (w_1, w_2) of w = x/|x|, or of ``fallback`` where |x| < _ZERO_DIR_TOL,
-    and whether any row took the fallback."""
-    x = np.asarray(x, dtype=complex)
-    x1, x2 = x[..., 0], x[..., 1]
-    norm = np.sqrt(_abs2(x1) + _abs2(x2))
-    degenerate = norm < _ZERO_DIR_TOL
-    if not degenerate.any():
-        inv = 1.0 / norm
-        return x1 * inv, x2 * inv, False
-    inv = 1.0 / np.where(degenerate, 1.0, norm)
-    return (np.where(degenerate, fallback[0], x1 * inv),
-            np.where(degenerate, fallback[1], x2 * inv), True)
+class _Kernel:
+    """``sq``, the |.|^2 of columns (h.w, h.w-perp, g.w, g.w-perp), and
+    ``cross``, (h.w-perp conj(g.w-perp), h.w conj(g.w)) for every m01."""
+
+    def __init__(self, cols):
+        self.sq = [_abs2(z) for z in cols]
+        self.cross = (cols[1] * np.conj(cols[3]), cols[0] * np.conj(cols[2]))
 
 
-class _Kernel(list):
-    """Columns (h.w, h.w-perp, g.w, g.w-perp) of a projection, ``sq`` their |.|^2."""
+def _frames(normals):
+    """What every config of a block shares: each estimate's |e| and its own
+    user's error coordinates (w^H n, w-perp^H n), for w = e/|e| from the
+    estimate's unit normals e and w-perp = (-conj(w_2), conj(w_1)); and
+    (r, s) = (w_h^H w_g, w_h^H w_g-perp), so that [[r, s], [-conj(s), conj(r)]]
+    takes coordinates in g_hat's frame to h_hat's."""
+    e, n = normals.e, normals.n
+    own, beams = [], []
+    for i in (0, 2):
+        x1, x2 = e[:, i], e[:, i + 1]
+        norm = np.sqrt(_abs2(x1) + _abs2(x2))
+        inv = 1.0 / norm  # a complex division by norm costs twice as much
+        w1, w2 = x1 * inv, x2 * inv
+        par = n[:, i] * np.conj(w1)
+        par += n[:, i + 1] * np.conj(w2)
+        perp = n[:, i + 1] * w1
+        perp -= n[:, i] * w2
+        own.append((norm, par, perp))
+        beams.append((w1, w2))
+    (h1, h2), (g1, g2) = beams
+    return own, np.conj(h1) * g1 + np.conj(h2) * g2, np.conj(h2 * g1 - h1 * g2)
 
-    @cached_property
-    def sq(self):
-        return [_abs2(z) for z in self]
 
-
-def _project(batch, est, fallback):
-    """The one kernel behind every scheme's integrand: coefficients w^H x of
-    h and g along the unit estimate direction w = est/|est| and along
-    w-perp = (-conj(w_2), conj(w_1)), as a _Kernel of (n,) complex columns.
-    A zero estimate's w falls back to the given axis, and w-perp to the
-    other axis up to a sign, which no beam power or m01 sees.
-    """
-    kernel = _Kernel()
-    w1, w2, kernel.fell_back = _unit_cols(est, fallback)
-    w1c, w2c = np.conj(w1), np.conj(w2)
-    for x in (batch.h, batch.g):
-        # x before w: complex products are not bitwise commutative, and this
-        # order keeps each column bitwise equal to conj(x^H w).
-        par = x[:, 0] * w1c
-        par += x[:, 1] * w2c
-        perp = x[:, 1] * w1
-        perp -= x[:, 0] * w2
-        kernel += (par, perp)
-    return kernel
+def _project(batch, fallback):
+    """The kernels behind every scheme's integrand, {estimate name: columns
+    (h.w, h.w-perp, g.w, g.w-perp)}, x.w = w^H x along the estimate's unit
+    direction w and w-perp.  In its own estimate's frame a user's columns are
+    a (|e|, 0) + b (its error's _frames coordinates), so h.w-perp is exactly
+    b w-perp^H n_h for h_hat; the other user's are those rotated.  At
+    sigma_sq = 1 (a = 0) the estimates are zero: w is the fallback axis and
+    w-perp the other one, up to a sign that no beam power or m01 sees."""
+    a, b = batch.a, batch.b
+    if a == 0.0:
+        i, j = fallback
+        cols = [batch.normals.n[:, k] * b for k in (i, j, i + 2, j + 2)]
+        return {"h_hat": cols, "g_hat": cols}
+    memo = batch.normals.memo
+    if "frames" not in memo:
+        memo["frames"] = _frames(batch.normals)
+    ((norm_h, par_h, perp_h), (norm_g, par_g, perp_g)), r, s = memo["frames"]
+    h0, h1 = a * norm_h + b * par_h, b * perp_h  # h in h_hat's frame
+    g0, g1 = a * norm_g + b * par_g, b * perp_g  # g in g_hat's frame
+    rc, sc = np.conj(r), np.conj(s)
+    return {"h_hat": [h0, h1, r * g0 + s * g1, rc * g1 - sc * g0],
+            "g_hat": [rc * h0 - s * h1, sc * h0 + r * h1, g0, g1]}
 
 
 def _beam_pair(kernel, a, b):
     # Entries (m00, m11, |m01|^2) of S Q S^H, Q = a w-perp w-perp^H + b w w^H, from a _Kernel.
-    h_par, h_perp, g_par, g_perp = kernel
     h_par2, h_perp2, g_par2, g_perp2 = kernel.sq
     m00 = a * h_perp2 + b * h_par2
     m11 = a * g_perp2 + b * g_par2
-    off = _abs2(a * h_perp * np.conj(g_perp) + b * h_par * np.conj(g_par))
+    off = _abs2(a * kernel.cross[0] + b * kernel.cross[1])
     return m00, m11, off
 
 
 class _Shared:
     """What a group's schemes read from one batch, each computed once: the
-    _Kernels, |h_i|^2 and |g_i|^2, and the default policy's phase-2 columns."""
+    _Kernels and the default policy's phase-2 columns."""
 
     def __init__(self, batch):
         self.batch, self._kernels, self._phase2 = batch, {}, {}
 
     def kernel(self, name, fallback):
-        if name not in self._kernels and (name, fallback) not in self._kernels:
-            kernel = _project(self.batch, getattr(self.batch, name), fallback)
-            self._kernels[(name, fallback) if kernel.fell_back else name] = kernel
-        return self._kernels.get(name) or self._kernels[name, fallback]
-
-    @cached_property
-    def antenna_sq(self):
-        return [_abs2(x[:, i]) for x in (self.batch.h, self.batch.g) for i in (0, 1)]
+        # kernels depend on the estimates if there are any, else on the fallback
+        key = None if self.batch.a else fallback
+        if key not in self._kernels:
+            self._kernels[key] = {est: _Kernel(cols)
+                                  for est, cols in _project(self.batch, fallback).items()}
+        return self._kernels[key][name]
 
     def phase2(self, p_c, p_p, out):
         # Phase-2 log terms of the default policy, q_c = (p_c/2) I and q_p1,
@@ -159,10 +167,10 @@ class _Shared:
             out[:, :4] = self._phase2[p_c, p_p]
             return
         c, s = p_c / 2.0, p_p / 2.0
-        h0, h1, g0, g1 = self.antenna_sq
-        _, hg, _, gg = self.kernel("g_hat", _E2).sq  # |h.g_hat-perp|^2, |g.g_hat-perp|^2
-        _, hh, _, gh = self.kernel("h_hat", _E2).sq
-        _phase2_logs(c * h0 + c * h1, s * hg, s * hh, c * g0 + c * g1, s * gg, s * gh, out)
+        # hg = |h.g_hat-perp|^2 and so on; |x|^2 = |x.w|^2 + |x.w-perp|^2
+        _, hg, gw, gg = self.kernel("g_hat", _E2).sq
+        hw, hh, _, gh = self.kernel("h_hat", _E2).sq
+        _phase2_logs(c * hw + c * hh, s * hg, s * hh, c * gw + c * gg, s * gg, s * gh, out)
         self._phase2[p_c, p_p] = out[:, :4]
 
 
@@ -385,9 +393,7 @@ def _estimate_group(schemes, columns_at, cfgs, mc_cfg):
     from one estimate.  ``columns_at(cfg)`` lists the schemes' column triples
     at a config.  Each block is drawn once for every config; at each config it
     fills one array, each scheme its own slice, from one ``_Shared`` memo of
-    the batch.  One projection of an estimate serves every fallback unless
-    a row of it is zero: in practice always when sigma_sq < 1, and never at
-    alpha 0."""
+    the batch."""
     columns = {cfg: columns_at(cfg) for cfg in cfgs}
     bounds = np.cumsum([0] + [width for width, _, _ in columns[cfgs[0]]])
     spans = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]

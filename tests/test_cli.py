@@ -172,6 +172,17 @@ class TestSlopesCommand:
         data = json.loads(out.read_text())
         assert abs(data["slope"] - 1.0) < 0.08
 
+    @pytest.mark.parametrize("scheme", ["zf", "proposed"])
+    def test_full_csit_slope_holds_at_extreme_snr(self, scheme, tmp_path):
+        # At alpha 1 the zero-forced leakage stays at the noise level however
+        # high P goes, so each user keeps one DoF.  Projecting the rounded
+        # sum h_hat + h_tilde loses that above ~250 dB (slope 1.845).
+        out = tmp_path / "slope.json"
+        assert _run(["slopes", "--scheme", scheme, "--alpha", "1",
+                     "--snr-db-range", "200:360", "--samples", "20000", "--seed", "0",
+                     "--out", str(out)]) == 0
+        assert abs(json.loads(out.read_text())["slope"] - 2.0) < 0.08
+
     def test_manifest_records_workers_outside_hash(self, tmp_path):
         manifests = []
         for workers in ("1", "4"):

@@ -1,15 +1,14 @@
 """Every scheme's integrand against independent evaluations of its formulas.
 
-The integrands work from one projection kernel (``rates._project``).  Here
-each one is checked sample by sample against (a) explicit covariance
-matrices that ``reference.policy_matrices`` builds from rank-1 projectors,
-evaluated with ``interference_power`` and a 2x2 determinant, and (b) an
-mpmath evaluation of the same per-sample formulas at extreme SNR, where
-forming a covariance in double precision would lose the nulled quadratic
-forms.
+The integrands work from one projection kernel (``rates._project``), built
+from the block's estimate and error normals apart.  Here each one is checked
+sample by sample against (a) explicit covariance matrices that
+``reference.policy_matrices`` builds from rank-1 projectors, evaluated with
+``interference_power`` and a 2x2 determinant, and (b) an mpmath evaluation
+of the same per-sample formulas at extreme SNR, fed the estimates and errors
+themselves, where forming a covariance or the sum h = h_hat + h_tilde in
+double precision would lose the nulled quadratic forms.
 """
-
-import dataclasses
 
 import mpmath
 import numpy as np
@@ -24,6 +23,8 @@ from misodof.regions import Scheme
 from reference import E1, E2, perp, policy_matrices, projector, unit
 
 SCHEMES = ("tdma", "zf", "mat", "rszf", "proposed")
+# each fallback beam with the kernel's name for it
+FALLBACKS = [(E1, rates._E1), (E2, rates._E2)]
 
 
 def _integrand(scheme, cfg):
@@ -105,38 +106,29 @@ def test_integrand_matches_explicit_matrices(scheme, snr_p, alpha):
                                rtol=1e-9, atol=1e-12)
 
 
-def test_zero_estimate_rows_take_fallback_beams_in_a_group():
-    # An estimate of zero norm has probability zero when sigma_sq < 1, and
-    # the sampler keeps it like any other row: the group's shared kernels
-    # must then give those rows, and only those, each scheme's fallback beams.
+def test_zero_estimate_row_is_non_finite():
+    # Below sigma_sq = 1 a zero estimate has probability 0 and no fallback
+    # beam: its row comes out non-finite, which mc.estimate reports (exit 3).
     cfg = CsitConfig.from_alpha(1e4, 0.5)
     batch = _batch(cfg, 64, seed=44)
-    h_hat, g_hat = batch.h_hat.copy(), batch.g_hat.copy()
-    h_hat[[3, 17, 40]] = 0.0
-    g_hat[[5, 18, 63]] = 0.0
-    batch = dataclasses.replace(batch, h_hat=h_hat, g_hat=g_hat,
-                                h=h_hat + batch.h_tilde, g=g_hat + batch.g_tilde)
-    got = _integrand(tuple(Scheme), cfg)(batch)
-    assert np.isfinite(got).all()
-    lo = 0
-    for scheme in Scheme:
-        want = _explicit_integrand(scheme.value, cfg, batch)
-        np.testing.assert_allclose(got[:, lo:lo + want.shape[1]], want, rtol=1e-9,
-                                   err_msg=scheme.value)
-        lo += want.shape[1]
-    assert lo == got.shape[1]
+    batch.normals.e[5, 0:2] = 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        got = _integrand(tuple(Scheme), cfg)(batch)
+    assert np.flatnonzero(~np.isfinite(got).all(axis=1)).tolist() == [5]
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
-@pytest.mark.parametrize("fallback", [E1, E2])
+@pytest.mark.parametrize("fallback", FALLBACKS)
 def test_kernel_columns_match_projectors(alpha, fallback):
     cfg = CsitConfig.from_alpha(1e4, alpha)
     batch = _batch(cfg, 256, seed=42)
-    for est in (batch.h_hat, batch.g_hat):
-        w = unit(est, fallback)
+    fallback_beam, order = fallback
+    for name in ("h_hat", "g_hat"):
+        w = unit(getattr(batch, name), fallback_beam)
         w_perp = np.stack([-np.conj(w[:, 1]), np.conj(w[:, 0])], axis=-1)
-        kernel = rates._project(batch, est, fallback)
-        h_par, h_perp, g_par, g_perp = kernel
+        cols = rates._project(batch, order)[name]
+        kernel = rates._Kernel(cols)
+        h_par, h_perp, g_par, g_perp = cols
         for col, x, beam in ((h_par, batch.h, w), (h_perp, batch.h, w_perp),
                              (g_par, batch.g, w), (g_perp, batch.g, w_perp)):
             np.testing.assert_allclose(np.abs(col) ** 2, interference_power(x, projector(beam)),
@@ -149,23 +141,20 @@ def test_kernel_columns_match_projectors(alpha, fallback):
         np.testing.assert_allclose(m00, m[:, 0, 0].real, rtol=1e-12)
         np.testing.assert_allclose(m11, m[:, 1, 1].real, rtol=1e-12)
         np.testing.assert_allclose(off, np.abs(m[:, 0, 1]) ** 2, rtol=1e-10)
-        for col, col_sq in zip(kernel, kernel.sq):
+        for col, col_sq in zip(cols, kernel.sq):
             np.testing.assert_allclose(col_sq, np.abs(col) ** 2, rtol=1e-15)
 
 
 # --- mpmath evaluation of the same per-sample formulas --------------------
 #
-# Split in two, because the nulled projections are ill-conditioned in their
-# inputs: with g = g_hat + g_tilde rounded to double, |g_hat-perp^H g| ~ sigma
-# carries an absolute error ~eps |g| whatever evaluates it.  So the kernel is
-# checked for backward stability (absolute error a few eps |x|), and the
-# arithmetic after it, where a formed covariance would cancel, is checked at
-# rtol 1e-9 against mpmath fed the kernel's own columns.
+# The reference is fed the estimates and errors as stored, sums
+# h = h_hat + h_tilde exactly and takes its beams from the estimates.  The
+# kernel never forms the rounded sum, so along a nulled direction it keeps
+# |h_hat-perp^H h| ~ sigma to full relative precision even where
+# sigma ~ eps |h_hat|; projecting a rounded h would leave a residue
+# ~eps |h_hat| that the private beam scales by ~P.
 
 EPS = np.finfo(float).eps
-# (fallback of g_hat, fallback of h_hat) each scheme gives the kernel
-FALLBACKS = {"tdma": (E1, E1), "zf": (E2, E1), "mat": (E2, E2), "rszf": (E2, E2),
-             "proposed": (E2, E2)}
 
 
 def _mp_vec(x):
@@ -176,9 +165,32 @@ def _mp_log2(x):
     return mpmath.log(x, 2)
 
 
-def _mp_sample(scheme, cfg, x_pow, cols_g, cols_h):
-    """Per-sample log terms from per-antenna powers and the kernel columns."""
+def _mp_beams(est):
+    # w = est/|est| and w-perp = (-conj(w_2), conj(w_1))
+    norm = mpmath.sqrt(sum(abs(v) ** 2 for v in est))
+    w = [v / norm for v in est]
+    return w, [-mpmath.conj(w[1]), mpmath.conj(w[0])]
+
+
+def _mp_dot(beam, x):
+    # beam^H x
+    return mpmath.conj(beam[0]) * x[0] + mpmath.conj(beam[1]) * x[1]
+
+
+def _mp_channels(batch, i):
+    # h_hat, g_hat and the exact h, g of sample i
+    h_hat, g_hat = _mp_vec(batch.h_hat[i]), _mp_vec(batch.g_hat[i])
+    h = [u + v for u, v in zip(h_hat, _mp_vec(batch.h_tilde[i]))]
+    g = [u + v for u, v in zip(g_hat, _mp_vec(batch.g_tilde[i]))]
+    return h_hat, g_hat, h, g
+
+
+def _mp_sample(scheme, cfg, h_hat, g_hat, h, g):
+    """Per-sample log terms from the estimates and the exact channels."""
     p = mpmath.mpf(cfg.snr_p)
+    # (h.w, h.w-perp, g.w, g.w-perp) for the beams of g_hat and of h_hat
+    cols_g, cols_h = ([_mp_dot(b, x) for x in (h, g) for b in _mp_beams(est)]
+                      for est in (g_hat, h_hat))
     ab2 = [[abs(v) ** 2 for v in cols] for cols in (cols_g, cols_h)]
     (hg, hg_perp, gg, gg_perp), (hh, hh_perp, gh, gh_perp) = ab2
     if scheme == "tdma":
@@ -189,7 +201,7 @@ def _mp_sample(scheme, cfg, x_pow, cols_g, cols_h):
     pcfg = _policy_cfg(scheme, cfg)
     p1, p2, p_c, p_p = (mpmath.mpf(v) for v in rates._power_split(pcfg))
     d = mpmath.mpf(rates._distortion(pcfg))
-    ch, cg = p_c / 2 * (x_pow[0] + x_pow[1]), p_c / 2 * (x_pow[2] + x_pow[3])
+    ch, cg = (p_c / 2 * sum(abs(v) ** 2 for v in x) for x in (h, g))
     ph1, pg1, ph2, pg2 = (p_p / 2 * v for v in (hg_perp, gg_perp, hh_perp, gh_perp))
     out = [_mp_log2(1 + ch / (1 + ph1 + ph2)), _mp_log2(1 + cg / (1 + pg1 + pg2)),
            _mp_log2(1 + ph1 / (1 + ph2)), _mp_log2(1 + pg2 / (1 + pg1))]
@@ -215,24 +227,22 @@ def _mp_sample(scheme, cfg, x_pow, cols_g, cols_h):
 
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 1.0])
 @pytest.mark.parametrize("log2_p", [60, 80, 100, 120])
-@pytest.mark.parametrize("fallback", [E1, E2])
+@pytest.mark.parametrize("fallback", FALLBACKS)
 def test_kernel_backward_stable_at_extreme_snr(fallback, log2_p, alpha):
+    # Every column is within a few eps |x| of the exact projection of the
+    # exact x; the fallback is unused, as no estimate is zero.
     cfg = CsitConfig.from_alpha(2.0 ** log2_p, alpha)
     batch = _batch(cfg, 16, seed=43)
     with mpmath.workdps(80):
-        for est in (batch.h_hat, batch.g_hat):
-            cols = rates._project(batch, est, fallback)
+        for name in ("h_hat", "g_hat"):
+            cols = rates._project(batch, fallback[1])[name]
             for i in range(batch.n):
-                e = _mp_vec(est[i])
-                norm = mpmath.sqrt(sum(abs(v) ** 2 for v in e))
-                w = [v / norm for v in e]
-                w_perp = [-mpmath.conj(w[1]), mpmath.conj(w[0])]
-                for k, (x, beam) in enumerate(((batch.h, w), (batch.h, w_perp),
-                                               (batch.g, w), (batch.g, w_perp))):
-                    xi = _mp_vec(x[i])
-                    ref = mpmath.conj(beam[0]) * xi[0] + mpmath.conj(beam[1]) * xi[1]
+                h_hat, g_hat, h, g = _mp_channels(batch, i)
+                w, w_perp = _mp_beams(h_hat if name == "h_hat" else g_hat)
+                for k, (x, beam) in enumerate(((h, w), (h, w_perp), (g, w), (g, w_perp))):
+                    ref = _mp_dot(beam, x)
                     assert abs(mpmath.mpc(complex(cols[k][i])) - ref) <= 4 * EPS * mpmath.sqrt(
-                        abs(xi[0]) ** 2 + abs(xi[1]) ** 2)
+                        abs(x[0]) ** 2 + abs(x[1]) ** 2)
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 1.0])
@@ -242,12 +252,7 @@ def test_integrand_matches_mpmath_at_extreme_snr(scheme, log2_p, alpha):
     cfg = CsitConfig.from_alpha(2.0 ** log2_p, alpha)
     batch = _batch(cfg, 16, seed=43)
     got = _integrand(scheme, cfg)(batch)
-    fb_g, fb_h = FALLBACKS[scheme]
-    cols_g = rates._project(batch, batch.g_hat, fb_g)
-    cols_h = rates._project(batch, batch.h_hat, fb_h)
     with mpmath.workdps(80):
-        ref = np.array([[float(v) for v in _mp_sample(
-            scheme, cfg, [abs(v) ** 2 for v in _mp_vec([*batch.h[i], *batch.g[i]])],
-            _mp_vec(c[i] for c in cols_g), _mp_vec(c[i] for c in cols_h))]
-            for i in range(batch.n)])
+        ref = np.array([[float(v) for v in _mp_sample(scheme, cfg, *_mp_channels(batch, i))]
+                        for i in range(batch.n)])
     np.testing.assert_allclose(got, ref, rtol=1e-9, atol=1e-12)

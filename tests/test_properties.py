@@ -1,4 +1,5 @@
-"""Hypothesis property tests: grouped estimates and the alpha <-> sigma^2 map."""
+"""Hypothesis property tests: grouped estimates, the alpha <-> sigma^2 map and
+the DoF regions."""
 
 import math
 
@@ -9,9 +10,15 @@ from hypothesis import strategies as st
 from misodof.channel import CsitConfig
 from misodof.mc import BLOCK_SIZE, McConfig
 from misodof.rates import rate_scheme
-from misodof.regions import Scheme
+from misodof.regions import (
+    Scheme,
+    region_common_message,
+    region_imperfect_delayed,
+    region_main,
+)
 
 UNIT = st.floats(0.0, 1.0)
+DOF = st.floats(0.0, 1.2)  # a DoF coordinate, inside or just outside every region
 # the same examples on every run, and no example database left behind
 FIXED = settings(derandomize=True, database=None, deadline=None)
 
@@ -58,3 +65,35 @@ def test_sigma_sq_to_alpha_round_trip(snr_db, u):
     back = CsitConfig.from_alpha(p, cfg.alpha)
     assert back.sigma_sq == pytest.approx(sigma_sq, rel=1e-12)
     assert back.alpha == cfg.alpha
+
+
+def _regions(alpha, beta):
+    return region_main(alpha), region_imperfect_delayed(alpha, beta)
+
+
+@FIXED
+@given(alpha=UNIT, beta=UNIT, d1=DOF, d2=DOF)
+@example(alpha=0.5, beta=0.5, d1=1.0, d2=0.5)
+def test_regions_symmetric_under_user_swap(alpha, beta, d1, d2):
+    for region in _regions(alpha, beta):
+        assert region.contains((d1, d2)) == region.contains((d2, d1))
+
+
+@FIXED
+@given(alphas=st.lists(UNIT, min_size=2, max_size=2).map(sorted),
+       betas=st.lists(UNIT, min_size=2, max_size=2).map(sorted))
+@example(alphas=[0.0, 1.0], betas=[0.0, 1.0])
+def test_regions_grow_with_alpha_and_beta(alphas, betas):
+    # every vertex of a region lies in the region of better CSIT, current or delayed
+    (a1, a2), (b1, b2) = alphas, betas
+    for small, large in ((region_main(a1), region_main(a2)),
+                         (region_imperfect_delayed(a1, b1), region_imperfect_delayed(a2, b1)),
+                         (region_imperfect_delayed(a1, b1), region_imperfect_delayed(a1, b2))):
+        assert all(large.contains(v) for v in small.vertices)
+
+
+@FIXED
+@given(alpha=UNIT, d1=DOF, d2=DOF)
+def test_common_message_region_without_common_dof_is_main_region(alpha, d1, d2):
+    assert region_common_message(alpha).contains((0.0, d1, d2)) == \
+        region_main(alpha).contains((d1, d2))

@@ -7,9 +7,11 @@ from numpy.random import Generator, Philox
 from misodof import mc, rates
 from misodof.channel import CsitConfig, sample_batch
 from misodof.mc import McConfig, estimate
+from misodof.oracles import mean_log2_quadratic
 from misodof.rates import (
     RateResult,
     _E2,
+    _Kernel,
     _beam_pair,
     _distortion,
     _mimo_logdets,
@@ -51,7 +53,7 @@ class TestDefaultPolicy:
         # isotropic phase-1 covariances in the no-CSIT regime: the zero
         # estimate's fallback beams carry p/4 each
         batch = sample_batch(_rng(1), cfg, 64)
-        m00, m11, off = _beam_pair(_project(batch, batch.g_hat, _E2), p1 / 2.0, p2 / 2.0)
+        m00, m11, off = _beam_pair(_Kernel(_project(batch, _E2)["g_hat"]), p1 / 2.0, p2 / 2.0)
         np.testing.assert_allclose(m00, p / 4.0 * np.sum(np.abs(batch.h) ** 2, axis=1), rtol=1e-12)
         np.testing.assert_allclose(m11, p / 4.0 * np.sum(np.abs(batch.g) ** 2, axis=1), rtol=1e-12)
         cross = np.abs(np.sum(np.conj(batch.h) * batch.g, axis=1)) ** 2
@@ -330,9 +332,8 @@ def test_scheme_group_equals_single_schemes(alpha, workers):
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
 def test_snr_grid_equals_per_config_calls(alpha, workers):
-    # One call over a grid of SNRs draws each block once and scales it to
-    # every config; each config's batches and results stay exactly those of
-    # its own call.
+    # One call over a grid of SNRs draws each block once for every config;
+    # each config's batches and results stay exactly those of its own call.
     cfgs = [CsitConfig.from_alpha(10.0 ** (db / 10.0), alpha) for db in (10.0, 30.0, 50.0)]
     grid_batches = list(sample_batch(mc.block_rng(27, 0), cfgs, 8192))
     fields = ("h", "g", "h_hat", "g_hat", "h_tilde", "g_tilde")
@@ -351,14 +352,35 @@ def test_snr_grid_equals_per_config_calls(alpha, workers):
     (tuple(Scheme), 4), (tuple(reversed(Scheme)), 4), ("proposed", 2), ("tdma", 2)])
 def test_group_runs_each_kernel_pair_once_per_block(group, kernel_pairs, monkeypatch):
     # In any order the whole group reads four (estimate, fallback) kernel
-    # pairs: (h_hat, e1), (g_hat, e1), (g_hat, e2) and (h_hat, e2).  At
-    # alpha 0 every estimate is zero and each row takes its fallback, so
-    # each pair is one projection per block; at alpha 0.5 no row does, and
-    # one projection per estimate serves every fallback.
-    for alpha, per_block in ((0.0, kernel_pairs), (0.5, 2)):
-        calls = []
-        real = rates._project
-        monkeypatch.setattr(rates, "_project", lambda *a: calls.append(a[1:]) or real(*a))
-        rate_scheme(group, CsitConfig.from_alpha(1e3, alpha), McConfig(2 * 8192, 26))
+    # pairs: (h_hat, e1), (g_hat, e1), (g_hat, e2) and (h_hat, e2), each
+    # fallback with both estimates.  With estimates (alpha 0.5) the kernels
+    # depend on them alone: each config projects once per block, from the
+    # frames that every config of the block shares.  At alpha 0 the
+    # estimates are zero, so the kernels depend on the fallback alone and no
+    # frame is projected.
+    snrs = (1e3, 1e4, 1e5)
+    for alpha, projections, frames in ((0.0, kernel_pairs // 2, 0), (0.5, 1, 1)):
+        calls = dict.fromkeys(("_project", "_frames"), 0)
+        for name in calls:
+            def counted(*a, name=name, real=getattr(rates, name)):
+                calls[name] += 1
+                return real(*a)
+            monkeypatch.setattr(rates, name, counted)
+        rate_scheme(group, [CsitConfig.from_alpha(p, alpha) for p in snrs],
+                    McConfig(2 * 8192, 26))
         monkeypatch.undo()
-        assert len(calls) == 2 * per_block
+        assert calls == {"_project": 2 * len(snrs) * projections, "_frames": 2 * frames}
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+def test_mat_common_rate_matches_exact_mean(alpha):
+    # MAT sends no private power (p_p = 0), so its common columns are
+    # log2(1 + (P/2) ||h||^2) with h ~ CN(0, I) at any alpha, whose mean the
+    # oracle evaluates exactly; the outer min of the two users' means may
+    # only pull r_c down by its sampling noise.
+    snrs = [2.0 ** k for k in range(20, 201, 30)]
+    results = rate_scheme(Scheme.MAT, [CsitConfig.from_alpha(p, alpha) for p in snrs],
+                          McConfig(50_000, 3))
+    for p, res in zip(snrs, results):
+        exact = float(mean_log2_quadratic((p / 2.0, p / 2.0), np.zeros(2), 1.0))
+        assert abs(res.r_c - exact) <= 4.0 * res.se_r_c, p

@@ -138,7 +138,7 @@ class TestImperfectDelayed:
         assert dof_imperfect_delayed(DelayedCsitQuality(0.5, 0.5))[0] == pytest.approx(2.0 / 3.0)
 
     def test_perfect_feedback_recovers_main_region(self):
-        for alpha in [0.0, 0.25, 0.5, 0.75]:
+        for alpha in [0.0, 0.25, 0.3, 0.5, 0.75, 1.0]:
             sym, corners = dof_imperfect_delayed(DelayedCsitQuality(alpha, 1.0))
             assert sym == pytest.approx((2.0 + alpha) / 3.0)
             assert corners == [(1.0, alpha), (alpha, 1.0)]
