@@ -20,63 +20,61 @@ from functools import cached_property
 import numpy as np
 
 
+def exponent(value, name="alpha"):
+    """A CSIT quality exponent: nonnegative, with values above 1 truncated to
+    1, as neither the DoF nor the error variance P**-alpha gains beyond it."""
+    if not value >= 0.0:
+        raise ValueError(f"{name} must be a nonnegative number, got {value}")
+    return min(float(value), 1.0)
+
+
+def _power(snr_p):
+    if not 1.0 < snr_p < math.inf:
+        raise ValueError(f"snr_p must be a finite number above 1 (linear), got {snr_p}")
+    return float(snr_p)
+
+
 @dataclass(frozen=True)
 class CsitConfig:
-    """Transmit power and current-CSIT quality parameters.
+    """Transmit power and current-CSIT quality: P, sigma^2 = P**-alpha, alpha.
 
-    ``sigma_hat_sq`` is the error variance floored at the noise-limited
-    level ``1/snr_p`` and ``alpha_hat`` its exponent; power allocations use
-    the floored pair so they stay meaningful when the raw error variance
-    drops below the AWGN floor.  Under band-limited Doppler fading with
-    normalized bandwidth F = v f_c T / c < 1/2 (speed, carrier, slot,
-    light speed), one-step prediction from delayed CSI gives alpha = 1 - 2F.
+    Build one with ``from_alpha`` or ``from_sigma_sq``, which raise
+    ``ValueError`` unless 1 < P < inf, 0 < sigma^2 <= 1 and alpha >= 0.
+    ``sigma_hat_sq`` and ``alpha_hat`` are derived: the error variance
+    floored at the noise-limited level ``1/snr_p``, and its exponent.  Power
+    allocations use the floored pair so they stay meaningful when the raw
+    error variance drops below the AWGN floor.  Under band-limited Doppler
+    fading with normalized bandwidth F = v f_c T / c < 1/2 (speed, carrier,
+    slot, light speed), one-step prediction from delayed CSI gives
+    alpha = 1 - 2F.
     """
 
     snr_p: float
     sigma_sq: float
     alpha: float
-    sigma_hat_sq: float
-    alpha_hat: float
-
-    def __post_init__(self):
-        if not self.snr_p > 1.0:
-            raise ValueError(f"snr_p must exceed 1 (linear), got {self.snr_p}")
-        if not 0.0 < self.sigma_sq <= 1.0:
-            raise ValueError(f"sigma_sq must lie in (0, 1], got {self.sigma_sq}")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
-        if self.sigma_hat_sq < 1.0 / self.snr_p * (1.0 - 1e-12):
-            raise ValueError("sigma_hat_sq below the noise floor 1/snr_p")
-        if not 0.0 <= self.alpha_hat <= 1.0:
-            raise ValueError(f"alpha_hat must lie in [0, 1], got {self.alpha_hat}")
 
     @classmethod
     def from_alpha(cls, snr_p, alpha):
         """Build a config from (P, alpha); the error variance is P**-alpha."""
-        if alpha < 0.0:
-            raise ValueError(f"alpha must be nonnegative, got {alpha}")
-        alpha = min(float(alpha), 1.0)
-        sigma_sq = float(snr_p) ** (-alpha)
-        return cls._complete(float(snr_p), sigma_sq, alpha)
+        snr_p, alpha = _power(snr_p), exponent(alpha)
+        return cls(snr_p, snr_p ** -alpha, alpha)
 
     @classmethod
     def from_sigma_sq(cls, snr_p, sigma_sq):
         """Build a config from (P, sigma^2); alpha = min(-log sigma^2 / log P, 1)."""
-        snr_p = float(snr_p)
-        sigma_sq = float(sigma_sq)
+        snr_p = _power(snr_p)
         if not 0.0 < sigma_sq <= 1.0:
             raise ValueError(f"sigma_sq must lie in (0, 1], got {sigma_sq}")
-        if not snr_p > 1.0:
-            raise ValueError(f"snr_p must exceed 1 (linear), got {snr_p}")
-        alpha = min(-math.log2(sigma_sq) / math.log2(snr_p), 1.0)
-        return cls._complete(snr_p, sigma_sq, alpha)
+        sigma_sq = float(sigma_sq)
+        return cls(snr_p, sigma_sq, min(-math.log2(sigma_sq) / math.log2(snr_p), 1.0))
 
-    @classmethod
-    def _complete(cls, snr_p, sigma_sq, alpha):
-        sigma_hat_sq = max(1.0 / snr_p, sigma_sq)
-        alpha_hat = -math.log(sigma_hat_sq) / math.log(snr_p)
-        alpha_hat = min(max(alpha_hat, 0.0), 1.0)
-        return cls(snr_p, sigma_sq, alpha, sigma_hat_sq, alpha_hat)
+    @property
+    def sigma_hat_sq(self):
+        return max(1.0 / self.snr_p, self.sigma_sq)
+
+    @property
+    def alpha_hat(self):
+        return min(max(-math.log(self.sigma_hat_sq) / math.log(self.snr_p), 0.0), 1.0)
 
 
 @dataclass(frozen=True)

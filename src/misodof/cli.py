@@ -1,13 +1,22 @@
 """Batch front-end: region export, rate sweeps, slope fits, oracle runs.
 
 Exit codes: 0 success, 1 oracle failure, 2 bad usage/arguments, 3 non-finite
-Monte Carlo result.  Numeric output is deterministic for a fixed seed
-regardless of the worker count, so ``rates``, ``slopes`` and ``oracles`` run
-their Monte Carlo blocks on every CPU this process may use unless
-``--workers`` says otherwise; the ``rates`` and ``slopes`` manifests record
-the count.  In ``rates`` and ``slopes`` every scheme and
-SNR of a run shares its channel draws: one ``rate_scheme`` call evaluates
-them together.
+Monte Carlo result.
+
+Each input is checked once, by the type that owns it: ``channel.exponent``
+for alpha and beta, the ``CsitConfig`` constructors for P and sigma^2 at
+each grid point, ``McConfig`` for samples, seed and workers.  This module
+checks only the form of its SNR grids.  Every usage error ends the command
+with exit 2 and one ``error:`` line on stderr (argparse's own errors print
+its usage text first); a truncation warning is printed only once every
+usage check has passed.
+
+Numeric output is deterministic for a fixed seed regardless of the worker
+count, so ``rates``, ``slopes`` and ``oracles`` run their Monte Carlo blocks
+on every CPU this process may use unless ``--workers`` says otherwise; the
+``rates`` and ``slopes`` manifests record the count.  In ``rates`` and
+``slopes`` every scheme and SNR of a run shares its channel draws: one
+``rate_scheme`` call evaluates them together.
 """
 
 from __future__ import annotations
@@ -26,7 +35,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from . import __version__, mc
-from .channel import CsitConfig
+from .channel import CsitConfig, exponent
 from .mc import McConfig, NonFiniteSampleError
 from .oracles import (
     QuadratureConfig,
@@ -89,23 +98,31 @@ def _mc_config(args):
         raise _Exit(2, str(exc)) from None
 
 
-def _cell_configs(grid, cfg_builder):
-    """(snr_db, CsitConfig) per grid point."""
+def _cell_configs(grid, build, quality):
+    """(snr_db, build(P, quality)) per grid point, for a CsitConfig constructor
+    ``build``; a point it rejects is a usage error that names its snr_db."""
+    cells = []
+    for db in grid:
+        try:
+            cells.append((db, build(10.0 ** (float(db) / 10.0), quality)))
+        except OverflowError:
+            raise _Exit(2, f"snr_db {_fmt(db)} out of range (P overflows)") from None
+        except ValueError as exc:
+            raise _Exit(2, f"snr_db {_fmt(db)}: {exc}") from None
+    return cells
+
+
+def _exponent(value, name):
     try:
-        return [(db, cfg_builder(10.0 ** (float(db) / 10.0))) for db in grid]
-    except (OverflowError, ValueError) as exc:
-        raise _Exit(2, f"SNR grid {grid[0]:g}..{grid[-1]:g} dB out of range ({exc})") from None
+        return exponent(value, name)
+    except ValueError as exc:
+        raise _Exit(2, str(exc)) from None
 
 
-def _resolve_exponent(value, name, warn=True):
-    if not value >= 0.0:
-        print(f"error: {name} must be a nonnegative number, got {value}", file=sys.stderr)
-        return None
-    if value > 1.0:
-        if warn:
-            print(f"warning: {name} {_fmt(value)} truncated to 1", file=sys.stderr)
-        return 1.0
-    return float(value)
+def _warn_truncated(name, value):
+    # called once every usage check has passed, so a usage error stays one line
+    if value is not None and value > 1.0:
+        print(f"warning: {name} {_fmt(value)} truncated to 1", file=sys.stderr)
 
 
 def _parse_snr_grid(text):
@@ -170,19 +187,14 @@ def _write_manifest(out_path, argv, mc_cfg, params):
 
 
 def cmd_region(args):
-    alpha = _resolve_exponent(args.alpha, "alpha")
-    if alpha is None:
-        return 2
-    if args.beta is not None and args.common_message:
-        print("error: --beta and --common-message are mutually exclusive", file=sys.stderr)
-        return 2
+    alpha = _exponent(args.alpha, "alpha")
+    beta = None if args.beta is None else _exponent(args.beta, "beta")
+    _warn_truncated("alpha", args.alpha)
+    _warn_truncated("beta", args.beta)
     if args.common_message:
         region = region_common_message(alpha)
         payload = _region_payload(region, {"alpha": alpha, "common_message": True})
-    elif args.beta is not None:
-        beta = _resolve_exponent(args.beta, "beta")
-        if beta is None:
-            return 2
+    elif beta is not None:
         sym, corners = dof_imperfect_delayed(DelayedCsitQuality(alpha=alpha, beta=beta))
         region = region_imperfect_delayed(alpha, beta)
         payload = _region_payload(region, {
@@ -231,34 +243,17 @@ def _rate_rows(schemes, cells, mc_cfg):
 
 def cmd_rates(args, argv):
     if args.sigma_sq is not None:
-        if not 0.0 < args.sigma_sq <= 1.0:
-            print(f"error: sigma-sq must lie in (0, 1], got {args.sigma_sq}",
-                  file=sys.stderr)
-            return 2
-        quality = {"sigma_sq": args.sigma_sq}
-
-        def cfg_builder(snr_p):
-            return CsitConfig.from_sigma_sq(snr_p, args.sigma_sq)
+        name, quality, build = "sigma_sq", args.sigma_sq, CsitConfig.from_sigma_sq
     else:
-        alpha = _resolve_exponent(args.alpha, "alpha")
-        if alpha is None:
-            return 2
-        quality = {"alpha": alpha}
-
-        def cfg_builder(snr_p):
-            return CsitConfig.from_alpha(snr_p, alpha)
-
+        name, quality, build = "alpha", _exponent(args.alpha, "alpha"), CsitConfig.from_alpha
     grid = _parse_snr_grid(args.snr_db)
     if grid is None:
-        print(f"error: malformed --snr-db range {args.snr_db!r}; "
-              "expected finite start:step:stop with positive step", file=sys.stderr)
-        return 2
-    if min(grid) <= 0:
-        print("error: SNR must be positive in dB (P > 1 linear)", file=sys.stderr)
-        return 2
-    cells = _cell_configs(grid, cfg_builder)
+        raise _Exit(2, f"malformed --snr-db range {args.snr_db!r}; "
+                       "expected finite start:step:stop with positive step")
+    cells = _cell_configs(grid, build, quality)
     mc_cfg = _mc_config(args)
     seed = mc_cfg.seed
+    _warn_truncated("alpha", args.alpha)
     rows = _rate_rows(_scheme_list(args.scheme), cells, mc_cfg)
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -266,7 +261,7 @@ def cmd_rates(args, argv):
         writer.writerows(rows)
     _write_manifest(args.out, argv, mc_cfg, {
         "command": "rates", "scheme": args.scheme,
-        "snr_db": grid, "samples": args.samples, "seed": seed, **quality,
+        "snr_db": grid, "samples": args.samples, "seed": seed, name: quality,
     })
     return 0
 
@@ -281,33 +276,28 @@ def _fit_slope(x, y):
     slope = float(np.sum((x - x_mean) * (y - y_mean)) / sxx)
     intercept = y_mean - slope * x_mean
     resid = y - intercept - slope * x
-    if n > 2:
-        se = math.sqrt(float(np.sum(resid ** 2)) / (n - 2) / sxx)
-    else:
-        se = 0.0
+    se = math.sqrt(float(np.sum(resid ** 2)) / (n - 2) / sxx)
     return slope, 1.96 * se
 
 
 def cmd_slopes(args, argv):
-    alpha = _resolve_exponent(args.alpha, "alpha")
-    if alpha is None:
-        return 2
-    if args.points < 3:
-        print("error: slope fits need at least 3 grid points", file=sys.stderr)
-        return 2
+    alpha = _exponent(args.alpha, "alpha")
     parts = args.snr_db_range.split(":")
     try:
         lo, hi = (float(p) for p in parts)
     except ValueError:
         lo, hi = 1.0, 0.0
-    if len(parts) != 2 or not 0 < lo < hi < math.inf:
-        print(f"error: malformed --snr-db-range {args.snr_db_range!r}; expected lo:hi",
-              file=sys.stderr)
-        return 2
-    grid = [round(v, 12) for v in np.linspace(lo, hi, args.points)]
-    cells = _cell_configs(grid, lambda p: CsitConfig.from_alpha(p, alpha))
+    if len(parts) != 2 or not 0 < hi - lo < math.inf:  # CsitConfig checks P > 1
+        raise _Exit(2, f"malformed --snr-db-range {args.snr_db_range!r}; expected lo:hi")
+    # linspace rejects a negative count; an empty grid fails the check below
+    grid = [round(v, 12) for v in np.linspace(lo, hi, max(args.points, 0))]
+    if len(set(grid)) < 3:
+        raise _Exit(2, f"slope fits need at least 3 distinct grid points; --points "
+                       f"{args.points} over {args.snr_db_range} rounds to {len(set(grid))}")
+    cells = _cell_configs(grid, CsitConfig.from_alpha, alpha)
     mc_cfg = _mc_config(args)
     seed = mc_cfg.seed
+    _warn_truncated("alpha", args.alpha)
     scheme = Scheme(args.scheme)
     rows = _rate_rows([scheme], cells, mc_cfg)
     rsum = [float(r[5]) for r in rows]
@@ -425,10 +415,11 @@ def _build_parser():
 
     p_region = sub.add_parser("region", help="export a DoF region as JSON")
     p_region.add_argument("--alpha", type=float, required=True)
-    p_region.add_argument("--beta", type=float, default=None,
-                          help="delayed-feedback quality exponent; emits the "
-                               "achievable region under quantized delayed CSIT")
-    p_region.add_argument("--common-message", action="store_true")
+    extension = p_region.add_mutually_exclusive_group()
+    extension.add_argument("--beta", type=float, default=None,
+                           help="delayed-feedback quality exponent; emits the "
+                                "achievable region under quantized delayed CSIT")
+    extension.add_argument("--common-message", action="store_true")
     p_region.add_argument("--out", required=True)
 
     p_rates = sub.add_parser("rates", help="ergodic-rate sweep over SNR, CSV output")

@@ -164,7 +164,8 @@ def exp_log_mean(config=None):
 def mean_log2_quadratic(weights, mean_sq, sigma_sq):
     """E log2(1 + sum_i w_i |x_i|^2) for independent x_i ~ CN(mu_i, sigma_sq).
 
-    ``mean_sq`` is an array of |mu_i|^2, shape (..., k) for ``weights`` (k,).
+    ``mean_sq`` holds |mu_i|^2 in any shape that broadcasts against
+    ``weights`` (k,), such as (..., k) or a scalar shared by every i.
     Exact (Hamdi's lemma): E ln(1 + Q) = int e^{-s} (1 - E e^{-sQ}) du with
     s = e^u, and log E e^{-sQ} = -sum_i [log1p(s w_i sigma^2)
     + s w_i |mu_i|^2 / (1 + s w_i sigma^2)].  The integrand is analytic for
@@ -173,6 +174,7 @@ def mean_log2_quadratic(weights, mean_sq, sigma_sq):
     ``_TAIL``.
     """
     w = np.asarray(weights, dtype=float)
+    mean_sq = np.broadcast_to(mean_sq, np.broadcast_shapes(np.shape(mean_sq), w.shape))
     lo = math.log(_TAIL / float(np.max((mean_sq + sigma_sq) @ w)))
     hi = math.log(-math.log(_TAIL))
     # not np.arange(lo, hi, _STEP): its rounded node spacing biases the sum ~1e-13

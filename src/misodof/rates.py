@@ -153,11 +153,14 @@ class _Shared:
         self.batch, self._kernels, self._phase2 = batch, {}, {}
 
     def kernel(self, name, fallback):
-        # kernels depend on the estimates if there are any, else on the fallback
+        # kernels depend on the estimates if there are any, else on the
+        # fallback alone, one kernel serving both zero estimates
         key = None if self.batch.a else fallback
         if key not in self._kernels:
-            self._kernels[key] = {est: _Kernel(cols)
-                                  for est, cols in _project(self.batch, fallback).items()}
+            cols = _project(self.batch, fallback)
+            h = _Kernel(cols["h_hat"])
+            g = h if cols["g_hat"] is cols["h_hat"] else _Kernel(cols["g_hat"])
+            self._kernels[key] = {"h_hat": h, "g_hat": g}
         return self._kernels[key][name]
 
     def phase2(self, p_c, p_p, out):

@@ -12,6 +12,8 @@ from enum import Enum
 
 import numpy as np
 
+from .channel import exponent
+
 MEMBERSHIP_TOL = 1e-9
 
 
@@ -73,19 +75,13 @@ def _check_consistency(region):
             raise AssertionError(f"vertex {v} is not a corner of the inequality system")
 
 
-def _validated_exponent(value, name="alpha"):
-    if value < 0.0:
-        raise ValueError(f"{name} must be nonnegative, got {value}")
-    return min(float(value), 1.0)
-
-
 def region_main(alpha):
     """Optimal (d1, d2) region with perfect delayed and imperfect current CSIT.
 
     Polygon {d >= 0, d1 <= 1, d2 <= 1, d1 + 2 d2 <= 2 + alpha,
     2 d1 + d2 <= 2 + alpha}; alpha above 1 is truncated to 1.
     """
-    a = _validated_exponent(alpha)
+    a = exponent(alpha)
     s = (2.0 + a) / 3.0
     vertices = [(0.0, 0.0), (1.0, 0.0), (1.0, a), (s, s), (a, 1.0), (0.0, 1.0)]
     inequalities = [
@@ -105,7 +101,7 @@ def region_common_message(alpha):
     Polyhedron {d >= 0, d0 + d1 <= 1, d0 + d2 <= 1,
     2 d0 + d1 + 2 d2 <= 2 + alpha, 2 d0 + 2 d1 + d2 <= 2 + alpha}.
     """
-    a = _validated_exponent(alpha)
+    a = exponent(alpha)
     s = (2.0 + a) / 3.0
     vertices = [
         (0.0, 0.0, 0.0),
@@ -131,7 +127,7 @@ def region_common_message(alpha):
 
 def dof_scheme(scheme, alpha):
     """Symmetric per-user DoF achieved by a given transmission scheme."""
-    a = _validated_exponent(alpha)
+    a = exponent(alpha)
     scheme = Scheme(scheme)
     if scheme is Scheme.TDMA:
         return 0.5
@@ -157,10 +153,10 @@ class DelayedCsitQuality:
     beta: float
 
     def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
-        if not 0.0 <= self.beta <= 1.0:
-            raise ValueError(f"beta must lie in [0, 1], got {self.beta}")
+        for name in ("alpha", "beta"):
+            value = getattr(self, name)
+            if exponent(value, name) != value:
+                raise ValueError(f"{name} must be at most 1, got {value}")
 
     @property
     def alpha_prime(self):
@@ -186,8 +182,7 @@ def region_imperfect_delayed(alpha, beta):
     Convex hull of the corner points, the symmetric point, and the
     single-user/axis points.
     """
-    quality = DelayedCsitQuality(alpha=_validated_exponent(alpha),
-                                 beta=_validated_exponent(beta, name="beta"))
+    quality = DelayedCsitQuality(exponent(alpha), exponent(beta, "beta"))
     sym, corners = dof_imperfect_delayed(quality)
     points = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), corners[0], corners[1], (sym, sym)]
     hull = _convex_hull_2d(points)

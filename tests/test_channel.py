@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -48,6 +49,28 @@ class TestCsitConfig:
     def test_rejects_low_power(self):
         with pytest.raises(ValueError):
             CsitConfig.from_alpha(0.5, 0.5)
+
+    @pytest.mark.parametrize("build, snr_p, value", [
+        (CsitConfig.from_alpha, 1.0, 0.5),
+        (CsitConfig.from_alpha, 0.0, 0.5),
+        (CsitConfig.from_alpha, -4.0, 0.5),
+        (CsitConfig.from_alpha, math.nan, 0.5),
+        (CsitConfig.from_alpha, math.inf, 0.5),
+        (CsitConfig.from_alpha, 10.0, math.nan),
+        (CsitConfig.from_sigma_sq, 1.0, 0.5),
+        (CsitConfig.from_sigma_sq, 1e-13, 0.5),
+        (CsitConfig.from_sigma_sq, 10.0, math.nan),
+    ], ids=lambda v: getattr(v, "__name__", None))
+    def test_rejects_bad_input(self, build, snr_p, value):
+        # a ValueError naming the input, never a ZeroDivisionError or a
+        # math-domain error from deriving the other quantities first
+        with pytest.raises(ValueError, match="snr_p|sigma_sq|alpha"):
+            build(snr_p, value)
+
+    def test_derived_quantities_are_not_fields(self):
+        cfg = CsitConfig.from_alpha(100.0, 1.5)
+        assert [f.name for f in dataclasses.fields(cfg)] == ["snr_p", "sigma_sq", "alpha"]
+        assert cfg == CsitConfig(100.0, 0.01, 1.0)
 
 
 class TestSampling:

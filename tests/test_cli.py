@@ -312,6 +312,15 @@ BAD_INPUT_CASES = [
     (["slopes", "--scheme", "zf", "--alpha", "0.5", "--snr-db-range", "40:inf"], None, 2,
      "malformed --snr-db-range"),
     (["oracles", "--workers", "0"], None, 2, "n_workers must be positive"),
+    # the grid rounds to fewer than 3 distinct points
+    (["slopes", "--scheme", "zf", "--alpha", "0.5", "--snr-db-range", "40:40.0000000000001"],
+     None, 2, "at least 3 distinct grid points"),
+    (["slopes", "--scheme", "zf", "--alpha", "0.5", "--snr-db-range", "1e-13:1e-12"],
+     None, 2, "at least 3 distinct grid points"),
+    (["rates", "--scheme", "zf", "--sigma-sq", "2", "--snr-db", "10:10:10"], None, 2,
+     "snr_db 10: sigma_sq must lie in (0, 1]"),
+    (["rates", "--scheme", "zf", "--alpha", "0.5", "--snr-db", "0:1:1"], None, 2,
+     "snr_db 0: snr_p must be a finite number above 1"),
 ]
 
 

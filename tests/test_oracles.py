@@ -263,6 +263,12 @@ class TestMeanLog2Quadratic:
         got = mean_log2_quadratic(weights, np.abs(mu) ** 2, sigma_sq)
         assert abs(got - vals.mean()) < 5.0 * vals.std(ddof=1) / math.sqrt(n)
 
+    @pytest.mark.parametrize("c", [0.0, 0.7])
+    def test_scalar_mean_sq_broadcasts(self, c):
+        weights = np.array([100.0, 10.0, 1.0])
+        assert mean_log2_quadratic(weights, c, 0.1) == \
+            mean_log2_quadratic(weights, np.full(3, c), 0.1)
+
     def test_stable_under_step_halving(self, monkeypatch):
         mean_sq = np.array([[0.0, 0.0], [0.3, 1.7], [2.5, 0.01]])
         cases = [((1e3, 1e3), 0.1), ((100.0, 10.0), 1e-6), ((1.0, 0.0), 1.0), ((1e3, 0.0), 0.1)]

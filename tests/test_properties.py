@@ -1,12 +1,15 @@
-"""Hypothesis property tests: grouped estimates, the alpha <-> sigma^2 map and
-the DoF regions."""
+"""Hypothesis property tests: grouped estimates, the alpha <-> sigma^2 map,
+the DoF regions and the CLI's handling of numeric input."""
 
+import contextlib
+import io
 import math
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from misodof import cli
 from misodof.channel import CsitConfig
 from misodof.mc import BLOCK_SIZE, McConfig
 from misodof.rates import rate_scheme
@@ -97,3 +100,46 @@ def test_regions_grow_with_alpha_and_beta(alphas, betas):
 def test_common_message_region_without_common_dof_is_main_region(alpha, d1, d2):
     assert region_common_message(alpha).contains((0.0, d1, d2)) == \
         region_main(alpha).contains((d1, d2))
+
+
+# SNRs in dB and exponents or variances, each valid about half the time; a
+# step of at least 1e-3 dB moves even 1e9 dB, and at most 49 steps keep every
+# grid within 50 points
+SNR_DB = st.floats(0.5, 400.0) | st.floats(-400.0, 400.0) | st.sampled_from(
+    [0.0, 1e-13, 1e9, math.nan, math.inf, -math.inf])
+STEP_DB = st.floats(1e-3, 100.0) | st.sampled_from([0.0, -1.0, math.nan, math.inf])
+ANY = st.floats(0.0, 2.0) | st.floats() | st.sampled_from(
+    [0.0, 1.0, 2.0, math.nan, math.inf, -math.inf])
+
+
+@st.composite
+def _numeric_argv(draw):
+    start, step = draw(SNR_DB), draw(STEP_DB)
+    if draw(st.booleans()):
+        stop = start + draw(st.integers(0, 49)) * step
+        return ["rates", "--scheme", draw(st.sampled_from(["zf", "proposed", "all"])),
+                draw(st.sampled_from(["--alpha", "--sigma-sq"])) + f"={draw(ANY)!r}",
+                f"--snr-db={start!r}:{step!r}:{stop!r}"]
+    return ["slopes", "--scheme", draw(st.sampled_from(["zf", "proposed"])),
+            f"--alpha={draw(ANY)!r}", f"--snr-db-range={start!r}:{start + step!r}",
+            f"--points={draw(st.integers(-2, 50))}"]
+
+
+@settings(FIXED, max_examples=100)
+@given(argv=_numeric_argv())
+@example(argv=["rates", "--scheme", "all", "--alpha=2.0", "--snr-db=0:1:1"])
+@example(argv=["slopes", "--scheme", "zf", "--alpha=0.5", "--snr-db-range=40:40.0000000000001",
+               "--points=9"])
+@example(argv=["slopes", "--scheme", "zf", "--alpha=0.5", "--snr-db-range=-1e308:1e308",
+               "--points=9"])
+def test_cli_numeric_input_never_raises(argv, tmp_path_factory):
+    # Any number gives a result, a usage error or a non-finite result, and a
+    # usage error is one line: no traceback, and no warning ahead of it.
+    out = tmp_path_factory.mktemp("fuzz") / "out"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(argv + ["--samples", "64", "--workers", "1", "--seed", "0",
+                                "--out", str(out)])
+    assert code in (0, 2, 3)
+    if code == 2 and not err.getvalue().startswith("usage:"):
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

@@ -10,6 +10,7 @@ from misodof.mc import McConfig, estimate
 from misodof.oracles import mean_log2_quadratic
 from misodof.rates import (
     RateResult,
+    _E1,
     _E2,
     _Kernel,
     _beam_pair,
@@ -370,6 +371,13 @@ def test_group_runs_each_kernel_pair_once_per_block(group, kernel_pairs, monkeyp
                     McConfig(2 * 8192, 26))
         monkeypatch.undo()
         assert calls == {"_project": 2 * len(snrs) * projections, "_frames": 2 * frames}
+
+
+@pytest.mark.parametrize("fallback", [_E1, _E2])
+def test_zero_estimates_share_one_kernel(fallback):
+    # at alpha 0 both estimates are zero and project to the same fallback columns
+    shared = rates._Shared(sample_batch(_rng(2), CsitConfig.from_alpha(1e3, 0.0), 64))
+    assert shared.kernel("h_hat", fallback) is shared.kernel("g_hat", fallback)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])

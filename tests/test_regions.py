@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -171,3 +173,16 @@ class TestImperfectDelayed:
             DelayedCsitQuality(0.5, -0.1)
         with pytest.raises(ValueError):
             DelayedCsitQuality(1.2, 0.5)
+
+
+@pytest.mark.parametrize("build, args", [
+    (region_main, (math.nan,)),
+    (region_common_message, (math.nan,)),
+    (dof_scheme, ("zf", math.nan)),
+    (region_imperfect_delayed, (0.5, math.nan)),
+    (region_imperfect_delayed, (-math.inf, 0.5)),
+    (DelayedCsitQuality, (math.nan, 0.5)),
+], ids=lambda v: getattr(v, "__name__", None))
+def test_rejects_bad_exponent(build, args):
+    with pytest.raises(ValueError, match="alpha|beta"):
+        build(*args)
