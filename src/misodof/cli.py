@@ -6,7 +6,9 @@ Monte Carlo result.
 Each input is checked once, by the type that owns it: ``channel.exponent``
 for alpha and beta, the ``CsitConfig`` constructors for P and sigma^2 at
 each grid point, ``McConfig`` for samples, seed and workers.  This module
-checks only the form of its SNR grids.  Every usage error ends the command
+checks only the form and size of its SNR grids: at most
+``MAX_GRID_POINTS`` points, counted before a grid is built, and a step that
+moves every value it is added to.  Every usage error ends the command
 with exit 2 and one ``error:`` line on stderr (argparse's own errors print
 its usage text first); a truncation warning is printed only once every
 usage check has passed.
@@ -16,7 +18,8 @@ count, so ``rates``, ``slopes`` and ``oracles`` run their Monte Carlo blocks
 on every CPU this process may use unless ``--workers`` says otherwise; the
 ``rates`` and ``slopes`` manifests record the count.  In ``rates`` and
 ``slopes`` every scheme and SNR of a run shares its channel draws: one
-``rate_scheme`` call evaluates them together.
+``rate_scheme`` call evaluates them together.  ``oracles --samples`` counts
+the exponential samples of the exp-log check; each channel draw gives eight.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from datetime import datetime, timezone
 import numpy as np
 from numpy.random import Generator, Philox
 
-from . import __version__, mc
+from . import __version__
 from .channel import CsitConfig, exponent
 from .mc import McConfig, NonFiniteSampleError
 from .oracles import (
@@ -42,6 +45,7 @@ from .oracles import (
     QuadratureError,
     conditional_log_bounds_check,
     exp_log_mean,
+    exp_log_mean_monte_carlo,
     rotation_mean_log_closed_form,
     rotation_mean_log_quadrature,
 )
@@ -58,6 +62,7 @@ from .regions import (
 
 LOG2_10 = math.log2(10.0)
 _ROTATION_FAIL_LINES = 20
+MAX_GRID_POINTS = 10_000  # every point is a config of one grid estimate
 
 CSV_HEADER = [
     "snr_db", "scheme", "alpha", "r1", "r2", "rsum", "stderr_sum",
@@ -135,10 +140,15 @@ def _parse_snr_grid(text):
         return None
     if not all(map(math.isfinite, (start, step, stop))) or step <= 0 or stop < start:
         return None
+    if (stop + 1e-9 - start) / step >= MAX_GRID_POINTS:
+        raise _Exit(2, f"--snr-db {text!r} has more than {MAX_GRID_POINTS} points")
     grid = []
     value = start
     while value <= stop + 1e-9:
         grid.append(round(value, 12))
+        if value + step == value:
+            raise _Exit(2, f"--snr-db step {_fmt(step)} does not advance the value "
+                           f"{_fmt(value)}")
         value += step
     return grid
 
@@ -289,6 +299,8 @@ def cmd_slopes(args, argv):
         lo, hi = 1.0, 0.0
     if len(parts) != 2 or not 0 < hi - lo < math.inf:  # CsitConfig checks P > 1
         raise _Exit(2, f"malformed --snr-db-range {args.snr_db_range!r}; expected lo:hi")
+    if args.points > MAX_GRID_POINTS:
+        raise _Exit(2, f"--points {args.points} is more than {MAX_GRID_POINTS}")
     # linspace rejects a negative count; an empty grid fails the check below
     grid = [round(v, 12) for v in np.linspace(lo, hi, max(args.points, 0))]
     if len(set(grid)) < 3:
@@ -363,13 +375,7 @@ def cmd_oracles(args):
         print(f"exp-log-constant: FAIL ({exc})")
         failures.append(f"exp-log constant: {exc}")
     else:
-        cfg = CsitConfig.from_sigma_sq(100.0, 0.25)
-
-        def f(batch):
-            mag_sq = batch.g_tilde[:, 0].real ** 2 + batch.g_tilde[:, 0].imag ** 2
-            return np.log2(mag_sq / cfg.sigma_sq)
-
-        est = mc.estimate(f, mc_cfg, cfg)
+        est = exp_log_mean_monte_carlo(mc_cfg)
         diff = abs(gamma_quad - est.mean)
         ok = diff <= 5.0 * est.std_error
         print(f"exp-log-constant: quadrature {gamma_quad:.6f} vs mc {est.mean:.6f} "
@@ -452,7 +458,9 @@ def _build_parser():
                            help="tighten tolerances tenfold")
     p_oracles.add_argument("--max-panels", type=int, default=1 << 24,
                            help="quadrature panel budget (testing hook)")
-    p_oracles.add_argument("--samples", type=int, default=1_000_000)
+    p_oracles.add_argument("--samples", type=int, default=1_000_000,
+                           help="exponential samples of the exp-log check; each "
+                                "channel draw gives 8")
     p_oracles.add_argument("--seed", type=int, default=None)
     _add_workers(p_oracles)
 

@@ -4,6 +4,10 @@ Quadrature evaluations of the uniform-phase log identity and the
 exponential-log constant, plus exact one-dimensional-integral checks of the
 slack-free conditional log bounds used by the converse analysis.  Everything
 here is decoupled from the rate-evaluation path so it can serve as an oracle.
+The one Monte Carlo check, ``exp_log_mean_monte_carlo``, reads the channel
+sampler itself: every entry of a draw, divided by its variance, is an Exp(1)
+sample, so its mean tests the sampler's estimate and error scalings against
+the quadrature constant.
 
 One batched midpoint rule serves both quadratures: the rotation identity
 takes arrays of pairs and refines only the pairs not yet converged, and the
@@ -14,10 +18,13 @@ exponential-log constant is its one-row case.  Its working set is bounded by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.random import Generator, Philox
+
+from . import mc
+from .channel import CsitConfig
 
 # Nodes per summed chunk of a quadrature level, and values per integrand
 # call: 0.5 MiB per temporary array.  The package keeps freed heap memory
@@ -29,6 +36,12 @@ _START_PANELS = 64
 
 # Key-space offset separating bound-check batches from mc-engine blocks.
 _BATCH_KEY_OFFSET = 1 << 32
+
+# The exp-log check's channel config: both per-entry variances, 1 - sigma^2
+# and sigma^2, lie well inside (0, 1), so a mis-scaled estimate and a
+# mis-scaled error both shift its mean.  P does not enter the draw.
+_EXP_LOG_CSIT = CsitConfig.from_sigma_sq(100.0, 0.25)
+_ENTRIES_PER_DRAW = 8
 
 # Trapezoid step in u and bound on each cut tail of mean_log2_quadratic.
 _STEP = 0.1
@@ -159,6 +172,36 @@ def exp_log_mean(config=None):
     if np.isnan(val):
         raise _no_convergence(config)
     return float(val)
+
+
+def _exp_log_integrand(batch):
+    # each draw's mean of log2 |x|^2 / Var x over its eight complex entries
+    s2 = batch.csit.sigma_sq
+    total = np.zeros(batch.n)
+    for x, var in ((batch.h_hat, 1.0 - s2), (batch.g_hat, 1.0 - s2),
+                   (batch.h_tilde, s2), (batch.g_tilde, s2)):
+        sq = x.real ** 2
+        sq += x.imag ** 2
+        sq /= var
+        total += np.log2(sq, out=sq).sum(axis=1)
+    return total / _ENTRIES_PER_DRAW
+
+
+def exp_log_mean_monte_carlo(mc_cfg):
+    """E[log2 X], X ~ Exp(1), by Monte Carlo over the channel sampler.
+
+    ``mc_cfg.n_samples`` counts exponential samples, and each channel draw
+    gives eight: for every complex entry x of h_hat and g_hat (variance
+    1 - sigma^2) and of h_tilde and g_tilde (variance sigma^2), |x|^2 / Var x
+    is Exp(1), independently of the others.  One ``mc.estimate`` call runs
+    ceil(n_samples / 8) draws, and at least 2 so that the standard error is
+    defined; its integrand is each draw's mean of the eight log2 values, so
+    the McEstimate's standard error is that of the grand mean.  A sampler
+    whose estimate or error scaling is off moves the mean away from
+    ``exp_log_mean()``.
+    """
+    draws = max(2, -(-mc_cfg.n_samples // _ENTRIES_PER_DRAW))
+    return mc.estimate(_exp_log_integrand, replace(mc_cfg, n_samples=draws), _EXP_LOG_CSIT)
 
 
 def mean_log2_quadratic(weights, mean_sq, sigma_sq):

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import threading
 from collections import Counter
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from misodof import cli, mc, oracles, rates
-from misodof.channel import CsitConfig
+from misodof.channel import ChannelBatch, CsitConfig
 from misodof.mc import NonFiniteSampleError
 from misodof.rates import RateResult
 from misodof.regions import Scheme
@@ -232,6 +233,18 @@ class TestOraclesCommand:
         assert fail_lines[22].startswith("FAIL: conditional log bounds: ")
         assert len(fail_lines) == 23
 
+    @pytest.mark.parametrize("scale", ["a", "b"])
+    def test_mis_scaled_sampler_fails(self, scale, monkeypatch, capsys):
+        # The exp-log check reads every entry of a draw: a 5% error in the
+        # estimate scaling a or the error scaling b moves its mean by 0.07,
+        # about 12 standard errors at 100k samples.
+        real = getattr(ChannelBatch, scale)
+        monkeypatch.setattr(ChannelBatch, scale, property(lambda batch: 1.05 * real.fget(batch)))
+        assert _run(["oracles", "--samples", "100000", "--seed", "2"]) == 1
+        out = capsys.readouterr().out
+        assert re.search(r"^exp-log-constant: .* FAIL$", out, re.M)
+        assert "FAIL: exp-log constant mismatch" in out
+
     def test_strict_mode_passes(self):
         assert _run(["oracles", "--strict", "--samples", "100000", "--seed", "2"]) == 0
 
@@ -321,6 +334,13 @@ BAD_INPUT_CASES = [
      "snr_db 10: sigma_sq must lie in (0, 1]"),
     (["rates", "--scheme", "zf", "--alpha", "0.5", "--snr-db", "0:1:1"], None, 2,
      "snr_db 0: snr_p must be a finite number above 1"),
+    # a step below half an ulp of the value, and grids past the point cap
+    (["rates", "--scheme", "zf", "--alpha", "0.5", "--snr-db", "1e20:1:1e20"], None, 2,
+     "does not advance the value"),
+    (["rates", "--scheme", "zf", "--alpha", "0.5", "--snr-db", "0:1e-9:1e6"], None, 2,
+     "more than 10000 points"),
+    (["slopes", "--scheme", "zf", "--alpha", "0.5", "--points", "1000000000000000"], None, 2,
+     "is more than 10000"),
 ]
 
 
@@ -482,12 +502,21 @@ def test_traced_seams_call_counts(workers, tmp_path, monkeypatch):
     assert first_args == [Scheme.MAT] and type(first_args[0]) is Scheme
 
 
-def test_oracle_suite_estimates_through_mc_module(monkeypatch):
+def test_oracle_suite_estimates_through_mc_module(monkeypatch, capsys):
+    # one estimate per run, of one channel draw per eight exponential samples;
+    # at least two draws, so that one sample still has a standard error
     calls = []
     real = mc.estimate
     monkeypatch.setattr(mc, "estimate", lambda *a: calls.append(a) or real(*a))
-    assert cli.main(["oracles", "--samples", "2000", "--seed", "1"]) == 0
-    assert len(calls) == 1
+    for samples, draws in ((2000, 250), (2001, 251), (1, 2)):
+        calls.clear()
+        assert cli.main(["oracles", "--samples", str(samples), "--seed", "1"]) == 0
+        assert [a[1].n_samples for a in calls] == [draws]
+    capsys.readouterr()
+    calls.clear()
+    assert cli.main(["oracles", "--samples", "0"]) == 2
+    assert "n_samples must be positive" in capsys.readouterr().err
+    assert calls == []
 
 
 def test_runs_without_glibc(tmp_path, monkeypatch):

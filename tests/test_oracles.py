@@ -13,6 +13,7 @@ from misodof.oracles import (
     QuadratureError,
     conditional_log_bounds_check,
     exp_log_mean,
+    exp_log_mean_monte_carlo,
     mean_log2_quadratic,
     rotation_mean_log_closed_form,
     rotation_mean_log_quadrature,
@@ -146,13 +147,8 @@ class TestExpLogConstant:
         assert abs(a - b) < 1e-6
 
     def test_matches_monte_carlo(self):
-        cfg = CsitConfig.from_sigma_sq(100.0, 0.25)
-
-        def f(batch):
-            mag_sq = batch.g_tilde[:, 0].real ** 2 + batch.g_tilde[:, 0].imag ** 2
-            return np.log2(mag_sq / cfg.sigma_sq)
-
-        est = estimate(f, McConfig(1_000_000, 32), cfg)
+        est = exp_log_mean_monte_carlo(McConfig(1_000_000, 32))
+        assert est.n == 125_000
         assert abs(exp_log_mean() - est.mean) < 5.0 * est.std_error
 
     def test_log_scaling(self):

@@ -103,11 +103,12 @@ def test_common_message_region_without_common_dof_is_main_region(alpha, d1, d2):
 
 
 # SNRs in dB and exponents or variances, each valid about half the time; a
-# step of at least 1e-3 dB moves even 1e9 dB, and at most 49 steps keep every
-# grid within 50 points
+# step below 1e-3 dB may not move a large start, and at most 49 steps keep
+# every grid within 50 points
 SNR_DB = st.floats(0.5, 400.0) | st.floats(-400.0, 400.0) | st.sampled_from(
     [0.0, 1e-13, 1e9, math.nan, math.inf, -math.inf])
-STEP_DB = st.floats(1e-3, 100.0) | st.sampled_from([0.0, -1.0, math.nan, math.inf])
+STEP_DB = st.floats(1e-3, 100.0) | st.floats(1e-300, 1e-3) | st.sampled_from(
+    [0.0, -1.0, math.nan, math.inf])
 ANY = st.floats(0.0, 2.0) | st.floats() | st.sampled_from(
     [0.0, 1.0, 2.0, math.nan, math.inf, -math.inf])
 
@@ -132,6 +133,9 @@ def _numeric_argv(draw):
                "--points=9"])
 @example(argv=["slopes", "--scheme", "zf", "--alpha=0.5", "--snr-db-range=-1e308:1e308",
                "--points=9"])
+@example(argv=["rates", "--scheme", "zf", "--alpha=0.5", "--snr-db=1e20:1:1e20"])
+@example(argv=["slopes", "--scheme", "zf", "--alpha=0.5", "--snr-db-range=40:80",
+               "--points=1000000000000000"])
 def test_cli_numeric_input_never_raises(argv, tmp_path_factory):
     # Any number gives a result, a usage error or a non-finite result, and a
     # usage error is one line: no traceback, and no warning ahead of it.
