@@ -19,11 +19,8 @@ from .oracles import (
     rotation_mean_log_quadrature,
 )
 from .rates import (
-    CommonMessageRates,
     RateResult,
-    interference_power,
     quantization_rate,
-    rate_common_message,
     rate_scheme,
 )
 from .regions import (

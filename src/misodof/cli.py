@@ -301,6 +301,9 @@ def cmd_slopes(args, argv):
         raise _Exit(2, f"malformed --snr-db-range {args.snr_db_range!r}; expected lo:hi")
     if args.points > MAX_GRID_POINTS:
         raise _Exit(2, f"--points {args.points} is more than {MAX_GRID_POINTS}")
+    # numpy's round(v, 12) below multiplies by 1e12; no grid value exceeds lo or hi
+    if not math.isfinite(max(abs(lo), abs(hi)) * 1e12):
+        raise _Exit(2, f"--snr-db-range {args.snr_db_range!r} out of range")
     # linspace rejects a negative count; an empty grid fails the check below
     grid = [round(v, 12) for v in np.linspace(lo, hi, max(args.points, 0))]
     if len(set(grid)) < 3:

@@ -7,7 +7,7 @@ here is decoupled from the rate-evaluation path so it can serve as an oracle.
 The one Monte Carlo check, ``exp_log_mean_monte_carlo``, reads the channel
 sampler itself: every entry of a draw, divided by its variance, is an Exp(1)
 sample, so its mean tests the sampler's estimate and error scalings against
-the quadrature constant.
+the quadrature constant.  The bound check draws its estimates from it too.
 
 One batched midpoint rule serves both quadratures: the rotation identity
 takes arrays of pairs and refines only the pairs not yet converged, and the
@@ -21,10 +21,10 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.random import Generator, Philox
 
 from . import mc
-from .channel import CsitConfig
+from .channel import CsitConfig, sample_batch
+from .mc import block_rng  # by name: tracers count mc.block_rng as mc blocks
 
 # Nodes per summed chunk of a quadrature level, and values per integrand
 # call: 0.5 MiB per temporary array.  The package keeps freed heap memory
@@ -34,7 +34,7 @@ from .channel import CsitConfig
 _CHUNK = 1 << 16
 _START_PANELS = 64
 
-# Key-space offset separating bound-check batches from mc-engine blocks.
+# Block key of the bound check's one draw: past every mc-engine block's key.
 _BATCH_KEY_OFFSET = 1 << 32
 
 # The exp-log check's channel config: both per-entry variances, 1 - sigma^2
@@ -257,8 +257,8 @@ def conditional_log_bounds_check(k_eigs, cfg, mc_cfg, n_batches=100, gamma=None)
     where gamma is the exponential-log constant E[log2 X], X ~ Exp(1).  Pass
     ``gamma`` when it is already known (say, ``exp_log_mean`` of a run's own
     quadrature config); otherwise ``exp_log_mean()`` is evaluated here.
-    Batch b draws its estimates from its own Philox key; both sides are
-    exact, so the margins carry no noise.
+    Batch b's estimates are row b of one ``sample_batch`` draw keyed by the
+    seed alone; both sides are exact, so the margins carry no noise.
     """
     lam1, lam2 = float(k_eigs[0]), float(k_eigs[1])
     if not lam1 >= lam2 >= 0.0 or lam1 <= 0.0:
@@ -268,14 +268,8 @@ def conditional_log_bounds_check(k_eigs, cfg, mc_cfg, n_batches=100, gamma=None)
         gamma = exp_log_mean()
     rhs_lower = max(gamma + math.log2(s2 * lam1), 0.0)
 
-    est_scale = math.sqrt(max(1.0 - s2, 0.0) / 2.0)
-    est_sq = np.empty((n_batches, 4))
-    for b in range(n_batches):
-        rng = Generator(Philox(key=np.array([mc_cfg.seed, _BATCH_KEY_OFFSET + b],
-                                            dtype=np.uint64)))
-        est_sq[b] = np.abs(rng.standard_normal(4) + 1j * rng.standard_normal(4)) ** 2
-    est_sq *= est_scale ** 2
-    h_hat_sq, g_hat_sq = est_sq[:, 0:2], est_sq[:, 2:4]
+    batch = sample_batch(block_rng(mc_cfg.seed, _BATCH_KEY_OFFSET), cfg, n_batches)
+    h_hat_sq, g_hat_sq = np.abs(batch.h_hat) ** 2, np.abs(batch.g_hat) ** 2
     upper = (np.log2(1.0 + lam1 * np.sum(h_hat_sq, axis=1) + 2.0 * s2 * lam1)
              - mean_log2_quadratic((lam1, lam1), h_hat_sq, s2))
     lower = mean_log2_quadratic((lam1, lam2), g_hat_sq, s2) - rhs_lower

@@ -14,9 +14,9 @@ kernel's projections of h and g onto those directions.  That matters
 numerically: at very high SNR the matrix entries are ~P while quadratic
 forms along nulled directions are O(1), and forming the matrix first loses
 them to cancellation.  So is the rounding of h = h_hat + h_tilde: the kernel
-projects estimate and error normals apart, which nulls h_hat exactly.  Only
-``rate_common_message``, which evaluates a caller's policy, and
-``interference_power`` take (..., 2, 2) matrices.
+projects estimate and error normals apart, which nulls h_hat exactly.  No
+scheme forms a covariance matrix; the explicit-matrix reference the tests
+check this arithmetic against lives in ``tests/reference.py``.
 
 Each scheme is a (width, fill, finalize) triple: ``fill(batch, shared, out)``
 writes its per-sample log terms into ``out``, its (n, width) slice of one
@@ -62,18 +62,6 @@ class RateResult:
     se_r_p2: float = 0.0
     se_r_mimo1: float = 0.0
     se_r_mimo2: float = 0.0
-
-
-@dataclass(frozen=True)
-class CommonMessageRates:
-    """Rate triple of superposition coding with a common message."""
-
-    r_c: float
-    r_p1: float
-    r_p2: float
-    se_r_c: float
-    se_r_p1: float
-    se_r_p2: float
 
 
 def _abs2(z):
@@ -196,13 +184,6 @@ def _distortion(cfg):
     return min(raw, 1.0)
 
 
-def interference_power(h, q_v):
-    """Quadratic form h^H Q h: received power of a covariance at channel h."""
-    h = np.asarray(h, dtype=complex)
-    val = np.einsum("...i,...ij,...j->...", np.conj(h), np.asarray(q_v, dtype=complex), h)
-    return val.real
-
-
 def quantization_rate(d_tilde):
     """Bits per symbol needed to quantize a unit source at distortion d_tilde."""
     if not 0.0 < d_tilde <= 1.0:
@@ -255,31 +236,12 @@ def _phase2_logs(ch, ph1, ph2, cg, pg1, pg2, out):
 
 
 def _common_message_rates(mean, se):
-    # The common rate takes the outer min of the two users' expectations.
+    # RateResult's common-message fields from the _phase2_logs columns; the
+    # common rate takes the outer min of the two users' expectations.
     branch = 0 if mean[0] <= mean[1] else 1
-    return CommonMessageRates(
-        r_c=float(mean[branch]), se_r_c=float(se[branch]),
-        r_p1=float(mean[2]), se_r_p1=float(se[2]),
-        r_p2=float(mean[3]), se_r_p2=float(se[3]),
-    )
-
-
-def rate_common_message(cfg, policy_map, mc_cfg):
-    """Ergodic rate triple of superposition coding with a common message.
-
-    ``policy_map(cfg, h_hat, g_hat)`` must build the covariances
-    (q_c, q_p1, q_p2) from the estimates only; it receives batched estimate
-    arrays (n, 2) and may return (2, 2) or (n, 2, 2) matrices.  The
-    common-message rate takes the outer min of the two users' expectations.
-    """
-
-    def fill(batch, shared, out):
-        qs = policy_map(cfg, batch.h_hat, batch.g_hat)
-        _phase2_logs(*(np.maximum(interference_power(x, q), 0.0)
-                       for x in (batch.h, batch.g) for q in qs), out)
-
-    return _estimate_group([None], lambda c: [(4, fill, _common_message_rates)],
-                           [cfg], mc_cfg)[0][0]
+    return dict(r_c=float(mean[branch]), se_r_c=float(se[branch]),
+                r_p1=float(mean[2]), se_r_p1=float(se[2]),
+                r_p2=float(mean[3]), se_r_p2=float(se[3]))
 
 
 def _combine_rate(r_c, se_c, r_m, se_m, r_p, se_p, r_eta):
@@ -312,17 +274,16 @@ def _proposed_columns(pcfg):
 
     def finalize(mean, se):
         cm = _common_message_rates(mean, se)
+        r_c, se_c = cm["r_c"], cm["se_r_c"]
         r_m1, r_m2 = float(mean[4]), float(mean[5])
         se_m1, se_m2 = float(se[4]), float(se[5])
-        r1, se1 = _combine_rate(cm.r_c, cm.se_r_c, r_m1, se_m1, cm.r_p1, cm.se_r_p1, r_eta)
-        r2, se2 = _combine_rate(cm.r_c, cm.se_r_c, r_m2, se_m2, cm.r_p2, cm.se_r_p2, r_eta)
+        r1, se1 = _combine_rate(r_c, se_c, r_m1, se_m1, cm["r_p1"], cm["se_r_p1"], r_eta)
+        r2, se2 = _combine_rate(r_c, se_c, r_m2, se_m2, cm["r_p2"], cm["se_r_p2"], r_eta)
         return RateResult(
             r1=r1, r2=r2, se_r1=se1, se_r2=se2,
-            r_c=cm.r_c, r_p1=cm.r_p1, r_p2=cm.r_p2,
             r_mimo1=r_m1, r_mimo2=r_m2,
             r_eta1=r_eta1, r_eta2=r_eta2,
-            se_r_c=cm.se_r_c, se_r_p1=cm.se_r_p1, se_r_p2=cm.se_r_p2,
-            se_r_mimo1=se_m1, se_r_mimo2=se_m2,
+            se_r_mimo1=se_m1, se_r_mimo2=se_m2, **cm,
         )
 
     return 6, fill, finalize
@@ -372,12 +333,11 @@ def _rs_zf_columns(cfg):
 
     def finalize(mean, se):
         cm = _common_message_rates(mean, se)
+        half_c, half_se_c = 0.5 * cm["r_c"], 0.5 * cm["se_r_c"]
         return RateResult(
-            r1=0.5 * cm.r_c + cm.r_p1, r2=0.5 * cm.r_c + cm.r_p2,
-            se_r1=math.sqrt((0.5 * cm.se_r_c) ** 2 + cm.se_r_p1 ** 2),
-            se_r2=math.sqrt((0.5 * cm.se_r_c) ** 2 + cm.se_r_p2 ** 2),
-            r_c=cm.r_c, r_p1=cm.r_p1, r_p2=cm.r_p2,
-            se_r_c=cm.se_r_c, se_r_p1=cm.se_r_p1, se_r_p2=cm.se_r_p2,
+            r1=half_c + cm["r_p1"], r2=half_c + cm["r_p2"],
+            se_r1=math.sqrt(half_se_c ** 2 + cm["se_r_p1"] ** 2),
+            se_r2=math.sqrt(half_se_c ** 2 + cm["se_r_p2"] ** 2), **cm,
         )
 
     return 4, fill, finalize
@@ -389,32 +349,6 @@ _COLUMNS = {
     Scheme.MAT: lambda cfg: _proposed_columns(CsitConfig.from_sigma_sq(cfg.snr_p, 1.0)),
     Scheme.PROPOSED: _proposed_columns,
 }
-
-
-def _estimate_group(schemes, columns_at, cfgs, mc_cfg):
-    """Finalized results of the schemes' columns at each config of ``cfgs``,
-    from one estimate.  ``columns_at(cfg)`` lists the schemes' column triples
-    at a config.  Each block is drawn once for every config; at each config it
-    fills one array, each scheme its own slice, from one ``_Shared`` memo of
-    the batch."""
-    columns = {cfg: columns_at(cfg) for cfg in cfgs}
-    bounds = np.cumsum([0] + [width for width, _, _ in columns[cfgs[0]]])
-    spans = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
-
-    def f(batch):
-        shared, out = _Shared(batch), np.empty((batch.n, bounds[-1]))
-        for (_, fill, _), span in zip(columns[batch.csit], spans):
-            fill(batch, shared, out[:, span])
-        return out
-
-    try:
-        estimates = mc.estimate(f, mc_cfg, cfgs)
-    except mc.NonFiniteSampleError as exc:
-        exc.scheme = schemes[np.searchsorted(bounds, exc.column, side="right") - 1]
-        raise
-    return [[finalize(est.mean[span], est.std_error[span])
-             for (_, _, finalize), span in zip(columns[cfg], spans)]
-            for cfg, est in zip(cfgs, estimates)]
 
 
 def rate_scheme(scheme, cfg, mc_cfg):
@@ -431,7 +365,24 @@ def rate_scheme(scheme, cfg, mc_cfg):
     schemes = [Scheme(s) for s in ((scheme,) if single else scheme)]
     one_cfg = isinstance(cfg, CsitConfig)
     cfgs = [cfg] if one_cfg else list(cfg)
-    results = _estimate_group(schemes, lambda c: [_COLUMNS[s](c) for s in schemes],
-                              cfgs, mc_cfg)
-    results = [at[0] if single else tuple(at) for at in results]
+    columns = {c: [_COLUMNS[s](c) for s in schemes] for c in cfgs}
+    bounds = np.cumsum([0] + [width for width, _, _ in columns[cfgs[0]]])
+    spans = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+    def f(batch):
+        shared, out = _Shared(batch), np.empty((batch.n, bounds[-1]))
+        for (_, fill, _), span in zip(columns[batch.csit], spans):
+            fill(batch, shared, out[:, span])
+        return out
+
+    try:
+        estimates = mc.estimate(f, mc_cfg, cfgs)
+    except mc.NonFiniteSampleError as exc:
+        exc.scheme = schemes[np.searchsorted(bounds, exc.column, side="right") - 1]
+        raise
+    results = []
+    for c, est in zip(cfgs, estimates):
+        at = tuple(finalize(est.mean[span], est.std_error[span])
+                   for (_, _, finalize), span in zip(columns[c], spans))
+        results.append(at[0] if single else at)
     return results[0] if one_cfg else results

@@ -5,8 +5,9 @@ quadratic forms beam by beam from the projection kernel.  The tests check
 that arithmetic against the covariances written out here, so this module
 builds them independently of the kernel: rank-1 projectors, unit and
 orthogonal-complement directions with the policy's zero-estimate fallbacks,
-and the five covariances (q_u, q_v, q_c, q_p1, q_p2) of the default policy.
-Only the scalar power split comes from ``rates``.
+the five covariances (q_u, q_v, q_c, q_p1, q_p2) of the default policy, and
+the quadratic forms h^H Q h of explicit (..., 2, 2) matrices.  Only the
+scalar power split comes from ``rates``.
 """
 
 import numpy as np
@@ -45,6 +46,13 @@ def perp(x, fallback):
     """The orthogonal complement of x per row, or ``fallback`` where x is zero."""
     zero = np.linalg.norm(x, axis=-1, keepdims=True) == 0
     return np.where(zero, fallback, orthogonal_complement(np.where(zero, E1, x)))
+
+
+def interference_power(h, q):
+    """Quadratic form h^H Q h: received power of a covariance at channel h."""
+    h = np.asarray(h, dtype=complex)
+    val = np.einsum("...i,...ij,...j->...", np.conj(h), np.asarray(q, dtype=complex), h)
+    return val.real
 
 
 def pair_entries(h, g, q):

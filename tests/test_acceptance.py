@@ -20,7 +20,7 @@ from misodof.oracles import (
     rotation_mean_log_closed_form,
     rotation_mean_log_quadrature,
 )
-from misodof.rates import rate_common_message, rate_scheme
+from misodof.rates import rate_scheme
 from misodof.regions import (
     DelayedCsitQuality,
     Scheme,
@@ -28,6 +28,7 @@ from misodof.regions import (
     region_common_message,
     region_main,
 )
+from reference import policy_matrices
 
 SEED = 20240817
 
@@ -281,72 +282,43 @@ def _brute_force_common_message(policy_fn, snr_p, sigma_sq, n, seed):
     return ((mean[branch], se[branch]), (mean[2], se[2]), (mean[3], se[3]))
 
 
-# Policies map (P, h_hat, g_hat), estimates of shape (n, 2), to the three
-# (n, 2, 2) covariances (q_c, q_p1, q_p2).
-
-def _per_sample(q, n):
-    return np.broadcast_to(q, (n, 2, 2))
-
-
-def _policy_fixed(p, h_hat, g_hat):
-    n = h_hat.shape[0]
-    q_c = 0.5 * p * np.diag([0.7, 0.3]).astype(complex)
-    q_p1 = (p / 8.0) * np.array([[1.0, 0.5], [0.5, 1.0]], dtype=complex)
-    q_p2 = (p / 8.0) * np.eye(2, dtype=complex)
-    return _per_sample(q_c, n), _per_sample(q_p1, n), _per_sample(q_p2, n)
-
-
-def _policy_zero_forced(p, h_hat, g_hat):
-    p_priv = p ** 0.6
-
-    def perp(x):
-        v = np.stack([-np.conj(x[:, 1]), np.conj(x[:, 0])], axis=1)
-        return v / np.linalg.norm(v, axis=1, keepdims=True)
-
-    def outer(w):
-        return np.einsum("ni,nj->nij", w, np.conj(w))
-
-    w1, w2 = perp(g_hat), perp(h_hat)
-    q_c = ((p - p_priv) / 2.0) * np.eye(2, dtype=complex)
-    return (_per_sample(q_c, h_hat.shape[0]),
-            (p_priv / 2.0) * outer(w1), (p_priv / 2.0) * outer(w2))
-
-
-def _policy_common_only(p, h_hat, g_hat):
-    n = h_hat.shape[0]
-    zero = np.zeros((2, 2), dtype=complex)
-    return _per_sample((p / 2.0) * np.eye(2, dtype=complex), n), \
-        _per_sample(zero, n), _per_sample(zero, n)
+def _default_policy(sigma_sq):
+    # The default policy's (q_c, q_p1, q_p2) at (P, sigma_sq), one (2, 2)
+    # matrix per sample, as _brute_force_common_message takes them.
+    def policy(p, h_hat, g_hat):
+        q = policy_matrices(CsitConfig.from_sigma_sq(p, sigma_sq), h_hat, g_hat)
+        return tuple(np.broadcast_to(q[name], (h_hat.shape[0], 2, 2))
+                     for name in ("q_c", "q_p1", "q_p2"))
+    return policy
 
 
 def test_criterion_10_common_message_oracle_equivalence():
+    # RS-ZF's shipped common-message columns against the brute-force
+    # evaluator of the same policy's explicit matrices.  sigma^2 = 1 leaves
+    # no private power (common message only); at sigma^2 = 0.25 and 0.01 the
+    # privates are zero-forced along the estimates, and at 0.01 and 20 dB
+    # they take all of P.
     start = time.time()
-    sigma_sq = 0.25
     n = 20_000
-    policies = {
-        "fixed": _policy_fixed,
-        "zero-forced": _policy_zero_forced,
-        "common-only": _policy_common_only,
-    }
+    snr_dbs = (20.0, 30.0, 40.0)
     checked = 0
-    for name, policy_fn in policies.items():
-        for snr_db in (20.0, 30.0, 40.0):
-            snr_p = 10.0 ** (snr_db / 10.0)
-            cfg = CsitConfig.from_sigma_sq(snr_p, sigma_sq)
-            cm = rate_common_message(
-                cfg, lambda c, h_hat, g_hat: policy_fn(c.snr_p, h_hat, g_hat),
-                McConfig(n, SEED))
-            oracle = _brute_force_common_message(policy_fn, snr_p, sigma_sq, n, SEED + 1)
+    for sigma_sq in (0.01, 0.25, 1.0):
+        cfgs = [CsitConfig.from_sigma_sq(10.0 ** (db / 10.0), sigma_sq) for db in snr_dbs]
+        results = rate_scheme(Scheme.RS_ZF, cfgs, McConfig(n, SEED))
+        for snr_db, cfg, res in zip(snr_dbs, cfgs, results):
+            oracle = _brute_force_common_message(
+                _default_policy(sigma_sq), cfg.snr_p, sigma_sq, n, SEED + 1)
             pairs = [
-                (cm.r_c, cm.se_r_c, *oracle[0]),
-                (cm.r_p1, cm.se_r_p1, *oracle[1]),
-                (cm.r_p2, cm.se_r_p2, *oracle[2]),
+                (res.r_c, res.se_r_c, *oracle[0]),
+                (res.r_p1, res.se_r_p1, *oracle[1]),
+                (res.r_p2, res.se_r_p2, *oracle[2]),
             ]
             for value, se_value, ref, se_ref in pairs:
                 combined = math.hypot(se_value, se_ref)
                 assert abs(value - ref) <= 3.0 * combined + 1e-12, \
-                    f"{name}@{snr_db}dB: {value} vs {ref} (3se={3 * combined:.2e})"
+                    f"sigma_sq {sigma_sq}@{snr_db}dB: {value} vs {ref} (3se={3 * combined:.2e})"
                 checked += 1
+    assert checked == 27
     elapsed = time.time() - start
     assert elapsed < 120.0
     _report(10, f"{checked} rate components match the brute-force evaluator "

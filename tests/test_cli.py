@@ -341,6 +341,9 @@ BAD_INPUT_CASES = [
      "more than 10000 points"),
     (["slopes", "--scheme", "zf", "--alpha", "0.5", "--points", "1000000000000000"], None, 2,
      "is more than 10000"),
+    # rounding the grid to 12 decimals would overflow
+    (["slopes", "--scheme", "zf", "--alpha", "0.5", "--snr-db-range", "3000:1e300"], None, 2,
+     "out of range"),
 ]
 
 

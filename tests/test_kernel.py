@@ -4,10 +4,10 @@ The integrands work from one projection kernel (``rates._project``), built
 from the block's estimate and error normals apart.  Here each one is checked
 sample by sample against (a) explicit covariance matrices that
 ``reference.policy_matrices`` builds from rank-1 projectors, evaluated with
-``interference_power`` and a 2x2 determinant, and (b) an mpmath evaluation
-of the same per-sample formulas at extreme SNR, fed the estimates and errors
-themselves, where forming a covariance or the sum h = h_hat + h_tilde in
-double precision would lose the nulled quadratic forms.
+``reference.interference_power`` and a 2x2 determinant, and (b) an mpmath
+evaluation of the same per-sample formulas at extreme SNR, fed the estimates
+and errors themselves, where forming a covariance or the sum h = h_hat +
+h_tilde in double precision would lose the nulled quadratic forms.
 """
 
 import mpmath
@@ -18,9 +18,9 @@ from numpy.random import Generator, Philox
 from misodof import mc, rates
 from misodof.channel import CsitConfig, sample_batch
 from misodof.mc import McConfig
-from misodof.rates import interference_power, rate_scheme
+from misodof.rates import rate_scheme
 from misodof.regions import Scheme
-from reference import E1, E2, perp, policy_matrices, projector, unit
+from reference import E1, E2, interference_power, perp, policy_matrices, projector, unit
 
 SCHEMES = ("tdma", "zf", "mat", "rszf", "proposed")
 # each fallback beam with the kernel's name for it

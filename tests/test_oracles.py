@@ -6,8 +6,8 @@ from numpy.random import Generator, Philox
 from scipy import stats
 
 from misodof import oracles
-from misodof.channel import CsitConfig
-from misodof.mc import McConfig, estimate
+from misodof.channel import CsitConfig, sample_batch
+from misodof.mc import McConfig, block_rng, estimate
 from misodof.oracles import (
     QuadratureConfig,
     QuadratureError,
@@ -225,6 +225,22 @@ class TestConditionalLogBounds:
                                                gamma=exp_log_mean() - 0.5)
         assert np.allclose(shifted.lower_margins, own.lower_margins + 0.5, atol=1e-12)
         assert np.array_equal(shifted.upper_margins, own.upper_margins)
+
+    def test_reads_the_shared_sampler(self):
+        # The estimate pairs are the rows of one sample_batch draw, keyed by
+        # (seed, 2^32); the sample and worker counts do not enter.
+        cfg = CsitConfig.from_sigma_sq(1000.0, 0.1)
+        lam1, s2, n_batches = cfg.snr_p, cfg.sigma_sq, 30
+        batch = sample_batch(block_rng(40, 2 ** 32), cfg, n_batches)
+        h_hat_sq, g_hat_sq = np.abs(batch.h_hat) ** 2, np.abs(batch.g_hat) ** 2
+        upper = (np.log2(1.0 + lam1 * np.sum(h_hat_sq, axis=1) + 2.0 * s2 * lam1)
+                 - mean_log2_quadratic((lam1, lam1), h_hat_sq, s2))
+        lower = (mean_log2_quadratic((lam1, 0.0), g_hat_sq, s2)
+                 - max(exp_log_mean() + math.log2(s2 * lam1), 0.0))
+        for mc_cfg in (McConfig(100, 40), McConfig(1_000_000, 40, n_workers=2)):
+            report = conditional_log_bounds_check((lam1, 0.0), cfg, mc_cfg, n_batches=n_batches)
+            assert np.array_equal(report.upper_margins, upper)
+            assert np.array_equal(report.lower_margins, lower)
 
     def test_eigenvalue_validation(self):
         cfg = CsitConfig.from_sigma_sq(100.0, 0.25)

@@ -136,6 +136,8 @@ def _numeric_argv(draw):
 @example(argv=["rates", "--scheme", "zf", "--alpha=0.5", "--snr-db=1e20:1:1e20"])
 @example(argv=["slopes", "--scheme", "zf", "--alpha=0.5", "--snr-db-range=40:80",
                "--points=1000000000000000"])
+@example(argv=["slopes", "--scheme", "zf", "--alpha=0.5", "--snr-db-range=3000:1e300",
+               "--points=9"])
 def test_cli_numeric_input_never_raises(argv, tmp_path_factory):
     # Any number gives a result, a usage error or a non-finite result, and a
     # usage error is one line: no traceback, and no warning ahead of it.

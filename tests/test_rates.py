@@ -18,13 +18,13 @@ from misodof.rates import (
     _mimo_logdets,
     _power_split,
     _project,
-    interference_power,
     quantization_rate,
-    rate_common_message,
     rate_scheme,
 )
 from misodof.regions import Scheme
-from reference import E1, E2, pair_entries, perp, policy_beams, policy_matrices, projector, unit
+from reference import (
+    E1, E2, interference_power, pair_entries, perp, policy_beams, policy_matrices, unit,
+)
 
 # Frozen by a straight-line determinant evaluation done ahead of the
 # implementation: h=(1,0), g=(0,1), Q_u=diag(4,1), Q_v=diag(1,4), D=0.5.
@@ -165,36 +165,16 @@ class TestMimoRate:
 
 
 class TestCommonMessage:
-    def test_zero_powers_give_zero_rates(self):
-        cfg = CsitConfig.from_alpha(1e3, 0.5)
-
-        def zero_map(cfg_, h_hat, g_hat):
-            z = np.zeros((2, 2), dtype=complex)
-            return z, z, z
-
-        cm = rate_common_message(cfg, zero_map, McConfig(5_000, 10))
-        assert cm.r_c == 0.0 and cm.r_p1 == 0.0 and cm.r_p2 == 0.0
-
-    def test_nulling_limit_recovers_single_user_rate(self):
-        # with a near-perfect estimate the cross term h^H q_p2 h vanishes,
-        # so the private rate collapses to the interference-free value
-        cfg = CsitConfig.from_alpha(2.0 ** 40, 1.0)
-
-        def fixed_power_map(cfg_, h_hat, g_hat):
-            q_p1 = 5.0 * projector(perp(g_hat, E1))
-            q_p2 = 5.0 * projector(perp(h_hat, E2))
-            return np.zeros((2, 2), dtype=complex), q_p1, q_p2
-
-        mc_cfg = McConfig(20_000, 11)
-        cm = rate_common_message(cfg, fixed_power_map, mc_cfg)
-
-        def clean(batch):
-            w = perp(batch.g_hat, E1)
-            sig = 5.0 * np.abs(np.sum(np.conj(batch.h) * w, axis=-1)) ** 2
-            return np.log2(1.0 + sig)
-
-        ref = estimate(clean, mc_cfg, cfg)
-        assert cm.r_p1 == pytest.approx(ref.mean, abs=1e-8)
+    def test_full_private_power_recovers_zero_forcing(self):
+        # At alpha = 1 the default policy puts all of P into the zero-forced
+        # privates (p_p = P/2 each, like ZF's beams) and none into the common
+        # message, so RS-ZF's private rates are ZF's rates, bit for bit.
+        cfgs = [CsitConfig.from_alpha(2.0 ** k, 1.0) for k in (10, 40, 100)]
+        for cfg in cfgs:
+            assert _power_split(cfg)[2:] == (0.0, cfg.snr_p)
+        for rs_zf, zf in rate_scheme((Scheme.RS_ZF, Scheme.ZF), cfgs, McConfig(20_000, 11)):
+            assert rs_zf.r_c == 0.0
+            assert (rs_zf.r_p1, rs_zf.r_p2) == (zf.r1, zf.r2)
 
 
 class TestProposedScheme:
