@@ -24,7 +24,6 @@ from .rates import (
     rate_scheme,
 )
 from .regions import (
-    DelayedCsitQuality,
     DofRegion,
     Scheme,
     dof_imperfect_delayed,

@@ -7,8 +7,9 @@ of the current channel vectors: the true vectors decompose as
 errors are independent circularly-symmetric complex Gaussians with per-entry
 variances ``1 - sigma_sq`` and ``sigma_sq``.  Estimation quality is tracked
 through the exponent ``alpha`` defined by ``sigma_sq = snr_p ** -alpha``.
-A draw keeps that split, as unit normals that each config scales: the
-rounded sums h and g lose h's part along h_hat-perp once sigma ~ eps |h_hat|.
+A draw keeps that split, as unit normals that each config of a grid scales:
+the rounded sums h and g lose h's part along h_hat-perp once sigma ~ eps
+|h_hat|.  The sampler always takes a sequence of configs, one or many.
 """
 
 from __future__ import annotations
@@ -113,20 +114,14 @@ class ChannelBatch:
     g = cached_property(lambda self: self.g_hat + self.g_tilde)
 
 
-def sample_batch(rng, cfg, n):
-    """Draw ``n`` independent channel samples as a ChannelBatch.
+def sample_batch(rng, cfgs, n):
+    """Draw ``n`` independent channel samples once, for a sequence of configs.
 
-    Entries of the estimates are i.i.d. CN(0, 1 - sigma_sq), entries of the
+    An iterator yields one ChannelBatch per config, all sharing the draw:
+    entries of the estimates are i.i.d. CN(0, 1 - sigma_sq), entries of the
     errors i.i.d. CN(0, sigma_sq), all four vectors mutually independent.
-
-    Given a sequence of configs instead, the normals are drawn here once,
-    and an iterator yields one ChannelBatch per config, all sharing them.
-    Each equals this function's batch for that config alone from the same
-    ``rng``.
     """
     # Fixed draw layout: 16 reals per sample, estimates first.
     z = rng.standard_normal((n, 16))
     normals = Normals(z[:, 0:4] + 1j * z[:, 4:8], z[:, 8:12] + 1j * z[:, 12:16])
-    if isinstance(cfg, CsitConfig):
-        return ChannelBatch(normals, cfg)
-    return (ChannelBatch(normals, c) for c in cfg)
+    return (ChannelBatch(normals, c) for c in cfgs)

@@ -39,7 +39,7 @@ from numpy.random import Generator, Philox
 
 from . import __version__
 from .channel import CsitConfig, exponent
-from .mc import McConfig, NonFiniteSampleError
+from .mc import McConfig, NonFiniteSampleError, usable_cpus
 from .oracles import (
     QuadratureConfig,
     QuadratureError,
@@ -53,7 +53,6 @@ from .rates import rate_scheme
 from .regions import (
     Scheme,
     dof_imperfect_delayed,
-    DelayedCsitQuality,
     dof_scheme,
     region_common_message,
     region_imperfect_delayed,
@@ -80,14 +79,6 @@ class _Exit(Exception):
 
 def _fmt(x):
     return format(float(x), ".12g")
-
-
-def _default_workers():
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on this platform
-        return os.cpu_count() or 1
 
 
 def _mc_config(args):
@@ -131,15 +122,14 @@ def _warn_truncated(name, value):
 
 
 def _parse_snr_grid(text):
-    parts = text.split(":")
-    if len(parts) != 3:
-        return None
     try:
-        start, step, stop = (float(p) for p in parts)
-    except ValueError:
-        return None
-    if not all(map(math.isfinite, (start, step, stop))) or step <= 0 or stop < start:
-        return None
+        start, step, stop = (float(p) for p in text.split(":"))
+        ok = all(map(math.isfinite, (start, step, stop))) and step > 0 and stop >= start
+    except ValueError:  # not three numbers
+        ok = False
+    if not ok:
+        raise _Exit(2, f"malformed --snr-db range {text!r}; "
+                       "expected finite start:step:stop with positive step")
     if (stop + 1e-9 - start) / step >= MAX_GRID_POINTS:
         raise _Exit(2, f"--snr-db {text!r} has more than {MAX_GRID_POINTS} points")
     grid = []
@@ -205,7 +195,7 @@ def cmd_region(args):
         region = region_common_message(alpha)
         payload = _region_payload(region, {"alpha": alpha, "common_message": True})
     elif beta is not None:
-        sym, corners = dof_imperfect_delayed(DelayedCsitQuality(alpha=alpha, beta=beta))
+        sym, corners = dof_imperfect_delayed(alpha, beta)
         region = region_imperfect_delayed(alpha, beta)
         payload = _region_payload(region, {
             "alpha": alpha, "beta": beta, "sym": sym,
@@ -257,9 +247,6 @@ def cmd_rates(args, argv):
     else:
         name, quality, build = "alpha", _exponent(args.alpha, "alpha"), CsitConfig.from_alpha
     grid = _parse_snr_grid(args.snr_db)
-    if grid is None:
-        raise _Exit(2, f"malformed --snr-db range {args.snr_db!r}; "
-                       "expected finite start:step:stop with positive step")
     cells = _cell_configs(grid, build, quality)
     mc_cfg = _mc_config(args)
     seed = mc_cfg.seed
@@ -407,11 +394,11 @@ def cmd_oracles(args):
 
 
 def _add_workers(parser):
-    workers = _default_workers()
+    workers = usable_cpus()
     parser.add_argument("--workers", type=int, default=workers,
                         help="Monte Carlo worker threads (default: the CPUs this "
-                             f"process may run on, {workers} here); the output "
-                             "does not depend on it")
+                             f"process may run on, {workers} here; more are capped "
+                             "at that count); the output does not depend on it")
 
 
 def _build_parser():

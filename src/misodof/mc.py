@@ -5,10 +5,11 @@ in fixed-size blocks; block ``b`` draws from its own counter-based substream
 ``Philox(key=(seed, b))``, and per-block sums are combined in block order
 with numpy's pairwise reduction (within a block, ``einsum`` sums a C-ordered
 (m, k > 1) array faster than, and bitwise as, ``sum(axis=0)``).  The worker
-count only changes scheduling, never the result.  One estimate may cover a
-grid of CSIT configs (say, every SNR of a sweep): the block keys do not
-depend on the config, so each block is drawn once and every config is
-evaluated from that draw.
+count only changes scheduling, never the result, and the pool never runs
+more threads than there are blocks or usable CPUs.  An estimate always
+covers a grid of CSIT configs, one or many (say, every SNR of a sweep): the
+block keys do not depend on the config, so each block is drawn once and
+every config is evaluated from that draw.
 """
 
 from __future__ import annotations
@@ -16,13 +17,14 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .channel import CsitConfig, sample_batch
+from .channel import sample_batch
 
 # Fixed block size: results depend on it, so it is a module constant, never
 # derived from n_samples or n_workers.
@@ -49,8 +51,8 @@ class McConfig:
     n_workers: int = 1
 
     def __post_init__(self):
-        if self.n_samples < 1:
-            raise ValueError(f"n_samples must be positive, got {self.n_samples}")
+        if self.n_samples < 2:  # one sample has no standard error
+            raise ValueError(f"n_samples must be at least 2, got {self.n_samples}")
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
         if self.n_workers < 1:
@@ -102,11 +104,7 @@ def _reduce(block_sums, n):
     total = np.sum(np.stack([s[0] for s in block_sums]), axis=0)
     total_sq = np.sum(np.stack([s[1] for s in block_sums]), axis=0)
     mean = total / n
-    if n > 1:
-        var = np.maximum(total_sq - n * mean * mean, 0.0) / (n - 1)
-        std_error = np.sqrt(var / n)
-    else:
-        std_error = np.zeros_like(mean)
+    std_error = np.sqrt(np.maximum(total_sq - n * mean * mean, 0.0) / (n - 1) / n)
     if np.ndim(mean) == 0:
         return McEstimate(mean=float(mean), std_error=float(std_error), n=n)
     return McEstimate(mean=mean, std_error=std_error, n=n)
@@ -123,26 +121,34 @@ def _keep_freed_heap():
 _keep_freed_heap()  # once per process, for estimates and the oracles' quadrature alike
 
 
-def estimate(f, cfg, csit):
-    """Monte Carlo expectation of a batch integrand over channel draws.
+def usable_cpus():
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+def estimate(f, cfg, grid):
+    """Monte Carlo expectations of a batch integrand over channel draws.
 
     ``f`` maps a ChannelBatch of size m to an array of per-sample values,
     shape (m,) for a scalar integrand or (m, k) for k components evaluated
-    jointly.  ``csit`` is one CsitConfig, or a sequence of them (a grid) for
-    a list of estimates, one per config.  Block keys do not depend on the
-    config, so each block's normals are drawn once for the whole grid; ``f``
-    sees one batch per config, all sharing them, and ``batch.csit`` names
-    it.  Each estimate is bitwise identical to that config's own, and to
-    itself for any ``n_workers``.
+    jointly.  ``grid`` is a sequence of CsitConfigs, and the result a list
+    of McEstimates, one per config.  Block keys do not depend on the config,
+    so each block's normals are drawn once for the whole grid; ``f`` sees one
+    batch per config, all sharing them, and ``batch.csit`` names it.  Each
+    estimate is bitwise identical to that config's own one-element grid, and
+    to itself for any ``n_workers``; the blocks run on min(n_workers, blocks,
+    usable CPUs) threads.
     """
-    single = isinstance(csit, CsitConfig)
-    grid = [csit] if single else list(csit)
+    grid = list(grid)
     n = cfg.n_samples
     n_blocks = math.ceil(n / BLOCK_SIZE)
-    if cfg.n_workers > 1 and n_blocks > 1:
-        with ThreadPoolExecutor(max_workers=cfg.n_workers) as pool:
+    n_threads = min(cfg.n_workers, n_blocks, usable_cpus())
+    if n_threads > 1:
+        with ThreadPoolExecutor(max_workers=n_threads) as pool:
             results = list(pool.map(lambda b: _run_block(f, cfg, grid, b), range(n_blocks)))
     else:
         results = [_run_block(f, cfg, grid, b) for b in range(n_blocks)]
-    estimates = [_reduce([r[i] for r in results], n) for i in range(len(grid))]
-    return estimates[0] if single else estimates
+    return [_reduce([r[i] for r in results], n) for i in range(len(grid))]

@@ -10,9 +10,10 @@ sample, so its mean tests the sampler's estimate and error scalings against
 the quadrature constant.  The bound check draws its estimates from it too.
 
 One batched midpoint rule serves both quadratures: the rotation identity
-takes arrays of pairs and refines only the pairs not yet converged, and the
-exponential-log constant is its one-row case.  Its working set is bounded by
-``_CHUNK`` values per temporary array, whatever the panel budget.
+takes arrays of pairs, refines only the pairs not yet converged and returns
+an array, NaN where a pair ran out of panels; the exponential-log constant
+is its one-row case, and raises QuadratureError instead.  Its working set is
+bounded by ``_CHUNK`` values per temporary array, whatever the panel budget.
 """
 
 from __future__ import annotations
@@ -104,13 +105,6 @@ def _midpoint_dyadic(fn, n_rows, config):
     return out
 
 
-def _no_convergence(config):
-    return QuadratureError(
-        f"midpoint refinement did not reach tolerance {config.tolerance} "
-        f"within {config.n_points} panels"
-    )
-
-
 def rotation_mean_log_closed_form(a_mag, b_mag):
     """Mean over a uniform phase of log2 |b + a e^{j theta}|^2, closed form.
 
@@ -127,10 +121,10 @@ def rotation_mean_log_closed_form(a_mag, b_mag):
 def rotation_mean_log_quadrature(a_mag, b_mag, config=None):
     """Same mean evaluated by direct quadrature of the phase integral.
 
-    ``a_mag`` and ``b_mag`` are scalars or arrays that broadcast together.
-    Scalars give a float and raise QuadratureError when the panel budget
-    runs out; arrays give one value per pair, NaN where that pair's budget
-    ran out.  Each pair's value is bitwise that of its own scalar call.
+    ``a_mag`` and ``b_mag`` are arrays (or scalars) that broadcast together;
+    the result is an array of that shape with one value per pair, NaN where
+    that pair's panel budget ran out.  A pair's value does not depend on the
+    pairs it is batched with.
 
     The integrand has an integrable log singularity when a == b; midpoint
     panels (even counts) never hit it exactly.
@@ -148,12 +142,7 @@ def rotation_mean_log_quadrature(a_mag, b_mag, config=None):
         arg = c[rows, None] + d[rows, None] * np.cos(2.0 * math.pi * t)
         return np.log2(np.maximum(arg, 1e-300))
 
-    vals = _midpoint_dyadic(fn, c.size, config).reshape(a.shape)
-    if vals.ndim:
-        return vals
-    if np.isnan(vals):
-        raise _no_convergence(config)
-    return float(vals)
+    return _midpoint_dyadic(fn, c.size, config).reshape(a.shape)
 
 
 def exp_log_mean(config=None):
@@ -170,7 +159,8 @@ def exp_log_mean(config=None):
 
     val = _midpoint_dyadic(fn, 1, config)[0]
     if np.isnan(val):
-        raise _no_convergence(config)
+        raise QuadratureError(f"midpoint refinement did not reach tolerance "
+                              f"{config.tolerance} within {config.n_points} panels")
     return float(val)
 
 
@@ -201,7 +191,7 @@ def exp_log_mean_monte_carlo(mc_cfg):
     ``exp_log_mean()``.
     """
     draws = max(2, -(-mc_cfg.n_samples // _ENTRIES_PER_DRAW))
-    return mc.estimate(_exp_log_integrand, replace(mc_cfg, n_samples=draws), _EXP_LOG_CSIT)
+    return mc.estimate(_exp_log_integrand, replace(mc_cfg, n_samples=draws), [_EXP_LOG_CSIT])[0]
 
 
 def mean_log2_quadratic(weights, mean_sq, sigma_sq):
@@ -268,7 +258,7 @@ def conditional_log_bounds_check(k_eigs, cfg, mc_cfg, n_batches=100, gamma=None)
         gamma = exp_log_mean()
     rhs_lower = max(gamma + math.log2(s2 * lam1), 0.0)
 
-    batch = sample_batch(block_rng(mc_cfg.seed, _BATCH_KEY_OFFSET), cfg, n_batches)
+    [batch] = sample_batch(block_rng(mc_cfg.seed, _BATCH_KEY_OFFSET), [cfg], n_batches)
     h_hat_sq, g_hat_sq = np.abs(batch.h_hat) ** 2, np.abs(batch.g_hat) ** 2
     upper = (np.log2(1.0 + lam1 * np.sum(h_hat_sq, axis=1) + 2.0 * s2 * lam1)
              - mean_log2_quadratic((lam1, lam1), h_hat_sq, s2))

@@ -25,6 +25,8 @@ array, from ``shared``, the batch's ``_Shared`` memo, and
 Any set of schemes at any set of configs (say, every SNR of a sweep) is
 thus one estimate over one draw per block.  Each block's frames are projected
 once, and the memo forms each kernel and phase-2 split once per batch.
+``rate_scheme`` always takes a sequence of configs, as ``mc.estimate`` does,
+and returns one entry per config; a single config is a one-element grid.
 """
 
 from __future__ import annotations
@@ -351,20 +353,20 @@ _COLUMNS = {
 }
 
 
-def rate_scheme(scheme, cfg, mc_cfg):
-    """Ergodic rates of one scheme, or of a tuple of schemes, at one config
-    or at each config of a sequence.
+def rate_scheme(scheme, cfgs, mc_cfg):
+    """Ergodic rates of one scheme, or of a tuple of schemes, at each config
+    of a sequence.
 
-    A tuple gives RateResults in its order; a sequence of configs gives a
-    list with one entry per config.  It is all one ``mc.estimate``: each
-    block is drawn once for every scheme and config, and each result is
-    exactly the scheme's own one at that config.  A ``NonFiniteSampleError``
-    names, as ``scheme`` and ``config_index``, the failing scheme and config.
+    The result is a list with one entry per config: a RateResult for a bare
+    scheme, a tuple of them in its order for a tuple.  It is all one
+    ``mc.estimate``: each block is drawn once for every scheme and config,
+    and each result is exactly the scheme's own one at that config.  A
+    ``NonFiniteSampleError`` names, as ``scheme`` and ``config_index``, the
+    failing scheme and config.
     """
     single = isinstance(scheme, str)
     schemes = [Scheme(s) for s in ((scheme,) if single else scheme)]
-    one_cfg = isinstance(cfg, CsitConfig)
-    cfgs = [cfg] if one_cfg else list(cfg)
+    cfgs = list(cfgs)
     columns = {c: [_COLUMNS[s](c) for s in schemes] for c in cfgs}
     bounds = np.cumsum([0] + [width for width, _, _ in columns[cfgs[0]]])
     spans = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
@@ -385,4 +387,4 @@ def rate_scheme(scheme, cfg, mc_cfg):
         at = tuple(finalize(est.mean[span], est.std_error[span])
                    for (_, _, finalize), span in zip(columns[c], spans))
         results.append(at[0] if single else at)
-    return results[0] if one_cfg else results
+    return results

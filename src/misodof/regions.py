@@ -2,7 +2,9 @@
 
 A region is stored dually as an ordered vertex list plus half-space
 inequalities ``coeffs . d <= bound``; the two descriptions are
-cross-checked at construction.
+cross-checked at construction.  Every function takes its CSIT quality as
+plain exponents, alpha for the current CSIT and, under quantized delayed
+CSIT, beta for the feedback, each checked by ``channel.exponent``.
 """
 
 from __future__ import annotations
@@ -140,38 +142,19 @@ def dof_scheme(scheme, alpha):
     return (2.0 + a) / 3.0
 
 
-@dataclass(frozen=True)
-class DelayedCsitQuality:
-    """Quality exponents when the delayed feedback itself is quantized.
-
-    ``alpha`` is the current-CSIT exponent, ``beta`` the exponent of the
-    feedback quantization noise; the prediction usable by the transmitter
-    has the aggregated exponent ``alpha_prime = min(alpha, beta)``.
-    """
-
-    alpha: float
-    beta: float
-
-    def __post_init__(self):
-        for name in ("alpha", "beta"):
-            value = getattr(self, name)
-            if exponent(value, name) != value:
-                raise ValueError(f"{name} must be at most 1, got {value}")
-
-    @property
-    def alpha_prime(self):
-        return min(self.alpha, self.beta)
-
-
-def dof_imperfect_delayed(quality):
+def dof_imperfect_delayed(alpha, beta):
     """Achievable symmetric DoF and corner points under quantized delayed CSIT.
 
-    Returns ``(sym, corners)`` with sym = (1 + min(alpha, beta) + beta) / 3
-    and corners [(1, alpha'), (alpha', 1)].  The output is achievable, not
-    claimed optimal.
+    ``alpha`` is the current-CSIT exponent and ``beta`` the exponent of the
+    feedback quantization noise, both checked (and truncated to 1) by
+    ``channel.exponent``; the prediction usable by the transmitter has the
+    aggregated exponent alpha' = min(alpha, beta).  Returns ``(sym,
+    corners)`` with sym = (1 + alpha' + beta) / 3 and corners [(1, alpha'),
+    (alpha', 1)].  The output is achievable, not claimed optimal.
     """
-    a_prime = quality.alpha_prime
-    sym = (1.0 + a_prime + quality.beta) / 3.0
+    alpha, beta = exponent(alpha), exponent(beta, "beta")
+    a_prime = min(alpha, beta)
+    sym = (1.0 + a_prime + beta) / 3.0
     corners = [(1.0, a_prime), (a_prime, 1.0)]
     return sym, corners
 
@@ -182,8 +165,7 @@ def region_imperfect_delayed(alpha, beta):
     Convex hull of the corner points, the symmetric point, and the
     single-user/axis points.
     """
-    quality = DelayedCsitQuality(exponent(alpha), exponent(beta, "beta"))
-    sym, corners = dof_imperfect_delayed(quality)
+    sym, corners = dof_imperfect_delayed(alpha, beta)
     points = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), corners[0], corners[1], (sym, sym)]
     hull = _convex_hull_2d(points)
     inequalities = _edge_inequalities(hull)
@@ -221,6 +203,6 @@ def _edge_inequalities(hull):
         q = np.asarray(hull[(i + 1) % k])
         t = q - p
         normal = np.array([t[1], -t[0]])
-        normal = normal / np.max(np.abs(normal))
-        ineqs.append((normal, float(normal @ p)))
+        normal = normal / np.max(np.abs(normal)) + 0.0  # + 0.0 turns -0.0 into 0.0
+        ineqs.append((normal, float(normal @ p) + 0.0))
     return ineqs

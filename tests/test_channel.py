@@ -76,14 +76,14 @@ class TestCsitConfig:
 class TestSampling:
     def test_reconstruction_identity_exact(self):
         cfg = CsitConfig.from_sigma_sq(100.0, 0.25)
-        batch = sample_batch(_rng(1), cfg, 4096)
+        [batch] = sample_batch(_rng(1), [cfg], 4096)
         assert np.array_equal(batch.h, batch.h_hat + batch.h_tilde)
         assert np.array_equal(batch.g, batch.g_hat + batch.g_tilde)
 
     def test_second_moments(self):
         cfg = CsitConfig.from_sigma_sq(100.0, 0.25)
         n = 1_000_000
-        batch = sample_batch(_rng(2), cfg, n)
+        [batch] = sample_batch(_rng(2), [cfg], n)
         err_norm_sq = np.sum(np.abs(batch.h_tilde) ** 2, axis=1)
         est_norm_sq = np.sum(np.abs(batch.h_hat) ** 2, axis=1)
         for values, target in [(err_norm_sq, 0.5), (est_norm_sq, 1.5)]:
@@ -93,7 +93,7 @@ class TestSampling:
     def test_estimate_error_uncorrelated(self):
         cfg = CsitConfig.from_sigma_sq(100.0, 0.5)
         n = 500_000
-        batch = sample_batch(_rng(3), cfg, n)
+        [batch] = sample_batch(_rng(3), [cfg], n)
         bound = 5.0 / math.sqrt(n)
         for i in range(2):
             for j in range(2):
@@ -104,14 +104,14 @@ class TestSampling:
 
     def test_deterministic_given_state(self):
         cfg = CsitConfig.from_sigma_sq(100.0, 0.25)
-        s1 = sample_batch(_rng(7), cfg, 4)
-        s2 = sample_batch(_rng(7), cfg, 4)
+        [s1] = sample_batch(_rng(7), [cfg], 4)
+        [s2] = sample_batch(_rng(7), [cfg], 4)
         assert np.array_equal(s1.h, s2.h)
         assert np.array_equal(s1.g_tilde, s2.g_tilde)
 
     def test_no_csit_gives_zero_estimates(self):
         cfg = CsitConfig.from_sigma_sq(100.0, 1.0)
-        batch = sample_batch(_rng(4), cfg, 1000)
+        [batch] = sample_batch(_rng(4), [cfg], 1000)
         assert np.all(batch.h_hat == 0.0)
         assert np.all(batch.g_hat == 0.0)
         assert np.all(np.linalg.norm(batch.h, axis=1) > 0)
@@ -119,7 +119,7 @@ class TestSampling:
     def test_error_phase_isotropic(self):
         cfg = CsitConfig.from_sigma_sq(100.0, 0.25)
         n = 1_000_000
-        batch = sample_batch(_rng(6), cfg, n)
+        [batch] = sample_batch(_rng(6), [cfg], n)
         phase = np.angle(batch.h_tilde[:, 0])
         stat = stats.kstest(phase, "uniform", args=(-math.pi, 2 * math.pi)).statistic
         assert stat < 1.63 / math.sqrt(n)   # 1% critical value

@@ -296,15 +296,16 @@ def test_fit_slope_recovers_line():
 def test_snr_grid_parsing():
     assert cli._parse_snr_grid("40:5:50") == [40.0, 45.0, 50.0]
     assert cli._parse_snr_grid("40:5:49.9") == [40.0, 45.0]
-    assert cli._parse_snr_grid("40:50") is None
-    assert cli._parse_snr_grid("a:b:c") is None
+    for text in ("40:50", "a:b:c", "40:-5:50", "50:5:40", "inf:1:2"):
+        with pytest.raises(cli._Exit, match="malformed"):
+            cli._parse_snr_grid(text)
 
 
 _RATES_ZF = ["rates", "--scheme", "zf", "--alpha", "0.5", "--snr-db", "10:10:10"]
 
 BAD_INPUT_CASES = [
     # (argv, MISO_DOF_SEED, exit code, fragment of the one-line message)
-    (_RATES_ZF + ["--samples", "0"], None, 2, "n_samples must be positive"),
+    (_RATES_ZF + ["--samples", "0"], None, 2, "n_samples must be at least 2"),
     (_RATES_ZF + ["--workers", "0"], None, 2, "n_workers must be positive"),
     (_RATES_ZF + ["--seed", "-1"], None, 2, "seed must fit"),
     (_RATES_ZF + ["--seed", str(2 ** 64)], None, 2, "seed must fit"),
@@ -312,12 +313,12 @@ BAD_INPUT_CASES = [
      "out of range"),
     (_RATES_ZF, "abc", 2, "MISO_DOF_SEED must be an integer"),
     (["slopes", "--scheme", "zf", "--alpha", "0.5", "--samples", "0"], None, 2,
-     "n_samples must be positive"),
+     "n_samples must be at least 2"),
     (["slopes", "--scheme", "zf", "--alpha", "0.5", "--snr-db-range", "1e9:2e9"], None, 2,
      "out of range"),
     (["slopes", "--scheme", "zf", "--alpha", "0.5"], "abc", 2, "MISO_DOF_SEED"),
     (["oracles", "--seed", "-1"], None, 2, "seed must fit"),
-    (["oracles", "--samples", "0"], None, 2, "n_samples must be positive"),
+    (["oracles", "--samples", "0"], None, 2, "n_samples must be at least 2"),
     (["oracles"], "1.5", 2, "MISO_DOF_SEED must be an integer"),
     (["region", "--alpha", "nan"], None, 2, "alpha must be a nonnegative number"),
     (["rates", "--scheme", "zf", "--alpha", "0.5", "--snr-db", "nan:1:2"], None, 2,
@@ -344,6 +345,11 @@ BAD_INPUT_CASES = [
     # rounding the grid to 12 decimals would overflow
     (["slopes", "--scheme", "zf", "--alpha", "0.5", "--snr-db-range", "3000:1e300"], None, 2,
      "out of range"),
+    # one sample has no standard error
+    (_RATES_ZF + ["--samples", "1"], None, 2, "n_samples must be at least 2, got 1"),
+    (["slopes", "--scheme", "zf", "--alpha", "0.5", "--samples", "1"], None, 2,
+     "n_samples must be at least 2, got 1"),
+    (["oracles", "--samples", "1"], None, 2, "n_samples must be at least 2, got 1"),
 ]
 
 
@@ -507,18 +513,18 @@ def test_traced_seams_call_counts(workers, tmp_path, monkeypatch):
 
 def test_oracle_suite_estimates_through_mc_module(monkeypatch, capsys):
     # one estimate per run, of one channel draw per eight exponential samples;
-    # at least two draws, so that one sample still has a standard error
+    # at least two draws, so that the estimate has a standard error
     calls = []
     real = mc.estimate
     monkeypatch.setattr(mc, "estimate", lambda *a: calls.append(a) or real(*a))
-    for samples, draws in ((2000, 250), (2001, 251), (1, 2)):
+    for samples, draws in ((2000, 250), (2001, 251), (2, 2)):
         calls.clear()
         assert cli.main(["oracles", "--samples", str(samples), "--seed", "1"]) == 0
         assert [a[1].n_samples for a in calls] == [draws]
     capsys.readouterr()
     calls.clear()
     assert cli.main(["oracles", "--samples", "0"]) == 2
-    assert "n_samples must be positive" in capsys.readouterr().err
+    assert "n_samples must be at least 2" in capsys.readouterr().err
     assert calls == []
 
 

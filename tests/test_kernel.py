@@ -34,11 +34,11 @@ def _integrand(scheme, cfg):
 
     def grab(f, mc_cfg, csit):
         captured.append(f)
-        return real_estimate(f, McConfig(1, 0), csit)
+        return real_estimate(f, McConfig(2, 0), csit)
 
     mc.estimate = grab
     try:
-        rate_scheme(scheme, cfg, McConfig(1, 0))
+        rate_scheme(scheme, [cfg], McConfig(2, 0))
     finally:
         mc.estimate = real_estimate
     assert len(captured) == 1
@@ -46,7 +46,8 @@ def _integrand(scheme, cfg):
 
 
 def _batch(cfg, n, seed):
-    return sample_batch(Generator(Philox(key=np.array([seed, 0], dtype=np.uint64))), cfg, n)
+    [batch] = sample_batch(Generator(Philox(key=np.array([seed, 0], dtype=np.uint64))), [cfg], n)
+    return batch
 
 
 def _policy_cfg(scheme, cfg):

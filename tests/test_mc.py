@@ -16,7 +16,7 @@ CFG = CsitConfig.from_sigma_sq(100.0, 0.25)
 
 
 def test_constant_integrand():
-    est = estimate(lambda batch: np.full(batch.n, 3.5), McConfig(10_000, 1), CFG)
+    [est] = estimate(lambda batch: np.full(batch.n, 3.5), McConfig(10_000, 1), [CFG])
     assert est.mean == 3.5
     assert est.std_error == 0.0
     assert est.n == 10_000
@@ -26,7 +26,7 @@ def test_channel_norm_mean_is_antenna_count():
     def f(batch):
         return np.sum(np.abs(batch.h) ** 2, axis=1)
 
-    est = estimate(f, McConfig(1_000_000, 2), CFG)
+    [est] = estimate(f, McConfig(1_000_000, 2), [CFG])
     assert abs(est.mean - 2.0) < 5 * est.std_error
 
 
@@ -34,7 +34,7 @@ def test_worker_invariance_bitwise():
     def f(batch):
         return np.log2(1.0 + np.sum(np.abs(batch.h) ** 2, axis=1))
 
-    results = [estimate(f, McConfig(50_000, 3, n_workers=w), CFG) for w in (1, 2, 8)]
+    results = [estimate(f, McConfig(50_000, 3, n_workers=w), [CFG])[0] for w in (1, 2, 8)]
     assert results[0].mean == results[1].mean == results[2].mean
     assert results[0].std_error == results[1].std_error == results[2].std_error
 
@@ -43,8 +43,8 @@ def test_repeatable_across_runs():
     def f(batch):
         return np.sum(np.abs(batch.g) ** 2, axis=1)
 
-    a = estimate(f, McConfig(30_000, 4), CFG)
-    b = estimate(f, McConfig(30_000, 4), CFG)
+    [a] = estimate(f, McConfig(30_000, 4), [CFG])
+    [b] = estimate(f, McConfig(30_000, 4), [CFG])
     assert a.mean == b.mean
 
 
@@ -52,8 +52,8 @@ def test_seed_changes_result():
     def f(batch):
         return np.sum(np.abs(batch.g) ** 2, axis=1)
 
-    a = estimate(f, McConfig(30_000, 4), CFG)
-    b = estimate(f, McConfig(30_000, 5), CFG)
+    [a] = estimate(f, McConfig(30_000, 4), [CFG])
+    [b] = estimate(f, McConfig(30_000, 5), [CFG])
     assert a.mean != b.mean
 
 
@@ -61,8 +61,8 @@ def test_std_error_scaling():
     def f(batch):
         return np.log2(1.0 + np.sum(np.abs(batch.h) ** 2, axis=1))
 
-    small = estimate(f, McConfig(100_000, 6), CFG)
-    large = estimate(f, McConfig(200_000, 6), CFG)
+    [small] = estimate(f, McConfig(100_000, 6), [CFG])
+    [large] = estimate(f, McConfig(200_000, 6), [CFG])
     ratio = large.std_error / small.std_error
     assert abs(ratio - 1.0 / math.sqrt(2.0)) < 0.2 / math.sqrt(2.0)
 
@@ -72,7 +72,7 @@ def test_vector_integrand():
         mags = np.abs(batch.h) ** 2
         return np.stack([mags[:, 0], mags[:, 1]], axis=1)
 
-    est = estimate(f, McConfig(200_000, 7), CFG)
+    [est] = estimate(f, McConfig(200_000, 7), [CFG])
     assert est.mean.shape == (2,)
     assert np.all(np.abs(est.mean - 1.0) < 5 * est.std_error)
 
@@ -85,7 +85,7 @@ def test_non_finite_value_reports_index():
         return vals
 
     with pytest.raises(NonFiniteSampleError) as err:
-        estimate(f, McConfig(10_000, 8), CFG)
+        estimate(f, McConfig(10_000, 8), [CFG])
     assert err.value.index == 3
 
 
@@ -96,7 +96,7 @@ def test_non_finite_reports_first_bad_column():
         return vals
 
     with pytest.raises(NonFiniteSampleError) as err:
-        estimate(f, McConfig(100, 8), CFG)
+        estimate(f, McConfig(100, 8), [CFG])
     assert (err.value.index, err.value.column) == (4, 1)
 
 
@@ -111,8 +111,8 @@ def test_non_finite_found_through_column_sums():
 
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NonFiniteSampleError) as err:
-            estimate(f, McConfig(100, 8), CFG)
-        est = estimate(lambda batch: np.full((batch.n, 2), 1e308), McConfig(100, 8), CFG)
+            estimate(f, McConfig(100, 8), [CFG])
+        [est] = estimate(lambda batch: np.full((batch.n, 2), 1e308), McConfig(100, 8), [CFG])
     assert (err.value.index, err.value.column) == (2, 1)
     assert np.all(est.mean == np.inf)
 
@@ -138,7 +138,7 @@ def test_grid_estimates_equal_per_config_estimates():
 
     for workers in (1, 2):
         cfg = McConfig(2 * BLOCK_SIZE + 5, 10, n_workers=workers)
-        assert estimate(f, cfg, grid) == [estimate(f, cfg, c) for c in grid]
+        assert estimate(f, cfg, grid) == [estimate(f, cfg, [c])[0] for c in grid]
 
 
 def test_non_finite_in_later_block():
@@ -153,17 +153,38 @@ def test_non_finite_in_later_block():
         return vals
 
     with pytest.raises(NonFiniteSampleError) as err:
-        estimate(f, McConfig(BLOCK_SIZE * 2, 9), CFG)
+        estimate(f, McConfig(BLOCK_SIZE * 2, 9), [CFG])
     assert err.value.index == target
 
 
 def test_bad_config_rejected():
     with pytest.raises(ValueError):
         McConfig(0, 1)
+    with pytest.raises(ValueError, match="n_samples must be at least 2, got 1"):
+        McConfig(1, 1)  # one sample has no standard error
     with pytest.raises(ValueError):
         McConfig(10, -1)
     with pytest.raises(ValueError):
         McConfig(10, 1, n_workers=0)
+
+
+@pytest.mark.parametrize("workers, cpus, blocks, threads", [
+    (100_000, 3, 5, 3), (100_000, 64, 2, 2), (2, 64, 5, 2), (1, 64, 5, None), (4, 1, 5, None),
+])
+def test_pool_size_is_bounded(monkeypatch, workers, cpus, blocks, threads):
+    # The pool runs min(workers, blocks, usable CPUs) threads, and none below two.
+    sizes = []
+
+    class Pool(mc.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(mc, "ThreadPoolExecutor", Pool)
+    monkeypatch.setattr(mc, "usable_cpus", lambda: cpus)
+    cfg = McConfig((blocks - 1) * BLOCK_SIZE + 1, 12, n_workers=workers)
+    assert estimate(lambda batch: np.ones(batch.n), cfg, [CFG])[0].mean == 1.0
+    assert sizes == ([] if threads is None else [threads])
 
 
 def _spread_values(batch, width):

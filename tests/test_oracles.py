@@ -38,28 +38,18 @@ class TestRotationIdentity:
             rotation_mean_log_closed_form(-1.0, 2.0)
 
     def test_quadrature_reference_pairs(self):
-        assert rotation_mean_log_quadrature(2.0, 1.0, TIGHT) == pytest.approx(2.0, abs=1e-9)
-        assert rotation_mean_log_quadrature(0.3, 7.0, TIGHT) == pytest.approx(
-            math.log2(49.0), abs=1e-9)
+        vals = rotation_mean_log_quadrature([2.0, 0.3], [1.0, 7.0], TIGHT)
+        assert vals == pytest.approx([2.0, math.log2(49.0)], abs=1e-9)
 
     def test_quadrature_singular_case(self):
         val = rotation_mean_log_quadrature(1.0, 1.0, QuadratureConfig(tolerance=1e-6))
         assert abs(val) < 1e-6
 
     def test_quadrature_random_pairs(self):
-        rng = np.random.default_rng(31)
-        config = QuadratureConfig(tolerance=1e-6)
-        worst = 0.0
-        for a, b in rng.uniform(0.05, 10.0, size=(100, 2)):
-            err = abs(rotation_mean_log_quadrature(a, b, config)
-                      - rotation_mean_log_closed_form(a, b))
-            worst = max(worst, err)
-        assert worst < 1e-6
-
-    def test_budget_exhaustion_raises(self):
-        starved = QuadratureConfig(n_points=64, tolerance=1e-9)
-        with pytest.raises(QuadratureError):
-            rotation_mean_log_quadrature(1.0, 1.0, starved)
+        pairs = np.random.default_rng(31).uniform(0.05, 10.0, size=(100, 2))
+        vals = rotation_mean_log_quadrature(pairs[:, 0], pairs[:, 1], QuadratureConfig())
+        exact = [rotation_mean_log_closed_form(a, b) for a, b in pairs]
+        assert np.max(np.abs(vals - exact)) < 1e-6
 
 
 def _batch_pairs():
@@ -86,13 +76,6 @@ def _rotation_reference(a, b, config):
     return math.nan
 
 
-def _scalar_or_nan(a, b, config):
-    try:
-        return rotation_mean_log_quadrature(a, b, config)
-    except QuadratureError:
-        return math.nan
-
-
 class TestBatchedRotation:
     @pytest.mark.parametrize("config", [
         QuadratureConfig(tolerance=1e-6),
@@ -100,10 +83,10 @@ class TestBatchedRotation:
         QuadratureConfig(n_points=128, tolerance=1e-6),
     ], ids=["default", "strict", "starved"])
     def test_array_call_bitwise_equals_scalar_calls(self, config):
-        # an entry is NaN exactly where the scalar call raises QuadratureError
+        # each entry, NaN included, is that of the pair's own one-pair call
         pairs = _batch_pairs()
         batched = rotation_mean_log_quadrature(pairs[:, 0], pairs[:, 1], config)
-        scalar = np.array([_scalar_or_nan(a, b, config) for a, b in pairs])
+        scalar = np.array([rotation_mean_log_quadrature(a, b, config) for a, b in pairs])
         assert batched.shape == (len(pairs),)
         assert np.array_equal(batched, scalar, equal_nan=True)
         some = np.r_[0:40, len(pairs) - 5:len(pairs)]
@@ -116,6 +99,7 @@ class TestBatchedRotation:
     def test_broadcast_shape_and_domain(self):
         vals = rotation_mean_log_quadrature(np.array([[1.0], [2.0]]), np.array([0.5, 3.0]))
         assert vals.shape == (2, 2)
+        assert rotation_mean_log_quadrature(2.0, 1.0).shape == ()  # an array, never a float
         assert vals[1, 0] == pytest.approx(2.0, abs=1e-6)
         with pytest.raises(ValueError):
             rotation_mean_log_quadrature(np.array([1.0, -1.0]), 2.0)
@@ -160,8 +144,14 @@ class TestExpLogConstant:
             mag_sq = scaled.real ** 2 + scaled.imag ** 2
             return np.log2(mag_sq / cfg.sigma_sq)
 
-        est = estimate(f, McConfig(1_000_000, 33), cfg)
+        [est] = estimate(f, McConfig(1_000_000, 33), [cfg])
         assert abs(est.mean - (GAMMA_EXACT + 2.0)) < 5.0 * est.std_error
+
+    def test_budget_exhaustion_raises(self):
+        # the constant is one number, so it raises where the rotation
+        # identity marks a pair NaN (TestBatchedRotation's starved config)
+        with pytest.raises(QuadratureError, match="within 64 panels"):
+            exp_log_mean(QuadratureConfig(n_points=64, tolerance=1e-9))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -190,7 +180,7 @@ class TestConditionalLogBounds:
         def f(batch):
             return np.log2(1.0 + np.sum(np.abs(batch.h) ** 2, axis=1))
 
-        est = estimate(f, McConfig(200_000, 36), cfg)
+        [est] = estimate(f, McConfig(200_000, 36), [cfg])
         assert est.mean < math.log2(3.0)
 
     def test_jensen_bound_tight_for_tiny_error(self):
@@ -231,7 +221,7 @@ class TestConditionalLogBounds:
         # (seed, 2^32); the sample and worker counts do not enter.
         cfg = CsitConfig.from_sigma_sq(1000.0, 0.1)
         lam1, s2, n_batches = cfg.snr_p, cfg.sigma_sq, 30
-        batch = sample_batch(block_rng(40, 2 ** 32), cfg, n_batches)
+        [batch] = sample_batch(block_rng(40, 2 ** 32), [cfg], n_batches)
         h_hat_sq, g_hat_sq = np.abs(batch.h_hat) ** 2, np.abs(batch.g_hat) ** 2
         upper = (np.log2(1.0 + lam1 * np.sum(h_hat_sq, axis=1) + 2.0 * s2 * lam1)
                  - mean_log2_quadratic((lam1, lam1), h_hat_sq, s2))

@@ -31,7 +31,7 @@ FIXED = settings(derandomize=True, database=None, deadline=None)
            lambda order: st.integers(1, len(order)).map(lambda k: tuple(order[:k]))),
        alpha=UNIT,
        snr_db=st.floats(5.0, 80.0),
-       samples=st.integers(1, 2 * BLOCK_SIZE + 100).filter(lambda n: n % BLOCK_SIZE),
+       samples=st.integers(2, 2 * BLOCK_SIZE + 100).filter(lambda n: n % BLOCK_SIZE),
        workers=st.sampled_from([1, 2]))
 @example(schemes=tuple(Scheme), alpha=0.0, snr_db=30.0, samples=BLOCK_SIZE + 1, workers=2)
 @example(schemes=tuple(reversed(Scheme)), alpha=1.0, snr_db=30.0, samples=BLOCK_SIZE + 1,
@@ -41,8 +41,8 @@ def test_group_equals_each_scheme_alone(schemes, alpha, snr_db, samples, workers
     # shared memo gives each scheme exactly its own result.
     cfg = CsitConfig.from_alpha(10.0 ** (snr_db / 10.0), alpha)
     mc_cfg = McConfig(samples, 31, workers)
-    assert rate_scheme(schemes, cfg, mc_cfg) == tuple(rate_scheme(s, cfg, mc_cfg)
-                                                      for s in schemes)
+    assert rate_scheme(schemes, [cfg], mc_cfg) == [tuple(rate_scheme(s, [cfg], mc_cfg)[0]
+                                                         for s in schemes)]
 
 
 @FIXED

@@ -53,7 +53,7 @@ class TestDefaultPolicy:
         assert p2 == pytest.approx(p / 2.0)
         # isotropic phase-1 covariances in the no-CSIT regime: the zero
         # estimate's fallback beams carry p/4 each
-        batch = sample_batch(_rng(1), cfg, 64)
+        [batch] = sample_batch(_rng(1), [cfg], 64)
         m00, m11, off = _beam_pair(_Kernel(_project(batch, _E2)["g_hat"]), p1 / 2.0, p2 / 2.0)
         np.testing.assert_allclose(m00, p / 4.0 * np.sum(np.abs(batch.h) ** 2, axis=1), rtol=1e-12)
         np.testing.assert_allclose(m11, p / 4.0 * np.sum(np.abs(batch.g) ** 2, axis=1), rtol=1e-12)
@@ -77,7 +77,7 @@ class TestDefaultPolicy:
             assert abs(p_c + p_p - p) < 1e-9 * p
         # the explicit covariances built from the split spend exactly P per phase
         cfg = CsitConfig.from_alpha(p, 0.3)
-        batch = sample_batch(_rng(3), cfg, 512)
+        [batch] = sample_batch(_rng(3), [cfg], 512)
         q = policy_matrices(cfg, batch.h_hat, batch.g_hat)
         tr1 = np.real(np.trace(q["q_u"], axis1=-2, axis2=-1)
                       + np.trace(q["q_v"], axis1=-2, axis2=-1))
@@ -99,7 +99,7 @@ class TestInterferencePower:
 
     def test_estimate_sees_only_aligned_power(self):
         cfg = CsitConfig.from_alpha(1e4, 0.5)
-        batch = sample_batch(_rng(6), cfg, 256)
+        [batch] = sample_batch(_rng(6), [cfg], 256)
         q_v = policy_matrices(cfg, batch.h_hat, batch.g_hat)["q_v"]
         got = interference_power(batch.h_hat, q_v)
         expected = (_power_split(cfg)[1] / 2.0) * np.sum(np.abs(batch.h_hat) ** 2, axis=1)
@@ -118,7 +118,7 @@ class TestInterferencePower:
                     sum(c * np.abs(np.sum(np.conj(batch.h) * w, axis=-1)) ** 2
                         for c, w in comps["q_v"]), 0.0)
 
-            est = estimate(f, McConfig(50_000, 7), cfg)
+            [est] = estimate(f, McConfig(50_000, 7), [cfg])
             xs.append(log2p)
             ys.append(math.log2(est.mean))
         slope = np.polyfit(xs, ys, 1)[0]
@@ -146,7 +146,7 @@ class TestMimoRate:
 
     def test_unit_distortion_reduces_to_sinr(self):
         cfg = CsitConfig.from_alpha(1e3, 0.5)
-        batch = sample_batch(_rng(8), cfg, 64)
+        [batch] = sample_batch(_rng(8), [cfg], 64)
         q_u = np.array([[2.0, 0.3 + 0.1j], [0.3 - 0.1j, 1.0]], dtype=complex)
         q_v = np.array([[1.0, -0.2j], [0.2j, 3.0]], dtype=complex)
         u = pair_entries(batch.h, batch.g, q_u)
@@ -180,14 +180,14 @@ class TestCommonMessage:
 class TestProposedScheme:
     def test_perfect_csit_degenerates_to_single_phase(self):
         cfg = CsitConfig.from_alpha(1e4, 1.0)
-        res = rate_scheme("proposed", cfg, McConfig(20_000, 13))
+        [res] = rate_scheme("proposed", [cfg], McConfig(20_000, 13))
         assert res.r_eta1 == 0.0 and res.r_eta2 == 0.0
         assert res.r1 == res.r_mimo1
         assert res.r2 == res.r_mimo2
 
     def test_no_csit_has_no_private_messages(self):
         cfg = CsitConfig.from_alpha(1e4, 0.0)
-        res = rate_scheme("proposed", cfg, McConfig(20_000, 14))
+        [res] = rate_scheme("proposed", [cfg], McConfig(20_000, 14))
         assert res.r_p1 == 0.0 and res.r_p2 == 0.0
         r_eta = res.r_eta1 + res.r_eta2
         assert res.r_eta1 == pytest.approx(math.log2(1e4))
@@ -195,7 +195,7 @@ class TestProposedScheme:
 
     def test_user_symmetry(self):
         cfg = CsitConfig.from_alpha(1e4, 0.5)
-        res = rate_scheme("proposed", cfg, McConfig(100_000, 15))
+        [res] = rate_scheme("proposed", [cfg], McConfig(100_000, 15))
         combined = math.hypot(res.se_r1, res.se_r2)
         assert abs(res.r1 - res.r2) < 3.0 * combined
 
@@ -204,7 +204,7 @@ class TestProposedScheme:
         sums, errs = [], []
         for alpha in np.linspace(0.0, 1.0, 6):
             cfg = CsitConfig.from_alpha(2.0 ** 40, alpha)
-            res = rate_scheme("proposed", cfg, mc_cfg)
+            [res] = rate_scheme("proposed", [cfg], mc_cfg)
             sums.append(res.r1 + res.r2)
             errs.append(math.hypot(res.se_r1, res.se_r2))
         for k in range(len(sums) - 1):
@@ -213,7 +213,7 @@ class TestProposedScheme:
 
     def test_all_components_nonnegative(self):
         cfg = CsitConfig.from_alpha(1e3, 0.3)
-        res = rate_scheme("proposed", cfg, McConfig(10_000, 17))
+        [res] = rate_scheme("proposed", [cfg], McConfig(10_000, 17))
         for field in ("r1", "r2", "r_c", "r_p1", "r_p2", "r_mimo1", "r_mimo2",
                       "r_eta1", "r_eta2"):
             assert getattr(res, field) >= 0.0
@@ -238,7 +238,7 @@ class TestProposedScheme:
                         for c, w in comps["q_u"]), 1e-300)
                 return np.log2(s1) + np.log2(s2)
 
-            est = estimate(f, mc_cfg, cfg)
+            [est] = estimate(f, mc_cfg, [cfg])
             measured[log2p] = (est.mean, est.std_error)
         c_fit = measured[20][0] - 2.0 * (1.0 - alpha) * 20
         for log2p in (30, 40):
@@ -251,13 +251,13 @@ class TestBaselines:
     def test_mat_matches_forced_policy(self):
         cfg = CsitConfig.from_alpha(1e4, 0.6)
         mc_cfg = McConfig(20_000, 19)
-        mat = rate_scheme("mat", cfg, mc_cfg)
+        [mat] = rate_scheme("mat", [cfg], mc_cfg)
         assert mat.r_eta1 == pytest.approx(math.log2(cfg.snr_p))
         assert mat.r_p1 == 0.0
 
     def test_rs_zf_time_sharing_identity(self):
         cfg = CsitConfig.from_alpha(1e4, 0.5)
-        res = rate_scheme("rszf", cfg, McConfig(20_000, 20))
+        [res] = rate_scheme("rszf", [cfg], McConfig(20_000, 20))
         assert res.r1 == pytest.approx(0.5 * res.r_c + res.r_p1, rel=1e-12)
         assert res.r2 == pytest.approx(0.5 * res.r_c + res.r_p2, rel=1e-12)
 
@@ -270,14 +270,14 @@ class TestBaselines:
             return np.log2(1.0 + sig)
 
         mc_cfg = McConfig(20_000, 21)
-        res = rate_scheme("tdma", cfg, mc_cfg)
-        ref = estimate(full_slot, mc_cfg, cfg)
+        [res] = rate_scheme("tdma", [cfg], mc_cfg)
+        [ref] = estimate(full_slot, mc_cfg, [cfg])
         assert res.r1 == pytest.approx(0.5 * ref.mean, rel=1e-12)
 
     def test_zf_perfect_nulling_of_estimates(self):
         # the beam serving user 2 carries no power toward user 1's estimate
         cfg = CsitConfig.from_alpha(1e4, 0.5)
-        batch = sample_batch(_rng(22), cfg, 1024)
+        [batch] = sample_batch(_rng(22), [cfg], 1024)
         w2 = perp(batch.h_hat, E2)
         leak = np.abs(np.sum(np.conj(batch.h_hat) * w2, axis=-1)) ** 2
         assert leak.max() < 1e-20
@@ -286,7 +286,7 @@ class TestBaselines:
         cfg = CsitConfig.from_alpha(1e3, 0.5)
         mc_cfg = McConfig(5_000, 23)
         for scheme in ("tdma", "zf", "mat", "rszf", "proposed"):
-            res = rate_scheme(scheme, cfg, mc_cfg)
+            [res] = rate_scheme(scheme, [cfg], mc_cfg)
             assert res.r1 > 0 and res.r2 > 0
             assert res.se_r1 >= 0 and res.se_r2 >= 0
 
@@ -304,28 +304,29 @@ def test_scheme_group_equals_single_schemes(alpha, workers):
     # estimates are zero and every scheme's own fallback beams decide.
     cfg = CsitConfig.from_alpha(1e3, alpha)
     mc_cfg = McConfig(10_000, 25, workers)
-    singles = {s: rate_scheme(s, cfg, mc_cfg) for s in Scheme}
-    assert rate_scheme(tuple(Scheme), cfg, mc_cfg) == tuple(singles.values())
+    singles = {s: rate_scheme(s, [cfg], mc_cfg)[0] for s in Scheme}
+    assert rate_scheme(tuple(Scheme), [cfg], mc_cfg) == [tuple(singles.values())]
     permuted = (Scheme.PROPOSED, Scheme.TDMA, Scheme.RS_ZF, Scheme.MAT, Scheme.ZF)
-    assert rate_scheme(permuted, cfg, mc_cfg) == tuple(singles[s] for s in permuted)
+    assert rate_scheme(permuted, [cfg], mc_cfg) == [tuple(singles[s] for s in permuted)]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
 def test_snr_grid_equals_per_config_calls(alpha, workers):
     # One call over a grid of SNRs draws each block once for every config;
-    # each config's batches and results stay exactly those of its own call.
+    # each config's batches and results stay exactly those of its own
+    # one-element grid.
     cfgs = [CsitConfig.from_alpha(10.0 ** (db / 10.0), alpha) for db in (10.0, 30.0, 50.0)]
     grid_batches = list(sample_batch(mc.block_rng(27, 0), cfgs, 8192))
     fields = ("h", "g", "h_hat", "g_hat", "h_tilde", "g_tilde")
     for cfg, batch in zip(cfgs, grid_batches):
-        own = sample_batch(mc.block_rng(27, 0), cfg, 8192)
+        [own] = sample_batch(mc.block_rng(27, 0), [cfg], 8192)
         assert batch.csit == own.csit == cfg
         assert all(np.array_equal(getattr(batch, k), getattr(own, k)) for k in fields)
 
     mc_cfg = McConfig(2 * 8192 + 100, 27, workers)
     grid = rate_scheme(tuple(Scheme), cfgs, mc_cfg)
-    assert grid == [rate_scheme(tuple(Scheme), cfg, mc_cfg) for cfg in cfgs]
+    assert grid == [rate_scheme(tuple(Scheme), [cfg], mc_cfg)[0] for cfg in cfgs]
     assert rate_scheme(Scheme.PROPOSED, cfgs, mc_cfg) == [at[-1] for at in grid]
 
 
@@ -356,7 +357,8 @@ def test_group_runs_each_kernel_pair_once_per_block(group, kernel_pairs, monkeyp
 @pytest.mark.parametrize("fallback", [_E1, _E2])
 def test_zero_estimates_share_one_kernel(fallback):
     # at alpha 0 both estimates are zero and project to the same fallback columns
-    shared = rates._Shared(sample_batch(_rng(2), CsitConfig.from_alpha(1e3, 0.0), 64))
+    [batch] = sample_batch(_rng(2), [CsitConfig.from_alpha(1e3, 0.0)], 64)
+    shared = rates._Shared(batch)
     assert shared.kernel("h_hat", fallback) is shared.kernel("g_hat", fallback)
 
 
@@ -372,3 +374,15 @@ def test_mat_common_rate_matches_exact_mean(alpha):
     for p, res in zip(snrs, results):
         exact = float(mean_log2_quadratic((p / 2.0, p / 2.0), np.zeros(2), 1.0))
         assert abs(res.r_c - exact) <= 4.0 * res.se_r_c, p
+
+
+def test_a_bare_config_is_not_a_grid():
+    # the sampler, the estimator and the rate entry point take only a
+    # sequence of configs; a lone CsitConfig fails loudly, never runs as one
+    cfg = CsitConfig.from_alpha(1e3, 0.5)
+    with pytest.raises(TypeError):
+        sample_batch(_rng(1), cfg, 8)
+    with pytest.raises(TypeError):
+        estimate(lambda batch: np.ones(batch.n), McConfig(16, 1), cfg)
+    with pytest.raises(TypeError):
+        rate_scheme(Scheme.ZF, cfg, McConfig(16, 1))

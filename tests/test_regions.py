@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from misodof.regions import (
-    DelayedCsitQuality,
     Scheme,
     dof_imperfect_delayed,
     dof_scheme,
@@ -135,13 +134,13 @@ class TestSchemeDof:
 
 class TestImperfectDelayed:
     def test_reference_values(self):
-        assert dof_imperfect_delayed(DelayedCsitQuality(0.5, 1.0))[0] == pytest.approx(5.0 / 6.0)
-        assert dof_imperfect_delayed(DelayedCsitQuality(0.5, 0.75))[0] == pytest.approx(0.75)
-        assert dof_imperfect_delayed(DelayedCsitQuality(0.5, 0.5))[0] == pytest.approx(2.0 / 3.0)
+        assert dof_imperfect_delayed(0.5, 1.0)[0] == pytest.approx(5.0 / 6.0)
+        assert dof_imperfect_delayed(0.5, 0.75)[0] == pytest.approx(0.75)
+        assert dof_imperfect_delayed(0.5, 0.5)[0] == pytest.approx(2.0 / 3.0)
 
     def test_perfect_feedback_recovers_main_region(self):
         for alpha in [0.0, 0.25, 0.3, 0.5, 0.75, 1.0]:
-            sym, corners = dof_imperfect_delayed(DelayedCsitQuality(alpha, 1.0))
+            sym, corners = dof_imperfect_delayed(alpha, 1.0)
             assert sym == pytest.approx((2.0 + alpha) / 3.0)
             assert corners == [(1.0, alpha), (alpha, 1.0)]
             hull = region_imperfect_delayed(alpha, 1.0)
@@ -152,27 +151,39 @@ class TestImperfectDelayed:
     def test_monotone_and_continuous_in_beta(self):
         alpha = 0.5
         betas = np.linspace(0.0, 1.0, 101)
-        syms = [dof_imperfect_delayed(DelayedCsitQuality(alpha, b))[0] for b in betas]
+        syms = [dof_imperfect_delayed(alpha, b)[0] for b in betas]
         diffs = np.diff(syms)
         assert np.all(diffs >= -1e-12)
         assert np.max(np.abs(diffs)) < 0.03   # no jumps on a 0.01 grid
 
     def test_low_beta_corners_follow_feedback(self):
-        _, corners = dof_imperfect_delayed(DelayedCsitQuality(0.8, 0.3))
+        _, corners = dof_imperfect_delayed(0.8, 0.3)
         assert corners == [(1.0, 0.3), (0.3, 1.0)]
 
     def test_region_contains_operating_points(self):
         region = region_imperfect_delayed(0.5, 0.9)
-        sym, corners = dof_imperfect_delayed(DelayedCsitQuality(0.5, 0.9))
+        sym, corners = dof_imperfect_delayed(0.5, 0.9)
         assert region.contains((sym, sym))
         for c in corners:
             assert region.contains(c)
 
+    @pytest.mark.parametrize("alpha, beta", [(0.5, 0.2), (0.3, 0.9), (0.0, 0.0), (1.0, 1.0)])
+    def test_no_negative_zero_in_inequalities(self, alpha, beta):
+        # a zero coefficient or bound is written 0.0, never -0.0
+        for coeffs, bound in region_imperfect_delayed(alpha, beta).inequalities:
+            values = np.append(coeffs, bound)
+            assert np.array_equal(np.signbit(values), values < 0.0)
+
     def test_bad_quality_rejected(self):
-        with pytest.raises(ValueError):
-            DelayedCsitQuality(0.5, -0.1)
-        with pytest.raises(ValueError):
-            DelayedCsitQuality(1.2, 0.5)
+        with pytest.raises(ValueError, match="beta"):
+            dof_imperfect_delayed(0.5, -0.1)
+        with pytest.raises(ValueError, match="alpha"):
+            dof_imperfect_delayed(-0.1, 0.5)
+
+    def test_exponents_above_one_truncate(self):
+        # the same policy as region_imperfect_delayed and every other exponent
+        assert dof_imperfect_delayed(1.2, 0.5) == dof_imperfect_delayed(1.0, 0.5)
+        assert dof_imperfect_delayed(0.5, 3.0) == dof_imperfect_delayed(0.5, 1.0)
 
 
 @pytest.mark.parametrize("build, args", [
@@ -181,7 +192,7 @@ class TestImperfectDelayed:
     (dof_scheme, ("zf", math.nan)),
     (region_imperfect_delayed, (0.5, math.nan)),
     (region_imperfect_delayed, (-math.inf, 0.5)),
-    (DelayedCsitQuality, (math.nan, 0.5)),
+    (dof_imperfect_delayed, (math.nan, 0.5)),
 ], ids=lambda v: getattr(v, "__name__", None))
 def test_rejects_bad_exponent(build, args):
     with pytest.raises(ValueError, match="alpha|beta"):
