@@ -26,7 +26,7 @@ def exponent(value, name="alpha"):
     1, as neither the DoF nor the error variance P**-alpha gains beyond it."""
     if not value >= 0.0:
         raise ValueError(f"{name} must be a nonnegative number, got {value}")
-    return min(float(value), 1.0)
+    return min(float(value), 1.0) + 0.0  # + 0.0 turns -0.0 into 0.0
 
 
 def _power(snr_p):
@@ -67,7 +67,8 @@ class CsitConfig:
         if not 0.0 < sigma_sq <= 1.0:
             raise ValueError(f"sigma_sq must lie in (0, 1], got {sigma_sq}")
         sigma_sq = float(sigma_sq)
-        return cls(snr_p, sigma_sq, min(-math.log2(sigma_sq) / math.log2(snr_p), 1.0))
+        # + 0.0 turns the -0.0 of sigma_sq = 1 into 0.0
+        return cls(snr_p, sigma_sq, min(-math.log2(sigma_sq) / math.log2(snr_p), 1.0) + 0.0)
 
     @property
     def sigma_hat_sq(self):

@@ -35,10 +35,10 @@ import sys
 from datetime import datetime, timezone
 
 import numpy as np
-from numpy.random import Generator, Philox
 
 from . import __version__
 from .channel import CsitConfig, exponent
+from .mc import block_rng  # by name: tracers count mc.block_rng as mc blocks
 from .mc import McConfig, NonFiniteSampleError, usable_cpus
 from .oracles import (
     QuadratureConfig,
@@ -334,7 +334,7 @@ def cmd_oracles(args):
         print(f"quadrature-config: FAIL ({exc})")
         return 1
 
-    rng = Generator(Philox(key=np.array([mc_cfg.seed, 0], dtype=np.uint64)))
+    rng = block_rng(mc_cfg.seed, 0)
     pairs = rng.uniform(0.05, 10.0, size=(1000, 2))
     # one batched quadrature for every pair; NaN marks a pair out of panels
     quads = rotation_mean_log_quadrature(pairs[:, 0], pairs[:, 1], quad_cfg)

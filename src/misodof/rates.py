@@ -24,7 +24,10 @@ array, from ``shared``, the batch's ``_Shared`` memo, and
 ``finalize(mean, se)`` maps their means and standard errors to a result.
 Any set of schemes at any set of configs (say, every SNR of a sweep) is
 thus one estimate over one draw per block.  Each block's frames are projected
-once, and the memo forms each kernel and phase-2 split once per batch.
+once, and each batch's ``_Shared`` forms its two kernels, one per
+estimate, and each phase-2 split once.  A zero estimate (sigma_sq = 1, the no-CSIT limit)
+still has a fixed beam pair, chosen by ``_project`` alone, so every scheme
+reads the same two kernels at every config.
 ``rate_scheme`` always takes a sequence of configs, as ``mc.estimate`` does,
 and returns one entry per config; a single config is a one-element grid.
 """
@@ -39,9 +42,6 @@ import numpy as np
 from . import mc
 from .channel import CsitConfig
 from .regions import Scheme
-
-_E1 = (0, 1)  # fallback beams of a zero estimate: the antennas of (w, w-perp)
-_E2 = (1, 0)
 
 
 @dataclass(frozen=True)
@@ -102,19 +102,19 @@ def _frames(normals):
     return own, np.conj(h1) * g1 + np.conj(h2) * g2, np.conj(h2 * g1 - h1 * g2)
 
 
-def _project(batch, fallback):
-    """The kernels behind every scheme's integrand, {estimate name: columns
-    (h.w, h.w-perp, g.w, g.w-perp)}, x.w = w^H x along the estimate's unit
-    direction w and w-perp.  In its own estimate's frame a user's columns are
-    a (|e|, 0) + b (its error's _frames coordinates), so h.w-perp is exactly
-    b w-perp^H n_h for h_hat; the other user's are those rotated.  At
-    sigma_sq = 1 (a = 0) the estimates are zero: w is the fallback axis and
-    w-perp the other one, up to a sign that no beam power or m01 sees."""
+def _project(batch):
+    """The kernels behind every scheme's integrand: for h_hat, then g_hat,
+    the columns (h.w, h.w-perp, g.w, g.w-perp), x.w = w^H x along the
+    estimate's unit direction w and w-perp.  In its own estimate's frame a
+    user's columns are a (|e|, 0) + b (its error's _frames coordinates), so
+    h.w-perp is exactly b w-perp^H n_h for h_hat; the other user's are those
+    rotated.  At sigma_sq = 1 (a = 0) the estimates are zero: h_hat points
+    at antenna 1 and g_hat at antenna 2, each w-perp at the other antenna,
+    up to a sign that no beam power or m01 sees."""
     a, b = batch.a, batch.b
     if a == 0.0:
-        i, j = fallback
-        cols = [batch.normals.n[:, k] * b for k in (i, j, i + 2, j + 2)]
-        return {"h_hat": cols, "g_hat": cols}
+        h1, h2, g1, g2 = (batch.normals.n[:, k] * b for k in range(4))
+        return [h1, h2, g1, g2], [h2, h1, g2, g1]
     memo = batch.normals.memo
     if "frames" not in memo:
         memo["frames"] = _frames(batch.normals)
@@ -122,8 +122,8 @@ def _project(batch, fallback):
     h0, h1 = a * norm_h + b * par_h, b * perp_h  # h in h_hat's frame
     g0, g1 = a * norm_g + b * par_g, b * perp_g  # g in g_hat's frame
     rc, sc = np.conj(r), np.conj(s)
-    return {"h_hat": [h0, h1, r * g0 + s * g1, rc * g1 - sc * g0],
-            "g_hat": [rc * h0 - s * h1, sc * h0 + r * h1, g0, g1]}
+    return ([h0, h1, r * g0 + s * g1, rc * g1 - sc * g0],
+            [rc * h0 - s * h1, sc * h0 + r * h1, g0, g1])
 
 
 def _beam_pair(kernel, a, b):
@@ -137,21 +137,12 @@ def _beam_pair(kernel, a, b):
 
 class _Shared:
     """What a group's schemes read from one batch, each computed once: the
-    _Kernels and the default policy's phase-2 columns."""
+    _Kernels ``h`` and ``g`` of h_hat's and g_hat's beams, and the default
+    policy's phase-2 columns."""
 
     def __init__(self, batch):
-        self.batch, self._kernels, self._phase2 = batch, {}, {}
-
-    def kernel(self, name, fallback):
-        # kernels depend on the estimates if there are any, else on the
-        # fallback alone, one kernel serving both zero estimates
-        key = None if self.batch.a else fallback
-        if key not in self._kernels:
-            cols = _project(self.batch, fallback)
-            h = _Kernel(cols["h_hat"])
-            g = h if cols["g_hat"] is cols["h_hat"] else _Kernel(cols["g_hat"])
-            self._kernels[key] = {"h_hat": h, "g_hat": g}
-        return self._kernels[key][name]
+        self.h, self.g = (_Kernel(cols) for cols in _project(batch))
+        self._phase2 = {}
 
     def phase2(self, p_c, p_p, out):
         # Phase-2 log terms of the default policy, q_c = (p_c/2) I and q_p1,
@@ -161,8 +152,8 @@ class _Shared:
             return
         c, s = p_c / 2.0, p_p / 2.0
         # hg = |h.g_hat-perp|^2 and so on; |x|^2 = |x.w|^2 + |x.w-perp|^2
-        _, hg, gw, gg = self.kernel("g_hat", _E2).sq
-        hw, hh, _, gh = self.kernel("h_hat", _E2).sq
+        _, hg, gw, gg = self.g.sq
+        hw, hh, _, gh = self.h.sq
         _phase2_logs(c * hw + c * hh, s * hg, s * hh, c * gw + c * gg, s * gg, s * gh, out)
         self._phase2[p_c, p_p] = out[:, :4]
 
@@ -269,8 +260,8 @@ def _proposed_columns(pcfg):
     def fill(batch, shared, out):
         # q_u = a g_hat-perp + b g_hat and q_v = a h_hat-perp + b h_hat,
         # one beam pair per estimate direction
-        u = _beam_pair(shared.kernel("g_hat", _E2), a, b)
-        v = _beam_pair(shared.kernel("h_hat", _E2), a, b)
+        u = _beam_pair(shared.g, a, b)
+        v = _beam_pair(shared.h, a, b)
         shared.phase2(p_c, p_p, out)
         out[:, 4], out[:, 5] = _mimo_logdets(u, v, d_tilde, d_tilde)
 
@@ -301,24 +292,24 @@ def _user_pair(share):
 
 def _tdma_columns(cfg):
     # Alternating single-user slots, full power beamformed along the
-    # estimated channel (e1 when the estimate is zero).
+    # estimated channel.
     p = cfg.snr_p
 
     def fill(batch, shared, out):
-        out[:, 0] = np.log2(1.0 + p * shared.kernel("h_hat", _E1).sq[0])
-        out[:, 1] = np.log2(1.0 + p * shared.kernel("g_hat", _E1).sq[2])
+        out[:, 0] = np.log2(1.0 + p * shared.h.sq[0])
+        out[:, 1] = np.log2(1.0 + p * shared.g.sq[2])
 
     return 2, fill, _user_pair(0.5)
 
 
 def _zf_columns(cfg):
-    # Equal-power beams w1 = g_hat-perp (e1 when g_hat is zero) and w2 =
-    # h_hat-perp (e2 when h_hat is zero), leakage treated as noise.
+    # Equal-power beams w1 = g_hat-perp and w2 = h_hat-perp, leakage
+    # treated as noise.
     half_p = cfg.snr_p / 2.0
 
     def fill(batch, shared, out):
-        _, h_w1, _, g_w1 = shared.kernel("g_hat", _E2).sq
-        _, h_w2, _, g_w2 = shared.kernel("h_hat", _E1).sq
+        _, h_w1, _, g_w1 = shared.g.sq
+        _, h_w2, _, g_w2 = shared.h.sq
         out[:, 0] = np.log2(1.0 + half_p * h_w1 / (1.0 + half_p * h_w2))
         out[:, 1] = np.log2(1.0 + half_p * g_w2 / (1.0 + half_p * g_w1))
 

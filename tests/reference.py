@@ -4,10 +4,11 @@
 quadratic forms beam by beam from the projection kernel.  The tests check
 that arithmetic against the covariances written out here, so this module
 builds them independently of the kernel: rank-1 projectors, unit and
-orthogonal-complement directions with the policy's zero-estimate fallbacks,
-the five covariances (q_u, q_v, q_c, q_p1, q_p2) of the default policy, and
-the quadratic forms h^H Q h of explicit (..., 2, 2) matrices.  Only the
-scalar power split comes from ``rates``.
+orthogonal-complement directions with a zero estimate's fixed beams (h_hat
+along E1 with its complement along E2, g_hat along E2 with its complement
+along E1), the five covariances (q_u, q_v, q_c, q_p1, q_p2) of the default
+policy, and the quadratic forms h^H Q h of explicit (..., 2, 2) matrices.
+Only the scalar power split comes from ``rates``.
 """
 
 import numpy as np
@@ -66,7 +67,7 @@ def policy_beams(cfg, h_hat, g_hat):
     """(power, unit beam) pairs of the default policy's five covariances."""
     p1, p2, p_c, p_p = _power_split(cfg)
     perp_g, par_g = perp(g_hat, E1), unit(g_hat, E2)
-    perp_h, par_h = perp(h_hat, E1), unit(h_hat, E2)
+    perp_h, par_h = perp(h_hat, E2), unit(h_hat, E1)
     return {
         "q_u": ((p1 / 2.0, perp_g), (p2 / 2.0, par_g)),
         "q_v": ((p1 / 2.0, perp_h), (p2 / 2.0, par_h)),

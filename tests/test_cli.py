@@ -1,8 +1,11 @@
 import json
 import os
 import re
+import subprocess
+import sys
 import threading
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +15,10 @@ from misodof.channel import ChannelBatch, CsitConfig
 from misodof.mc import NonFiniteSampleError
 from misodof.rates import RateResult
 from misodof.regions import Scheme
+
+
+# a JSON float -0.0, but not, say, -0.05
+NEGATIVE_ZERO = re.compile(r"-0\.0\b")
 
 
 def _run(args):
@@ -51,6 +58,13 @@ class TestRegionCommand:
         data = json.loads(out.read_text())
         assert [0.5, 0.5, 0.5] in data["vertices"]
         assert all(len(v) == 3 for v in data["vertices"])
+
+    def test_negative_zero_exponents_write_zero(self, tmp_path):
+        # -0 is a valid exponent, and no -0.0 reaches the JSON from it
+        out = tmp_path / "region.json"
+        assert _run(["region", "--alpha", "-0", "--beta", "-0", "--out", str(out)]) == 0
+        assert NEGATIVE_ZERO.search(out.read_text()) is None
+        assert json.loads(out.read_text())["corners"] == [[1.0, 0.0], [0.0, 1.0]]
 
     def test_beta_and_common_message_conflict(self, tmp_path):
         code = _run(["region", "--alpha", "0.5", "--beta", "0.5",
@@ -144,6 +158,23 @@ class TestRatesCommand:
         # the worker count is recorded, outside the hash
         assert (base["workers"], same["workers"]) == (1, 4)
 
+    @pytest.mark.parametrize("quality", [["--alpha", "-0"], ["--sigma-sq", "1"]])
+    def test_no_csit_alpha_writes_zero(self, quality, tmp_path):
+        out = tmp_path / "rates.csv"
+        assert _run(["rates", "--scheme", "zf", *quality, "--snr-db", "10:10:20",
+                     "--samples", "200", "--out", str(out)]) == 0
+        assert [line.split(",")[2] for line in out.read_text().splitlines()[1:]] == ["0", "0"]
+
+    def test_negative_zero_alpha_hashes_as_zero(self, tmp_path):
+        hashes = []
+        for alpha in ("0", "-0"):
+            out = tmp_path / f"alpha{alpha}.csv"
+            assert _run(["rates", "--scheme", "zf", "--alpha", alpha, "--snr-db", "10:10:10",
+                         "--samples", "200", "--out", str(out)]) == 0
+            manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
+            hashes.append(manifest["config_hash"])
+        assert hashes[0] == hashes[1]
+
     def test_env_seed_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("MISO_DOF_SEED", "77")
         out = tmp_path / "env.csv"
@@ -195,6 +226,13 @@ class TestSlopesCommand:
         assert [m["workers"] for m in manifests] == [1, 4]
         assert manifests[0]["config_hash"] == manifests[1]["config_hash"]
         assert manifests[0]["seed"] == 1
+
+    def test_negative_zero_alpha_writes_zero(self, tmp_path):
+        out = tmp_path / "slope.json"
+        assert _run(["slopes", "--scheme", "zf", "--alpha", "-0", "--samples", "200",
+                     "--out", str(out)]) == 0
+        assert NEGATIVE_ZERO.search(out.read_text()) is None
+        assert json.loads(out.read_text())["alpha"] == 0.0
 
     def test_too_few_points_exits_2(self, tmp_path):
         code = _run(["slopes", "--scheme", "zf", "--alpha", "0.5",
@@ -542,3 +580,15 @@ def test_runs_without_glibc(tmp_path, monkeypatch):
     assert tried == ["libc.so.6"]
     assert _run(["region", "--alpha", "0.5", "--out", str(tmp_path / "r.json")]) == 0
     assert _run(_RATES_ZF + ["--samples", "100", "--out", str(tmp_path / "x.csv")]) == 0
+
+
+def test_runtime_imports_numpy_only():
+    # scipy, mpmath and the test tools are test-only: importing the CLI,
+    # which imports every module of the package, loads none of them.  With
+    # -c the working directory, here src/, is on the child's import path.
+    code = ("import sys, misodof.cli; "
+            "print(sorted({m.partition('.')[0] for m in sys.modules}"
+            " & {'scipy', 'mpmath', 'hypothesis', 'pytest'}))")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=Path(cli.__file__).parents[1],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"

@@ -4,8 +4,11 @@ The ``rates_all_alpha*.csv`` files were written by the integrands as they
 stood before the shared projection kernel, with
 ``rates --scheme all --alpha A --snr-db 20:20:80 --samples 20000 --seed 0``.
 The one edit is in the alpha = 1 file, where the r_eta columns then printed
-``-0``; they print ``0`` now.  alpha = 0 pins the fallback beams used for
-zero estimates, which every scheme chooses for itself.
+``-0``; they print ``0`` now.  alpha = 0 pins the beams of the zero
+estimates, h_hat along antenna 1 and g_hat along antenna 2, which
+``rates._project`` chooses for every scheme.  Its 4 TDMA rows were rewritten
+when that choice moved there: TDMA's user-2 beam went from antenna 1 to
+antenna 2, which changes r2, rsum and stderr_sum but not their distribution.
 
 ``rates_all_sigma_sq0.1.csv`` and ``slopes_proposed_alpha0.5.json`` were
 written while each SNR of a run was still its own estimate, so they pin the

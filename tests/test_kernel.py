@@ -16,15 +16,15 @@ import pytest
 from numpy.random import Generator, Philox
 
 from misodof import mc, rates
-from misodof.channel import CsitConfig, sample_batch
+from misodof.channel import ChannelBatch, CsitConfig, Normals, sample_batch
 from misodof.mc import McConfig
 from misodof.rates import rate_scheme
 from misodof.regions import Scheme
 from reference import E1, E2, interference_power, perp, policy_matrices, projector, unit
 
 SCHEMES = ("tdma", "zf", "mat", "rszf", "proposed")
-# each fallback beam with the kernel's name for it
-FALLBACKS = [(E1, rates._E1), (E2, rates._E2)]
+# each estimate, in rates._project's order, with the beam it takes when zero
+FALLBACKS = {"h_hat": E1, "g_hat": E2}
 
 
 def _integrand(scheme, cfg):
@@ -76,7 +76,7 @@ def _explicit_integrand(scheme, cfg, batch):
     h, g, p = batch.h, batch.g, cfg.snr_p
     if scheme == "tdma":
         q_h = p * projector(unit(batch.h_hat, E1))
-        q_g = p * projector(unit(batch.g_hat, E1))
+        q_g = p * projector(unit(batch.g_hat, E2))
         return np.stack([np.log2(1.0 + interference_power(h, q_h)),
                          np.log2(1.0 + interference_power(g, q_g))], axis=-1)
     if scheme == "zf":
@@ -118,32 +118,59 @@ def test_zero_estimate_row_is_non_finite():
     assert np.flatnonzero(~np.isfinite(got).all(axis=1)).tolist() == [5]
 
 
+def _columns(batch, name):
+    # rates._project's columns of one estimate
+    return dict(zip(FALLBACKS, rates._project(batch)))[name]
+
+
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
-@pytest.mark.parametrize("fallback", FALLBACKS)
+@pytest.mark.parametrize("fallback", FALLBACKS.items())
 def test_kernel_columns_match_projectors(alpha, fallback):
     cfg = CsitConfig.from_alpha(1e4, alpha)
     batch = _batch(cfg, 256, seed=42)
-    fallback_beam, order = fallback
-    for name in ("h_hat", "g_hat"):
-        w = unit(getattr(batch, name), fallback_beam)
-        w_perp = np.stack([-np.conj(w[:, 1]), np.conj(w[:, 0])], axis=-1)
-        cols = rates._project(batch, order)[name]
-        kernel = rates._Kernel(cols)
-        h_par, h_perp, g_par, g_perp = cols
-        for col, x, beam in ((h_par, batch.h, w), (h_perp, batch.h, w_perp),
-                             (g_par, batch.g, w), (g_perp, batch.g, w_perp)):
-            np.testing.assert_allclose(np.abs(col) ** 2, interference_power(x, projector(beam)),
-                                       rtol=1e-12, atol=1e-14)
-        a, b = 3.0, 0.25
-        q = a * projector(w_perp) + b * projector(w)
-        s = np.stack([np.conj(batch.h), np.conj(batch.g)], axis=-2)
-        m = s @ q @ np.conj(np.swapaxes(s, -1, -2))
-        m00, m11, off = rates._beam_pair(kernel, a, b)
-        np.testing.assert_allclose(m00, m[:, 0, 0].real, rtol=1e-12)
-        np.testing.assert_allclose(m11, m[:, 1, 1].real, rtol=1e-12)
-        np.testing.assert_allclose(off, np.abs(m[:, 0, 1]) ** 2, rtol=1e-10)
-        for col, col_sq in zip(cols, kernel.sq):
-            np.testing.assert_allclose(col_sq, np.abs(col) ** 2, rtol=1e-15)
+    name, fallback_beam = fallback
+    w = unit(getattr(batch, name), fallback_beam)
+    w_perp = np.stack([-np.conj(w[:, 1]), np.conj(w[:, 0])], axis=-1)
+    cols = _columns(batch, name)
+    kernel = rates._Kernel(cols)
+    h_par, h_perp, g_par, g_perp = cols
+    for col, x, beam in ((h_par, batch.h, w), (h_perp, batch.h, w_perp),
+                         (g_par, batch.g, w), (g_perp, batch.g, w_perp)):
+        np.testing.assert_allclose(np.abs(col) ** 2, interference_power(x, projector(beam)),
+                                   rtol=1e-12, atol=1e-14)
+    a, b = 3.0, 0.25
+    q = a * projector(w_perp) + b * projector(w)
+    s = np.stack([np.conj(batch.h), np.conj(batch.g)], axis=-2)
+    m = s @ q @ np.conj(np.swapaxes(s, -1, -2))
+    m00, m11, off = rates._beam_pair(kernel, a, b)
+    np.testing.assert_allclose(m00, m[:, 0, 0].real, rtol=1e-12)
+    np.testing.assert_allclose(m11, m[:, 1, 1].real, rtol=1e-12)
+    np.testing.assert_allclose(off, np.abs(m[:, 0, 1]) ** 2, rtol=1e-10)
+    for col, col_sq in zip(cols, kernel.sq):
+        np.testing.assert_allclose(col_sq, np.abs(col) ** 2, rtol=1e-15)
+
+
+# each scheme's integrand columns with the two users swapped
+USER_SWAP = {"tdma": [1, 0], "zf": [1, 0], "rszf": [1, 0, 3, 2],
+             "mat": [1, 0, 3, 2, 5, 4], "proposed": [1, 0, 3, 2, 5, 4]}
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_zero_estimate_beams_are_user_symmetric(scheme):
+    # Without CSIT (sigma_sq = 1) no user is favoured: relabelling the
+    # antennas and swapping the users, (h1, h2, g1, g2) -> (g2, g1, h2, h1),
+    # maps h_hat's zero-estimate beams onto g_hat's, so every integrand
+    # comes out with its user columns swapped.
+    cfg = CsitConfig.from_sigma_sq(1e3, 1.0)
+    batch = _batch(cfg, 256, seed=45)
+    order = [3, 2, 1, 0]
+    swapped = ChannelBatch(Normals(batch.normals.e[:, order], batch.normals.n[:, order]), cfg)
+    f = _integrand(scheme, cfg)
+    got, want = f(swapped), f(batch)[:, USER_SWAP[scheme]]
+    if scheme in ("mat", "proposed"):
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+    else:
+        np.testing.assert_array_equal(got, want)
 
 
 # --- mpmath evaluation of the same per-sample formulas --------------------
@@ -228,22 +255,23 @@ def _mp_sample(scheme, cfg, h_hat, g_hat, h, g):
 
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 1.0])
 @pytest.mark.parametrize("log2_p", [60, 80, 100, 120])
-@pytest.mark.parametrize("fallback", FALLBACKS)
+@pytest.mark.parametrize("fallback", FALLBACKS.items())
 def test_kernel_backward_stable_at_extreme_snr(fallback, log2_p, alpha):
-    # Every column is within a few eps |x| of the exact projection of the
-    # exact x; the fallback is unused, as no estimate is zero.
+    # Every column of the estimate's kernel is within a few eps |x| of the
+    # exact projection of the exact x; its zero-estimate beam is unused, as
+    # no estimate is zero.
     cfg = CsitConfig.from_alpha(2.0 ** log2_p, alpha)
     batch = _batch(cfg, 16, seed=43)
+    name, _ = fallback
+    cols = _columns(batch, name)
     with mpmath.workdps(80):
-        for name in ("h_hat", "g_hat"):
-            cols = rates._project(batch, fallback[1])[name]
-            for i in range(batch.n):
-                h_hat, g_hat, h, g = _mp_channels(batch, i)
-                w, w_perp = _mp_beams(h_hat if name == "h_hat" else g_hat)
-                for k, (x, beam) in enumerate(((h, w), (h, w_perp), (g, w), (g, w_perp))):
-                    ref = _mp_dot(beam, x)
-                    assert abs(mpmath.mpc(complex(cols[k][i])) - ref) <= 4 * EPS * mpmath.sqrt(
-                        abs(x[0]) ** 2 + abs(x[1]) ** 2)
+        for i in range(batch.n):
+            h_hat, g_hat, h, g = _mp_channels(batch, i)
+            w, w_perp = _mp_beams(h_hat if name == "h_hat" else g_hat)
+            for k, (x, beam) in enumerate(((h, w), (h, w_perp), (g, w), (g, w_perp))):
+                ref = _mp_dot(beam, x)
+                assert abs(mpmath.mpc(complex(cols[k][i])) - ref) <= 4 * EPS * mpmath.sqrt(
+                    abs(x[0]) ** 2 + abs(x[1]) ** 2)
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 1.0])

@@ -10,8 +10,6 @@ from misodof.mc import McConfig, estimate
 from misodof.oracles import mean_log2_quadratic
 from misodof.rates import (
     RateResult,
-    _E1,
-    _E2,
     _Kernel,
     _beam_pair,
     _distortion,
@@ -51,14 +49,17 @@ class TestDefaultPolicy:
         assert p_c == pytest.approx(p)
         assert p1 == pytest.approx(p / 2.0)
         assert p2 == pytest.approx(p / 2.0)
-        # isotropic phase-1 covariances in the no-CSIT regime: the zero
-        # estimate's fallback beams carry p/4 each
+        # isotropic phase-1 covariances in the no-CSIT regime: each zero
+        # estimate's two beams carry p/4 each
         [batch] = sample_batch(_rng(1), [cfg], 64)
-        m00, m11, off = _beam_pair(_Kernel(_project(batch, _E2)["g_hat"]), p1 / 2.0, p2 / 2.0)
-        np.testing.assert_allclose(m00, p / 4.0 * np.sum(np.abs(batch.h) ** 2, axis=1), rtol=1e-12)
-        np.testing.assert_allclose(m11, p / 4.0 * np.sum(np.abs(batch.g) ** 2, axis=1), rtol=1e-12)
-        cross = np.abs(np.sum(np.conj(batch.h) * batch.g, axis=1)) ** 2
-        np.testing.assert_allclose(off, (p / 4.0) ** 2 * cross, rtol=1e-9)
+        for cols in _project(batch):
+            m00, m11, off = _beam_pair(_Kernel(cols), p1 / 2.0, p2 / 2.0)
+            np.testing.assert_allclose(m00, p / 4.0 * np.sum(np.abs(batch.h) ** 2, axis=1),
+                                       rtol=1e-12)
+            np.testing.assert_allclose(m11, p / 4.0 * np.sum(np.abs(batch.g) ** 2, axis=1),
+                                       rtol=1e-12)
+            cross = np.abs(np.sum(np.conj(batch.h) * batch.g, axis=1)) ** 2
+            np.testing.assert_allclose(off, (p / 4.0) ** 2 * cross, rtol=1e-9)
 
     def test_perfect_csit_split(self):
         cfg = CsitConfig.from_sigma_sq(1e4, 1e-4)
@@ -301,7 +302,7 @@ def test_rate_result_dataclass_defaults():
 def test_scheme_group_equals_single_schemes(alpha, workers):
     # One shared estimate for a tuple of schemes gives each scheme exactly
     # its own single-scheme result, in the order asked for.  At alpha 0 the
-    # estimates are zero and every scheme's own fallback beams decide.
+    # estimates are zero and their fixed beams decide.
     cfg = CsitConfig.from_alpha(1e3, alpha)
     mc_cfg = McConfig(10_000, 25, workers)
     singles = {s: rate_scheme(s, [cfg], mc_cfg)[0] for s in Scheme}
@@ -330,18 +331,14 @@ def test_snr_grid_equals_per_config_calls(alpha, workers):
     assert rate_scheme(Scheme.PROPOSED, cfgs, mc_cfg) == [at[-1] for at in grid]
 
 
-@pytest.mark.parametrize("group, kernel_pairs", [
-    (tuple(Scheme), 4), (tuple(reversed(Scheme)), 4), ("proposed", 2), ("tdma", 2)])
-def test_group_runs_each_kernel_pair_once_per_block(group, kernel_pairs, monkeypatch):
-    # In any order the whole group reads four (estimate, fallback) kernel
-    # pairs: (h_hat, e1), (g_hat, e1), (g_hat, e2) and (h_hat, e2), each
-    # fallback with both estimates.  With estimates (alpha 0.5) the kernels
-    # depend on them alone: each config projects once per block, from the
-    # frames that every config of the block shares.  At alpha 0 the
-    # estimates are zero, so the kernels depend on the fallback alone and no
-    # frame is projected.
+@pytest.mark.parametrize("group", [tuple(Scheme), tuple(reversed(Scheme)), "proposed", "tdma"])
+def test_group_runs_each_kernel_pair_once_per_block(group, monkeypatch):
+    # Any group, in any order, reads one kernel pair (h_hat's, g_hat's) per
+    # config and block: one projection.  With estimates (alpha 0.5) it
+    # comes from the frames that every config of the block shares; at
+    # alpha 0 the estimates are zero and no frame is projected.
     snrs = (1e3, 1e4, 1e5)
-    for alpha, projections, frames in ((0.0, kernel_pairs // 2, 0), (0.5, 1, 1)):
+    for alpha, frames in ((0.0, 0), (0.5, 1)):
         calls = dict.fromkeys(("_project", "_frames"), 0)
         for name in calls:
             def counted(*a, name=name, real=getattr(rates, name)):
@@ -351,15 +348,7 @@ def test_group_runs_each_kernel_pair_once_per_block(group, kernel_pairs, monkeyp
         rate_scheme(group, [CsitConfig.from_alpha(p, alpha) for p in snrs],
                     McConfig(2 * 8192, 26))
         monkeypatch.undo()
-        assert calls == {"_project": 2 * len(snrs) * projections, "_frames": 2 * frames}
-
-
-@pytest.mark.parametrize("fallback", [_E1, _E2])
-def test_zero_estimates_share_one_kernel(fallback):
-    # at alpha 0 both estimates are zero and project to the same fallback columns
-    [batch] = sample_batch(_rng(2), [CsitConfig.from_alpha(1e3, 0.0)], 64)
-    shared = rates._Shared(batch)
-    assert shared.kernel("h_hat", fallback) is shared.kernel("g_hat", fallback)
+        assert calls == {"_project": 2 * len(snrs), "_frames": 2 * frames}
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
