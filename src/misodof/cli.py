@@ -5,13 +5,14 @@ Monte Carlo result.
 
 Each input is checked once, by the type that owns it: ``channel.exponent``
 for alpha and beta, the ``CsitConfig`` constructors for P and sigma^2 at
-each grid point, ``McConfig`` for samples, seed and workers.  This module
-checks only the form and size of its SNR grids: at most
-``MAX_GRID_POINTS`` points, counted before a grid is built, and a step that
-moves every value it is added to.  Every usage error ends the command
-with exit 2 and one ``error:`` line on stderr (argparse's own errors print
-its usage text first); a truncation warning is printed only once every
-usage check has passed.
+each grid point, ``McConfig`` for samples, seed and workers, and
+``QuadratureConfig`` for ``--max-panels``.  This module checks only the form
+and size of its SNR grids: at most ``MAX_GRID_POINTS`` points, counted before
+a grid is built.  Both grids, ``rates --snr-db`` and ``slopes
+--snr-db-range``, set point i to start + i * step, correctly rounded to 12
+decimals.  Every usage error ends the command with exit 2 and one ``error:``
+line on stderr (argparse's own errors print its usage text first); a
+truncation warning is printed only once every usage check has passed.
 
 Numeric output is deterministic for a fixed seed regardless of the worker
 count, so ``rates``, ``slopes`` and ``oracles`` run their Monte Carlo blocks
@@ -121,6 +122,11 @@ def _warn_truncated(name, value):
         print(f"warning: {name} {_fmt(value)} truncated to 1", file=sys.stderr)
 
 
+def _grid(start, step, n):
+    # point i is start + i * step; Python's round is correctly rounded
+    return [round(start + i * step, 12) for i in range(n)]
+
+
 def _parse_snr_grid(text):
     try:
         start, step, stop = (float(p) for p in text.split(":"))
@@ -132,15 +138,7 @@ def _parse_snr_grid(text):
                        "expected finite start:step:stop with positive step")
     if (stop + 1e-9 - start) / step >= MAX_GRID_POINTS:
         raise _Exit(2, f"--snr-db {text!r} has more than {MAX_GRID_POINTS} points")
-    grid = []
-    value = start
-    while value <= stop + 1e-9:
-        grid.append(round(value, 12))
-        if value + step == value:
-            raise _Exit(2, f"--snr-db step {_fmt(step)} does not advance the value "
-                           f"{_fmt(value)}")
-        value += step
-    return grid
+    return _grid(start, step, int((stop + 1e-9 - start) / step) + 1)
 
 
 def _region_payload(region, extra=None):
@@ -220,8 +218,7 @@ def _rate_rows(schemes, cells, mc_cfg):
     try:
         results = rate_scheme(group, [cfg for _, cfg in cells], mc_cfg)
     except NonFiniteSampleError as exc:
-        named = exc.scheme.value if exc.scheme else "/".join(s.value for s in schemes)
-        cell = f"snr_db {_fmt(cells[exc.config_index][0])}, scheme {named}"
+        cell = f"snr_db {_fmt(cells[exc.config_index][0])}, scheme {exc.scheme.value}"
         raise _Exit(3, f"{exc} in cell ({cell})") from exc
     rows = []
     for (snr_db, cfg), at_snr in zip(cells, results):
@@ -288,11 +285,8 @@ def cmd_slopes(args, argv):
         raise _Exit(2, f"malformed --snr-db-range {args.snr_db_range!r}; expected lo:hi")
     if args.points > MAX_GRID_POINTS:
         raise _Exit(2, f"--points {args.points} is more than {MAX_GRID_POINTS}")
-    # numpy's round(v, 12) below multiplies by 1e12; no grid value exceeds lo or hi
-    if not math.isfinite(max(abs(lo), abs(hi)) * 1e12):
-        raise _Exit(2, f"--snr-db-range {args.snr_db_range!r} out of range")
-    # linspace rejects a negative count; an empty grid fails the check below
-    grid = [round(v, 12) for v in np.linspace(lo, hi, max(args.points, 0))]
+    # a count below 1 gives an empty grid, which fails the check below
+    grid = _grid(lo, (hi - lo) / max(args.points - 1, 1), args.points)
     if len(set(grid)) < 3:
         raise _Exit(2, f"slope fits need at least 3 distinct grid points; --points "
                        f"{args.points} over {args.snr_db_range} rounds to {len(set(grid))}")
@@ -331,8 +325,7 @@ def cmd_oracles(args):
     try:
         quad_cfg = QuadratureConfig(n_points=args.max_panels, tolerance=tol)
     except ValueError as exc:
-        print(f"quadrature-config: FAIL ({exc})")
-        return 1
+        raise _Exit(2, str(exc)) from None
 
     rng = block_rng(mc_cfg.seed, 0)
     pairs = rng.uniform(0.05, 10.0, size=(1000, 2))
@@ -366,10 +359,11 @@ def cmd_oracles(args):
         failures.append(f"exp-log constant: {exc}")
     else:
         est = exp_log_mean_monte_carlo(mc_cfg)
-        diff = abs(gamma_quad - est.mean)
-        ok = diff <= 5.0 * est.std_error
-        print(f"exp-log-constant: quadrature {gamma_quad:.6f} vs mc {est.mean:.6f} "
-              f"(|diff| {diff:.2e}, 5*se {5 * est.std_error:.2e}) "
+        mean, std_error = est.mean[0], est.std_error[0]
+        diff = abs(gamma_quad - mean)
+        ok = diff <= 5.0 * std_error
+        print(f"exp-log-constant: quadrature {gamma_quad:.6f} vs mc {mean:.6f} "
+              f"(|diff| {diff:.2e}, 5*se {5 * std_error:.2e}) "
               f"{'pass' if ok else 'FAIL'}")
         if not ok:
             failures.append("exp-log constant mismatch between quadrature and Monte Carlo")

@@ -3,8 +3,9 @@
 Estimates are pure functions of ``(n_samples, seed)``.  Samples are generated
 in fixed-size blocks; block ``b`` draws from its own counter-based substream
 ``Philox(key=(seed, b))``, and per-block sums are combined in block order
-with numpy's pairwise reduction (within a block, ``einsum`` sums a C-ordered
-(m, k > 1) array faster than, and bitwise as, ``sum(axis=0)``).  The worker
+with numpy's pairwise reduction.  Within a block, every integrand result is
+read as (m, k) columns, an (m,) one as one column, and reduced by one pair of
+``einsum`` calls into (k,) sums and sums of squares.  The worker
 count only changes scheduling, never the result, and the pool never runs
 more threads than there are blocks or usable CPUs.  An estimate always
 covers a grid of CSIT configs, one or many (say, every SNR of a sweep): the
@@ -61,10 +62,11 @@ class McConfig:
 
 @dataclass(frozen=True)
 class McEstimate:
-    """Sample mean with its standard error; scalar or per-component arrays."""
+    """Sample mean with its standard error, (k,) arrays with one entry per
+    integrand column."""
 
-    mean: object
-    std_error: object
+    mean: np.ndarray
+    std_error: np.ndarray
     n: int
 
 
@@ -84,17 +86,16 @@ def _run_block(f, cfg, grid, block):
             raise ValueError(
                 f"integrand returned {vals.shape[0]} values for a batch of {size} samples"
             )
-        rowwise = vals.ndim == 2 and vals.shape[1] > 1 and vals.flags.c_contiguous
-        total = np.einsum("ij->j", vals) if rowwise else vals.sum(axis=0)
+        vals = vals.reshape(size, -1)  # an (m,) result is one column
+        total = np.einsum("ij->j", vals)
         # A NaN or infinite value makes its column's sum non-finite, so only
         # then are the values searched; finite values whose sum overflows pass.
         if not np.isfinite(total).all():
-            bad = ~np.isfinite(vals.reshape(size, -1))
+            bad = ~np.isfinite(vals)
             if bad.any():
                 bad_row, bad_col = np.argwhere(bad)[0]
                 raise NonFiniteSampleError(start + int(bad_row), int(bad_col), i)
-        sums.append((total, np.einsum("ij,ij->j", vals, vals) if rowwise
-                     else (vals * vals).sum(axis=0)))
+        sums.append((total, np.einsum("ij,ij->j", vals, vals)))
         del batch, vals  # the next config runs without this one's arrays
     return sums
 
@@ -105,8 +106,6 @@ def _reduce(block_sums, n):
     total_sq = np.sum(np.stack([s[1] for s in block_sums]), axis=0)
     mean = total / n
     std_error = np.sqrt(np.maximum(total_sq - n * mean * mean, 0.0) / (n - 1) / n)
-    if np.ndim(mean) == 0:
-        return McEstimate(mean=float(mean), std_error=float(std_error), n=n)
     return McEstimate(mean=mean, std_error=std_error, n=n)
 
 
@@ -133,9 +132,9 @@ def estimate(f, cfg, grid):
     """Monte Carlo expectations of a batch integrand over channel draws.
 
     ``f`` maps a ChannelBatch of size m to an array of per-sample values,
-    shape (m,) for a scalar integrand or (m, k) for k components evaluated
-    jointly.  ``grid`` is a sequence of CsitConfigs, and the result a list
-    of McEstimates, one per config.  Block keys do not depend on the config,
+    shape (m, k) for k components evaluated jointly; an (m,) result is one
+    column.  ``grid`` is a sequence of CsitConfigs, and the result a list
+    of McEstimates, one per config, each of (k,) arrays.  Block keys do not depend on the config,
     so each block's normals are drawn once for the whole grid; ``f`` sees one
     batch per config, all sharing them, and ``batch.csit`` names it.  Each
     estimate is bitwise identical to that config's own one-element grid, and

@@ -186,7 +186,7 @@ def exp_log_mean_monte_carlo(mc_cfg):
     is Exp(1), independently of the others.  One ``mc.estimate`` call runs
     ceil(n_samples / 8) draws, and at least 2 so that the standard error is
     defined; its integrand is each draw's mean of the eight log2 values, so
-    the McEstimate's standard error is that of the grand mean.  A sampler
+    the one-column McEstimate's standard error is that of the grand mean.  A sampler
     whose estimate or error scaling is off moves the mean away from
     ``exp_log_mean()``.
     """
@@ -237,16 +237,16 @@ class BoundsCheckReport:
         return bool(np.all(self.upper_margins >= 0.0) and np.all(self.lower_margins >= 0.0))
 
 
-def conditional_log_bounds_check(k_eigs, cfg, mc_cfg, n_batches=100, gamma=None):
+def conditional_log_bounds_check(k_eigs, cfg, mc_cfg, n_batches=100, *, gamma):
     """Exact check of the slack-free conditional-expectation bounds.
 
     For a PSD matrix with eigenvalues ``k_eigs = (lambda1, lambda2)``,
     verifies per estimate-conditioned batch that
     (i)  E[log2(1 + l1 ||h||^2) | h_hat] <= log2(1 + l1 ||h_hat||^2 + 2 sigma^2 l1),
     (ii) E[log2(1 + g^H K g) | g_hat] >= max(log2(2^gamma sigma^2 l1), 0),
-    where gamma is the exponential-log constant E[log2 X], X ~ Exp(1).  Pass
-    ``gamma`` when it is already known (say, ``exp_log_mean`` of a run's own
-    quadrature config); otherwise ``exp_log_mean()`` is evaluated here.
+    where ``gamma`` is the exponential-log constant E[log2 X], X ~ Exp(1),
+    as the caller computed it (say, ``exp_log_mean`` of a run's own
+    quadrature config).
     Batch b's estimates are row b of one ``sample_batch`` draw keyed by the
     seed alone; both sides are exact, so the margins carry no noise.
     """
@@ -254,8 +254,6 @@ def conditional_log_bounds_check(k_eigs, cfg, mc_cfg, n_batches=100, gamma=None)
     if not lam1 >= lam2 >= 0.0 or lam1 <= 0.0:
         raise ValueError("eigenvalues must satisfy lambda1 >= lambda2 >= 0 with lambda1 > 0")
     s2 = cfg.sigma_sq
-    if gamma is None:
-        gamma = exp_log_mean()
     rhs_lower = max(gamma + math.log2(s2 * lam1), 0.0)
 
     [batch] = sample_batch(block_rng(mc_cfg.seed, _BATCH_KEY_OFFSET), [cfg], n_batches)

@@ -160,7 +160,7 @@ def test_criterion_5_interference_power_scaling():
 
             [est] = estimate(f, mc_cfg, [cfg])
             xs.append(float(log2_power))
-            ys.append(math.log2(est.mean))
+            ys.append(math.log2(est.mean[0]))
         slope = _fit(xs, ys)
         assert abs(slope - (1.0 - alpha)) <= 0.05, f"alpha={alpha}: {slope}"
         lines.append(f"a={alpha}: {slope:.3f}")
@@ -198,13 +198,13 @@ def test_criterion_7_oracle_suite():
     gamma = exp_log_mean(config)
     # 10M exponential samples, eight per channel draw
     est = exp_log_mean_monte_carlo(McConfig(n_samples=10_000_000, seed=SEED))
-    gamma_gap = abs(gamma - est.mean)
-    assert gamma_gap <= 5.0 * est.std_error
+    gamma_gap = abs(gamma - est.mean[0])
+    assert gamma_gap <= 5.0 * est.std_error[0]
 
     bounds_cfg = CsitConfig.from_sigma_sq(1000.0, 0.1)
     report = conditional_log_bounds_check(
         (bounds_cfg.snr_p, 0.0), bounds_cfg,
-        McConfig(n_samples=100_000, seed=SEED), n_batches=100)
+        McConfig(n_samples=100_000, seed=SEED), n_batches=100, gamma=gamma)
     assert report.passed
     elapsed = time.time() - start
     assert elapsed < 60.0

@@ -254,12 +254,10 @@ class TestOraclesCommand:
         assert "conditional-bounds: 100/100 batches pass" in out
 
     def test_injected_fault_exits_1(self, capsys):
-        # 0 and 4 are rejected by the quadrature config; 64 is accepted but
-        # every quadrature runs out of panels, including the bound check's
-        for panels in ("0", "4", "64"):
-            assert _run(["oracles", "--max-panels", panels, "--samples", "10000"]) == 1, panels
-            out = capsys.readouterr().out
-            assert "FAIL" in out, panels
+        # 64 panels are accepted, but every quadrature runs out of them,
+        # including the bound check's
+        assert _run(["oracles", "--max-panels", "64", "--samples", "10000"]) == 1
+        out = capsys.readouterr().out
         assert "conditional-bounds: FAIL" in out
         # at 64 panels no rotation pair converges: no maximum error is claimed,
         # and the capped per-pair lines leave room for every later check
@@ -339,6 +337,25 @@ def test_snr_grid_parsing():
             cli._parse_snr_grid(text)
 
 
+def test_snr_grid_points_do_not_drift():
+    # Point i is start + i * step rounded to 12 decimals, not a running sum,
+    # which reaches values such as 78.799999999999 on this grid.
+    assert cli._parse_snr_grid("40:0.1:80") == [round(40 + i * 0.1, 12) for i in range(401)]
+
+
+@pytest.mark.parametrize("extra, grid", [
+    ([], [40.0, 45.0, 50.0, 55.0, 60.0, 65.0, 70.0, 75.0, 80.0]),
+    (["--snr-db-range", "200:360"], [200.0, 220.0, 240.0, 260.0, 280.0, 300.0, 320.0,
+                                     340.0, 360.0]),
+    (["--points", "5"], [40.0, 50.0, 60.0, 70.0, 80.0]),
+])
+def test_slopes_grids(extra, grid, tmp_path):
+    out = tmp_path / "slope.json"
+    assert _run(["slopes", "--scheme", "zf", "--alpha", "0.5", *extra, "--samples", "200",
+                 "--seed", "0", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["snr_db"] == grid
+
+
 _RATES_ZF = ["rates", "--scheme", "zf", "--alpha", "0.5", "--snr-db", "10:10:10"]
 
 BAD_INPUT_CASES = [
@@ -373,14 +390,14 @@ BAD_INPUT_CASES = [
      "snr_db 10: sigma_sq must lie in (0, 1]"),
     (["rates", "--scheme", "zf", "--alpha", "0.5", "--snr-db", "0:1:1"], None, 2,
      "snr_db 0: snr_p must be a finite number above 1"),
-    # a step below half an ulp of the value, and grids past the point cap
+    # a one-point grid whose P overflows, and grids past the point cap
     (["rates", "--scheme", "zf", "--alpha", "0.5", "--snr-db", "1e20:1:1e20"], None, 2,
-     "does not advance the value"),
+     "snr_db 1e+20 out of range (P overflows)"),
     (["rates", "--scheme", "zf", "--alpha", "0.5", "--snr-db", "0:1e-9:1e6"], None, 2,
      "more than 10000 points"),
     (["slopes", "--scheme", "zf", "--alpha", "0.5", "--points", "1000000000000000"], None, 2,
      "is more than 10000"),
-    # rounding the grid to 12 decimals would overflow
+    # P overflows at every grid point past the first
     (["slopes", "--scheme", "zf", "--alpha", "0.5", "--snr-db-range", "3000:1e300"], None, 2,
      "out of range"),
     # one sample has no standard error
@@ -388,6 +405,9 @@ BAD_INPUT_CASES = [
     (["slopes", "--scheme", "zf", "--alpha", "0.5", "--samples", "1"], None, 2,
      "n_samples must be at least 2, got 1"),
     (["oracles", "--samples", "1"], None, 2, "n_samples must be at least 2, got 1"),
+    # the quadrature config owns the panel budget
+    (["oracles", "--max-panels", "0"], None, 2, "n_points must be at least 16, got 0"),
+    (["oracles", "--max-panels", "4"], None, 2, "n_points must be at least 16, got 4"),
 ]
 
 
@@ -437,7 +457,9 @@ def test_out_check_keeps_existing_file(tmp_path, capsys):
 def test_non_finite_names_the_cell(failure, tmp_path, monkeypatch, capsys):
     def broken(scheme, cfgs, mc_cfg):
         if failure == "nan_sample":
-            raise NonFiniteSampleError(7)
+            exc = NonFiniteSampleError(7)
+            exc.scheme = Scheme.ZF  # as rate_scheme names every failing column
+            raise exc
         return [RateResult(r1=float("nan"), r2=1.0, se_r1=0.0, se_r2=0.0)] * len(cfgs)
 
     monkeypatch.setattr(cli, "rate_scheme", broken)

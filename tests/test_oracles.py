@@ -164,7 +164,8 @@ class TestConditionalLogBounds:
     def test_reference_configuration_passes(self):
         cfg = CsitConfig.from_sigma_sq(1000.0, 0.1)
         report = conditional_log_bounds_check(
-            (cfg.snr_p, 0.0), cfg, McConfig(100_000, 34), n_batches=100)
+            (cfg.snr_p, 0.0), cfg, McConfig(100_000, 34), n_batches=100,
+            gamma=exp_log_mean())
         assert report.passed
         assert report.upper_margins.min() > 0.0
         assert report.lower_margins.min() > 0.0
@@ -174,7 +175,7 @@ class TestConditionalLogBounds:
         # E log2(1 + ||h||^2) <= log2(1 + 2)
         cfg = CsitConfig.from_sigma_sq(100.0, 1.0)
         report = conditional_log_bounds_check(
-            (1.0, 1.0), cfg, McConfig(50_000, 35), n_batches=10)
+            (1.0, 1.0), cfg, McConfig(50_000, 35), n_batches=10, gamma=exp_log_mean())
         assert report.passed
 
         def f(batch):
@@ -189,7 +190,7 @@ class TestConditionalLogBounds:
         # the Monte Carlo noise floor)
         cfg = CsitConfig.from_alpha(2.0 ** 40, 1.0)
         report = conditional_log_bounds_check(
-            (100.0, 10.0), cfg, McConfig(20_000, 37), n_batches=20)
+            (100.0, 10.0), cfg, McConfig(20_000, 37), n_batches=20, gamma=exp_log_mean())
         assert np.max(np.abs(report.upper_margins)) < 1e-3
         assert report.lower_margins.min() > 0.0
 
@@ -198,23 +199,20 @@ class TestConditionalLogBounds:
         # 4e-12; its sign is resolvable only from an exact left side
         cfg = CsitConfig.from_alpha(2.0 ** 40, 1.0)
         report = conditional_log_bounds_check(
-            (100.0, 10.0), cfg, McConfig(20_000, 37), n_batches=20)
+            (100.0, 10.0), cfg, McConfig(20_000, 37), n_batches=20, gamma=exp_log_mean())
         assert report.passed
         assert np.max(np.abs(report.upper_margins)) < 1e-9
 
     def test_given_gamma_is_used(self):
         cfg = CsitConfig.from_sigma_sq(1000.0, 0.1)
         k_eigs, mc_cfg = (cfg.snr_p, 0.0), McConfig(100, 39)
-        own = conditional_log_bounds_check(k_eigs, cfg, mc_cfg, n_batches=10)
         given = conditional_log_bounds_check(k_eigs, cfg, mc_cfg, n_batches=10,
                                              gamma=exp_log_mean())
-        assert np.array_equal(own.upper_margins, given.upper_margins)
-        assert np.array_equal(own.lower_margins, given.lower_margins)
         # the lower bound's right side is gamma + log2(sigma^2 lambda1) here
         shifted = conditional_log_bounds_check(k_eigs, cfg, mc_cfg, n_batches=10,
                                                gamma=exp_log_mean() - 0.5)
-        assert np.allclose(shifted.lower_margins, own.lower_margins + 0.5, atol=1e-12)
-        assert np.array_equal(shifted.upper_margins, own.upper_margins)
+        assert np.allclose(shifted.lower_margins, given.lower_margins + 0.5, atol=1e-12)
+        assert np.array_equal(shifted.upper_margins, given.upper_margins)
 
     def test_reads_the_shared_sampler(self):
         # The estimate pairs are the rows of one sample_batch draw, keyed by
@@ -228,16 +226,19 @@ class TestConditionalLogBounds:
         lower = (mean_log2_quadratic((lam1, 0.0), g_hat_sq, s2)
                  - max(exp_log_mean() + math.log2(s2 * lam1), 0.0))
         for mc_cfg in (McConfig(100, 40), McConfig(1_000_000, 40, n_workers=2)):
-            report = conditional_log_bounds_check((lam1, 0.0), cfg, mc_cfg, n_batches=n_batches)
+            report = conditional_log_bounds_check((lam1, 0.0), cfg, mc_cfg, n_batches=n_batches,
+                                                  gamma=exp_log_mean())
             assert np.array_equal(report.upper_margins, upper)
             assert np.array_equal(report.lower_margins, lower)
 
     def test_eigenvalue_validation(self):
         cfg = CsitConfig.from_sigma_sq(100.0, 0.25)
         with pytest.raises(ValueError):
-            conditional_log_bounds_check((0.0, 0.0), cfg, McConfig(100, 38))
+            conditional_log_bounds_check((0.0, 0.0), cfg, McConfig(100, 38),
+                                         gamma=exp_log_mean())
         with pytest.raises(ValueError):
-            conditional_log_bounds_check((1.0, 2.0), cfg, McConfig(100, 38))
+            conditional_log_bounds_check((1.0, 2.0), cfg, McConfig(100, 38),
+                                         gamma=exp_log_mean())
 
 
 class TestMeanLog2Quadratic:

@@ -121,7 +121,7 @@ class TestInterferencePower:
 
             [est] = estimate(f, McConfig(50_000, 7), [cfg])
             xs.append(log2p)
-            ys.append(math.log2(est.mean))
+            ys.append(math.log2(est.mean[0]))
         slope = np.polyfit(xs, ys, 1)[0]
         assert abs(slope - (1.0 - alpha)) < 0.05
 
