@@ -7,9 +7,22 @@ of the current channel vectors: the true vectors decompose as
 errors are independent circularly-symmetric complex Gaussians with per-entry
 variances ``1 - sigma_sq`` and ``sigma_sq``.  Estimation quality is tracked
 through the exponent ``alpha`` defined by ``sigma_sq = snr_p ** -alpha``.
-A draw keeps that split, as unit normals that each config of a grid scales:
-the rounded sums h and g lose h's part along h_hat-perp once sigma ~ eps
+A draw keeps that split, unscaled, and each config of a grid scales it: the
+rounded sums h and g lose h's part along h_hat-perp once sigma ~ eps
 |h_hat|.  The sampler always takes a sequence of configs, one or many.
+
+The estimates are drawn in their canonical frame.  Every rate here builds
+its beams from the estimates, so its integrand does not change when one
+unitary is applied to all four vectors, or one phase to a user's estimate
+and error together.  A unitary fixed by the estimates takes h_hat to
+|h_hat| (1, 0) and g_hat to |g_hat| (r e^{i t1}, -s e^{i t2}); the phase
+e^{-i t1} on g and then diag(1, e^{i (t1 - t2)}) make r and s real.  Both
+steps depend on the estimates alone, so the errors stay i.i.d. CN in
+antenna coordinates and independent of them.  What is left to draw is
+|h_hat|^2 and |g_hat|^2, each (1 - sigma_sq) Gamma(2), and r^2 ~ U(0, 1),
+the squared cosine between the estimates, all independent: 5 uniforms and
+the errors' 8 normals per sample, where the antenna-frame draw took 16
+normals.
 """
 
 from __future__ import annotations
@@ -81,48 +94,69 @@ class CsitConfig:
 
 @dataclass(frozen=True)
 class Normals:
-    """One block's unit-variance complex normals, (n, 4) with columns (h_1,
-    h_2, g_1, g_2): ``e`` for the estimates, ``n`` for the errors, shared by
-    the block's batches; ``memo`` keeps what is derived from them alone."""
+    """One block's draw in the canonical frame, shared by its batches:
+    ``norm``, (n, 2), holds |e_h| and |e_g|, the chi^2_4 norms of each
+    estimate's two unit-variance complex normals; ``r`` and ``s`` =
+    sqrt(1 - r^2), (n,), put g's estimate direction at (r, -s); ``n``, (n,
+    4), holds the unit-variance complex error normals, columns (h_1, h_2,
+    g_1, g_2) in antenna coordinates.  ``memo`` keeps what is derived from
+    them alone."""
 
-    e: np.ndarray
+    norm: np.ndarray
+    r: np.ndarray
+    s: np.ndarray
     n: np.ndarray
     memo: dict = field(default_factory=dict, repr=False, compare=False)
 
 
-def _scaled(normals, first, scale):
-    # columns first, first + 1 of the normals times the config's scale
-    return cached_property(lambda batch: getattr(batch.normals, normals)[:, first:first + 2]
-                           * getattr(batch, scale))
+def _pair(first, second):
+    # an (n, 2) complex vector from its two coordinates
+    out = np.empty((first.shape[0], 2), dtype=complex)
+    out[:, 0], out[:, 1] = first, second
+    return out
 
 
 @dataclass(frozen=True)
 class ChannelBatch:
-    """The block's ``normals`` at config ``csit``: h_hat = a e_h and h_tilde =
-    b n_h (likewise g), with a = sqrt((1 - sigma_sq)/2) and b =
-    sqrt(sigma_sq/2).  The (n, 2) vectors are formed on first use."""
+    """The block's ``normals`` at config ``csit``, in the canonical frame:
+    h_hat = a |e_h| (1, 0) and g_hat = a |e_g| (r, -s), so h_hat-perp =
+    (0, 1) and g_hat-perp = (s, r); h_tilde = b n_h and g_tilde = b n_g,
+    with a = sqrt((1 - sigma_sq)/2) and b = sqrt(sigma_sq/2).  The (n, 2)
+    vectors are formed on first use."""
 
     normals: Normals
     csit: CsitConfig
-    n = property(lambda self: self.normals.e.shape[0])
+    n = property(lambda self: self.normals.n.shape[0])
     a = property(lambda self: math.sqrt(max(1.0 - self.csit.sigma_sq, 0.0) / 2.0))
     b = property(lambda self: math.sqrt(self.csit.sigma_sq / 2.0))
-    h_hat = _scaled("e", 0, "a")
-    g_hat = _scaled("e", 2, "a")
-    h_tilde = _scaled("n", 0, "b")
-    g_tilde = _scaled("n", 2, "b")
+    h_hat = cached_property(lambda self: _pair(self.a * self.normals.norm[:, 0], 0.0))
+    h_tilde = cached_property(lambda self: self.normals.n[:, 0:2] * self.b)
+    g_tilde = cached_property(lambda self: self.normals.n[:, 2:4] * self.b)
     h = cached_property(lambda self: self.h_hat + self.h_tilde)
     g = cached_property(lambda self: self.g_hat + self.g_tilde)
+
+    @cached_property
+    def g_hat(self):
+        scale = self.a * self.normals.norm[:, 1]
+        return _pair(scale * self.normals.r, -scale * self.normals.s)
 
 
 def sample_batch(rng, cfgs, n):
     """Draw ``n`` independent channel samples once, for a sequence of configs.
 
-    An iterator yields one ChannelBatch per config, all sharing the draw:
-    entries of the estimates are i.i.d. CN(0, 1 - sigma_sq), entries of the
-    errors i.i.d. CN(0, sigma_sq), all four vectors mutually independent.
+    An iterator yields one ChannelBatch per config, all sharing the draw.
+    Error entries are i.i.d. CN(0, sigma_sq) in antenna coordinates.  The
+    estimates lie in the canonical frame (see the module docstring), with
+    norms^2 of (1 - sigma_sq) Gamma(2) and r^2 ~ U(0, 1), independent of one
+    another and of the errors.  So every integrand invariant under a common
+    unitary and a per-user phase, as every rate here is, has the law it
+    has under i.i.d. CN(0, 1 - sigma_sq) estimate entries.
     """
-    # Fixed draw layout: 16 reals per sample, estimates first.
-    z = rng.standard_normal((n, 16))
-    normals = Normals(z[:, 0:4] + 1j * z[:, 4:8], z[:, 8:12] + 1j * z[:, 12:16])
+    # Fixed draw layout: 8 normals, then 5 uniforms per sample.
+    errors = rng.standard_normal((n, 8)).view(complex)
+    u = rng.random((n, 5))
+    # chi^2_4 = -2 (ln U1 + ln U2) for U1, U2 uniform on (0, 1]: 1 - u is exact
+    # on the 2^-53 grid of Generator.random, so one log of the product serves
+    norm = np.sqrt(-2.0 * np.log((1.0 - u[:, 0:4:2]) * (1.0 - u[:, 1:4:2])))
+    normals = Normals(norm, np.sqrt(u[:, 4]), np.sqrt(1.0 - u[:, 4]), errors)
     return (ChannelBatch(normals, c) for c in cfgs)

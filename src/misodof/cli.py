@@ -6,9 +6,10 @@ Monte Carlo result.
 Each input is checked once, by the type that owns it: ``channel.exponent``
 for alpha and beta, the ``CsitConfig`` constructors for P and sigma^2 at
 each grid point, ``McConfig`` for samples, seed and workers, and
-``QuadratureConfig`` for ``--max-panels``.  This module checks only the form
-and size of its SNR grids: at most ``MAX_GRID_POINTS`` points, counted before
-a grid is built.  Both grids, ``rates --snr-db`` and ``slopes
+``QuadratureConfig`` for ``--max-panels``; their messages are prefixed with
+the option (or ``MISO_DOF_SEED``) that set the value.  This module checks
+only the form and size of its SNR grids: at most ``MAX_GRID_POINTS`` points,
+counted before a grid is built.  Both grids, ``rates --snr-db`` and ``slopes
 --snr-db-range``, set point i to start + i * step, correctly rounded to 12
 decimals.  Every usage error ends the command with exit 2 and one ``error:``
 line on stderr (argparse's own errors print its usage text first); a
@@ -82,6 +83,15 @@ def _fmt(x):
     return format(float(x), ".12g")
 
 
+def _config(build, options, *values):
+    """``build(*values)``; a ValueError is a usage error behind the option that
+    set the field it names (each config type's messages start with one)."""
+    try:
+        return build(*values)
+    except ValueError as exc:
+        raise _Exit(2, f"{options[str(exc).split(' ', 1)[0]]}: {exc}") from None
+
+
 def _mc_config(args):
     """McConfig from --samples, --workers and --seed (else MISO_DOF_SEED, else 0)."""
     env = os.environ.get("MISO_DOF_SEED", "0")
@@ -89,10 +99,9 @@ def _mc_config(args):
         seed = args.seed if args.seed is not None else int(env)
     except ValueError:
         raise _Exit(2, f"MISO_DOF_SEED must be an integer, got {env!r}") from None
-    try:
-        return McConfig(args.samples, seed, args.workers)
-    except ValueError as exc:
-        raise _Exit(2, str(exc)) from None
+    options = {"n_samples": "--samples", "n_workers": "--workers",
+               "seed": "--seed" if args.seed is not None else "MISO_DOF_SEED"}
+    return _config(McConfig, options, args.samples, seed, args.workers)
 
 
 def _cell_configs(grid, build, quality):
@@ -322,10 +331,7 @@ def cmd_oracles(args):
     mc_cfg = _mc_config(args)
     tol = 1e-7 if args.strict else 1e-6
     failures = []
-    try:
-        quad_cfg = QuadratureConfig(n_points=args.max_panels, tolerance=tol)
-    except ValueError as exc:
-        raise _Exit(2, str(exc)) from None
+    quad_cfg = _config(QuadratureConfig, {"n_points": "--max-panels"}, args.max_panels, tol)
 
     rng = block_rng(mc_cfg.seed, 0)
     pairs = rng.uniform(0.05, 10.0, size=(1000, 2))
@@ -444,7 +450,9 @@ def _build_parser():
                            help="quadrature panel budget (testing hook)")
     p_oracles.add_argument("--samples", type=int, default=1_000_000,
                            help="exponential samples of the exp-log check; each "
-                                "channel draw gives 8")
+                                "channel draw gives 8: the Exp(1) entries of the "
+                                "errors and of g_hat, and h_hat's Gamma(2) norm^2 "
+                                "counted twice")
     p_oracles.add_argument("--seed", type=int, default=None)
     _add_workers(p_oracles)
 

@@ -5,9 +5,10 @@ exponential-log constant, plus exact one-dimensional-integral checks of the
 slack-free conditional log bounds used by the converse analysis.  Everything
 here is decoupled from the rate-evaluation path so it can serve as an oracle.
 The one Monte Carlo check, ``exp_log_mean_monte_carlo``, reads the channel
-sampler itself: every entry of a draw, divided by its variance, is an Exp(1)
-sample, so its mean tests the sampler's estimate and error scalings against
-the quadrature constant.  The bound check draws its estimates from it too.
+sampler itself: divided by their variances, the error entries and g_hat's
+entries are Exp(1) samples and ||h_hat||^2 is Gamma(2), so its mean tests the
+sampler's estimate and error scalings and its norm law against the
+quadrature constant.  The bound check draws its estimates from it too.
 
 One batched midpoint rule serves both quadratures: the rotation identity
 takes arrays of pairs, refines only the pairs not yet converged and returns
@@ -43,6 +44,7 @@ _BATCH_KEY_OFFSET = 1 << 32
 # mis-scaled error both shift its mean.  P does not enter the draw.
 _EXP_LOG_CSIT = CsitConfig.from_sigma_sq(100.0, 0.25)
 _ENTRIES_PER_DRAW = 8
+_LOG2_E = 1.0 / math.log(2.0)
 
 # Trapezoid step in u and bound on each cut tail of mean_log2_quadratic.
 _STEP = 0.1
@@ -164,15 +166,20 @@ def exp_log_mean(config=None):
     return float(val)
 
 
+def _scaled_abs2(x, var):
+    sq = x.real ** 2
+    sq += x.imag ** 2
+    sq /= var
+    return sq
+
+
 def _exp_log_integrand(batch):
-    # each draw's mean of log2 |x|^2 / Var x over its eight complex entries
+    # each draw's mean of log2 |x|^2 / Var x over its eight exponential
+    # samples; h_hat's two enter through their Gamma(2) sum
     s2 = batch.csit.sigma_sq
-    total = np.zeros(batch.n)
-    for x, var in ((batch.h_hat, 1.0 - s2), (batch.g_hat, 1.0 - s2),
-                   (batch.h_tilde, s2), (batch.g_tilde, s2)):
-        sq = x.real ** 2
-        sq += x.imag ** 2
-        sq /= var
+    total = 2.0 * (np.log2(_scaled_abs2(batch.h_hat, 1.0 - s2).sum(axis=1)) - _LOG2_E)
+    for x, var in ((batch.g_hat, 1.0 - s2), (batch.h_tilde, s2), (batch.g_tilde, s2)):
+        sq = _scaled_abs2(x, var)
         total += np.log2(sq, out=sq).sum(axis=1)
     return total / _ENTRIES_PER_DRAW
 
@@ -181,14 +188,17 @@ def exp_log_mean_monte_carlo(mc_cfg):
     """E[log2 X], X ~ Exp(1), by Monte Carlo over the channel sampler.
 
     ``mc_cfg.n_samples`` counts exponential samples, and each channel draw
-    gives eight: for every complex entry x of h_hat and g_hat (variance
-    1 - sigma^2) and of h_tilde and g_tilde (variance sigma^2), |x|^2 / Var x
-    is Exp(1), independently of the others.  One ``mc.estimate`` call runs
-    ceil(n_samples / 8) draws, and at least 2 so that the standard error is
-    defined; its integrand is each draw's mean of the eight log2 values, so
-    the one-column McEstimate's standard error is that of the grand mean.  A sampler
-    whose estimate or error scaling is off moves the mean away from
-    ``exp_log_mean()``.
+    gives eight, scaled by their variances (1 - sigma^2 for the estimates,
+    sigma^2 for the errors).  Six are Exp(1) entries: the four of h_tilde and
+    g_tilde, and g_hat's two, each a Uniform share of a Gamma(2) norm^2.  The
+    other two are h_hat's: the sampler puts h_hat along the first axis, so
+    they enter as ||h_hat||^2 / (1 - sigma^2), which is Gamma(2) with E log2
+    = gamma + log2(e), as 2 (log2 ||h_hat||^2 / (1 - sigma^2) - log2(e)).
+    One ``mc.estimate`` call runs ceil(n_samples / 8) draws, and at least 2
+    so that the standard error is defined; its integrand is each draw's mean
+    of the eight log2 values, so the one-column McEstimate's standard error
+    is that of the grand mean.  A sampler whose estimate or error scaling, or
+    whose norm law, is off moves the mean away from ``exp_log_mean()``.
     """
     draws = max(2, -(-mc_cfg.n_samples // _ENTRIES_PER_DRAW))
     return mc.estimate(_exp_log_integrand, replace(mc_cfg, n_samples=draws), [_EXP_LOG_CSIT])[0]

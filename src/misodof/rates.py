@@ -14,8 +14,11 @@ kernel's projections of h and g onto those directions.  That matters
 numerically: at very high SNR the matrix entries are ~P while quadratic
 forms along nulled directions are O(1), and forming the matrix first loses
 them to cancellation.  So is the rounding of h = h_hat + h_tilde: the kernel
-projects estimate and error normals apart, which nulls h_hat exactly.  No
-scheme forms a covariance matrix; the explicit-matrix reference the tests
+builds each user's coordinates from its estimate's norm and its error
+normals apart, which nulls h_hat exactly.  The sampler's canonical frame
+(see ``channel``) puts h_hat along the first antenna and g_hat along the real
+direction (r, -s), so the kernel neither normalizes nor divides by a norm.
+No scheme forms a covariance matrix; the explicit-matrix reference the tests
 check this arithmetic against lives in ``tests/reference.py``.
 
 Each scheme is a (width, fill, finalize) triple: ``fill(batch, shared, out)``
@@ -23,11 +26,12 @@ writes its per-sample log terms into ``out``, its (n, width) slice of one
 array, from ``shared``, the batch's ``_Shared`` memo, and
 ``finalize(mean, se)`` maps their means and standard errors to a result.
 Any set of schemes at any set of configs (say, every SNR of a sweep) is
-thus one estimate over one draw per block.  Each block's frames are projected
-once, and each batch's ``_Shared`` forms its two kernels, one per
-estimate, and each phase-2 split once.  A zero estimate (sigma_sq = 1, the no-CSIT limit)
-still has a fixed beam pair, chosen by ``_project`` alone, so every scheme
-reads the same two kernels at every config.
+thus one estimate over one draw per block.  Each block's g errors are
+rotated into g_hat's frame once, and each batch's ``_Shared`` forms its two
+kernels, one per estimate, and each phase-2 split once.  A zero estimate
+(sigma_sq = 1, the no-CSIT limit) still has a fixed beam pair, chosen by
+``_project`` alone, so every scheme reads the same two kernels at every
+config.
 ``rate_scheme`` always takes a sequence of configs, as ``mc.estimate`` does,
 and returns one entry per config; a single config is a one-element grid.
 """
@@ -80,50 +84,36 @@ class _Kernel:
 
 
 def _frames(normals):
-    """What every config of a block shares: each estimate's |e| and its own
-    user's error coordinates (w^H n, w-perp^H n), for w = e/|e| from the
-    estimate's unit normals e and w-perp = (-conj(w_2), conj(w_1)); and
-    (r, s) = (w_h^H w_g, w_h^H w_g-perp), so that [[r, s], [-conj(s), conj(r)]]
-    takes coordinates in g_hat's frame to h_hat's."""
-    e, n = normals.e, normals.n
-    own, beams = [], []
-    for i in (0, 2):
-        x1, x2 = e[:, i], e[:, i + 1]
-        norm = np.sqrt(_abs2(x1) + _abs2(x2))
-        inv = 1.0 / norm  # a complex division by norm costs twice as much
-        w1, w2 = x1 * inv, x2 * inv
-        par = n[:, i] * np.conj(w1)
-        par += n[:, i + 1] * np.conj(w2)
-        perp = n[:, i + 1] * w1
-        perp -= n[:, i] * w2
-        own.append((norm, par, perp))
-        beams.append((w1, w2))
-    (h1, h2), (g1, g2) = beams
-    return own, np.conj(h1) * g1 + np.conj(h2) * g2, np.conj(h2 * g1 - h1 * g2)
+    """g's error coordinates (w_g^H n_g, w_g-perp^H n_g) in g_hat's frame,
+    w_g = (r, -s) and w_g-perp = (s, r): one real rotation of g's error
+    normals per block, which every config of the block shares.  h_hat's
+    frame is the antenna frame, so h's are n_h itself."""
+    r, s, n = normals.r, normals.s, normals.n
+    return r * n[:, 2] - s * n[:, 3], s * n[:, 2] + r * n[:, 3]
 
 
 def _project(batch):
     """The kernels behind every scheme's integrand: for h_hat, then g_hat,
     the columns (h.w, h.w-perp, g.w, g.w-perp), x.w = w^H x along the
     estimate's unit direction w and w-perp.  In its own estimate's frame a
-    user's columns are a (|e|, 0) + b (its error's _frames coordinates), so
-    h.w-perp is exactly b w-perp^H n_h for h_hat; the other user's are those
-    rotated.  At sigma_sq = 1 (a = 0) the estimates are zero: h_hat points
+    user's columns are a (|e|, 0) + b (its error's coordinates), so h.w-perp
+    is exactly b n_h2 for h_hat; the other user's are those rotated by the
+    real [[r, s], [-s, r]], which takes coordinates in g_hat's frame to
+    h_hat's.  At sigma_sq = 1 (a = 0) the estimates are zero: h_hat points
     at antenna 1 and g_hat at antenna 2, each w-perp at the other antenna,
     up to a sign that no beam power or m01 sees."""
-    a, b = batch.a, batch.b
+    a, b, normals = batch.a, batch.b, batch.normals
     if a == 0.0:
-        h1, h2, g1, g2 = (batch.normals.n[:, k] * b for k in range(4))
+        h1, h2, g1, g2 = (normals.n[:, k] * b for k in range(4))
         return [h1, h2, g1, g2], [h2, h1, g2, g1]
-    memo = batch.normals.memo
-    if "frames" not in memo:
-        memo["frames"] = _frames(batch.normals)
-    ((norm_h, par_h, perp_h), (norm_g, par_g, perp_g)), r, s = memo["frames"]
-    h0, h1 = a * norm_h + b * par_h, b * perp_h  # h in h_hat's frame
-    g0, g1 = a * norm_g + b * par_g, b * perp_g  # g in g_hat's frame
-    rc, sc = np.conj(r), np.conj(s)
-    return ([h0, h1, r * g0 + s * g1, rc * g1 - sc * g0],
-            [rc * h0 - s * h1, sc * h0 + r * h1, g0, g1])
+    if "frames" not in normals.memo:
+        normals.memo["frames"] = _frames(normals)
+    par_g, perp_g = normals.memo["frames"]
+    r, s, norm = normals.r, normals.s, normals.norm
+    h0, h1 = a * norm[:, 0] + b * normals.n[:, 0], b * normals.n[:, 1]  # h in h_hat's frame
+    g0, g1 = a * norm[:, 1] + b * par_g, b * perp_g  # g in g_hat's frame
+    return ([h0, h1, r * g0 + s * g1, r * g1 - s * g0],
+            [r * h0 - s * h1, s * h0 + r * h1, g0, g1])
 
 
 def _beam_pair(kernel, a, b):

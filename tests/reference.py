@@ -8,8 +8,13 @@ orthogonal-complement directions with a zero estimate's fixed beams (h_hat
 along E1 with its complement along E2, g_hat along E2 with its complement
 along E1), the five covariances (q_u, q_v, q_c, q_p1, q_p2) of the default
 policy, and the quadratic forms h^H Q h of explicit (..., 2, 2) matrices.
-Only the scalar power split comes from ``rates``.
+Only the scalar power split comes from ``rates``.  ``isotropic_batch`` is a
+channel draw in antenna coordinates with no frame chosen, to check the
+sampler's canonical-frame draw against in law.
 """
+
+import math
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -81,3 +86,18 @@ def policy_matrices(cfg, h_hat, g_hat):
     """The default policy's five covariances as explicit (..., 2, 2) matrices."""
     return {name: sum(c * projector(w) for c, w in beams)
             for name, beams in policy_beams(cfg, h_hat, g_hat).items()}
+
+
+def isotropic_batch(rng, cfg, n):
+    """``n`` channel samples at ``cfg`` with every entry of the estimates
+    i.i.d. CN(0, 1 - sigma_sq) and of the errors i.i.d. CN(0, sigma_sq), in
+    antenna coordinates: 16 normals per sample, the real then the imaginary
+    parts of (h_hat, g_hat), then of (h_tilde, g_tilde).  The explicit
+    vectors, as ``ChannelBatch`` names them, in a namespace."""
+    z = rng.standard_normal((n, 16))
+    est, err = z[:, 0:4] + 1j * z[:, 4:8], z[:, 8:12] + 1j * z[:, 12:16]
+    a, b = math.sqrt((1.0 - cfg.sigma_sq) / 2.0), math.sqrt(cfg.sigma_sq / 2.0)
+    h_hat, g_hat = est[:, 0:2] * a, est[:, 2:4] * a
+    h_tilde, g_tilde = err[:, 0:2] * b, err[:, 2:4] * b
+    return SimpleNamespace(csit=cfg, n=n, h_hat=h_hat, g_hat=g_hat, h_tilde=h_tilde,
+                           g_tilde=g_tilde, h=h_hat + h_tilde, g=g_hat + g_tilde)

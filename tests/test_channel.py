@@ -91,16 +91,19 @@ class TestSampling:
             assert abs(values.mean() - target) < 5 * se
 
     def test_estimate_error_uncorrelated(self):
+        # In the canonical frame an estimate varies by its magnitudes only:
+        # ||h_hat||^2 and g_hat's |entries|^2 against every error entry.
         cfg = CsitConfig.from_sigma_sq(100.0, 0.5)
         n = 500_000
         [batch] = sample_batch(_rng(3), [cfg], n)
         bound = 5.0 / math.sqrt(n)
-        for i in range(2):
-            for j in range(2):
-                c = np.corrcoef(batch.h_hat[:, i].real, batch.h_tilde[:, j].real)[0, 1]
-                assert abs(c) < bound
-                c = np.corrcoef(batch.h_hat[:, i].imag, batch.h_tilde[:, j].imag)[0, 1]
-                assert abs(c) < bound
+        estimates = [np.sum(np.abs(batch.h_hat) ** 2, axis=1),
+                     np.abs(batch.g_hat[:, 0]) ** 2, np.abs(batch.g_hat[:, 1]) ** 2]
+        errors = [part(x[:, j]) for x in (batch.h_tilde, batch.g_tilde) for j in range(2)
+                  for part in (np.real, np.imag, np.abs)]
+        for est in estimates:
+            for err in errors:
+                assert abs(np.corrcoef(est, err)[0, 1]) < bound
 
     def test_deterministic_given_state(self):
         cfg = CsitConfig.from_sigma_sq(100.0, 0.25)
@@ -123,6 +126,24 @@ class TestSampling:
         phase = np.angle(batch.h_tilde[:, 0])
         stat = stats.kstest(phase, "uniform", args=(-math.pi, 2 * math.pi)).statistic
         assert stat < 1.63 / math.sqrt(n)   # 1% critical value
+
+    @pytest.mark.parametrize("quantity, law", [
+        # |e|^2 / 2 of each estimate's two unit complex normals
+        (lambda b: b.normals.norm[:, 0] ** 2 / 2.0, stats.gamma(2).cdf),
+        (lambda b: b.normals.norm[:, 1] ** 2 / 2.0, stats.gamma(2).cdf),
+        # |r|^2, the squared cosine between the two estimates
+        (lambda b: b.normals.r ** 2, stats.uniform().cdf),
+        # g_hat's entries over their variance: a Uniform share of a Gamma(2)
+        (lambda b: np.abs(b.g_hat[:, 0]) ** 2 / (1.0 - b.csit.sigma_sq), stats.expon().cdf),
+        (lambda b: np.abs(b.g_hat[:, 1]) ** 2 / (1.0 - b.csit.sigma_sq), stats.expon().cdf),
+        # the other error entries' phases (test_error_phase_isotropic has h_1's)
+        *[(lambda b, k=k: np.angle(b.normals.n[:, k]), stats.uniform(-math.pi, 2 * math.pi).cdf)
+          for k in range(1, 4)],
+    ], ids=["norm_h", "norm_g", "r", "g_hat_1", "g_hat_2", "phase_h2", "phase_g1", "phase_g2"])
+    def test_draw_law(self, quantity, law):
+        n = 200_000
+        [batch] = sample_batch(_rng(10), [CsitConfig.from_sigma_sq(100.0, 0.25)], n)
+        assert stats.kstest(quantity(batch), law).statistic < 1.95 / math.sqrt(n)  # 0.1%
 
 
 class TestGeometry:

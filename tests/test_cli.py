@@ -281,6 +281,21 @@ class TestOraclesCommand:
         assert re.search(r"^exp-log-constant: .* FAIL$", out, re.M)
         assert "FAIL: exp-log constant mismatch" in out
 
+    def test_chi2_2_norms_fail(self, monkeypatch, capsys):
+        # Estimate norms drawn as chi^2_2, |e|^2 / 2 ~ Exp(1) where the
+        # sampler's law is Gamma(2), move the exp-log check's mean by
+        # -log2(e) / 2, about 100 standard errors at 100k samples.
+        real = mc.sample_batch
+
+        def chi2_2_norms(rng, cfgs, n):
+            batches = list(real(rng, cfgs, n))
+            batches[0].normals.norm[:] = np.sqrt(2.0 * rng.standard_exponential((n, 2)))
+            return iter(batches)
+
+        monkeypatch.setattr(mc, "sample_batch", chi2_2_norms)
+        assert _run(["oracles", "--samples", "100000", "--seed", "2"]) == 1
+        assert "FAIL: exp-log constant mismatch" in capsys.readouterr().out
+
     def test_strict_mode_passes(self):
         assert _run(["oracles", "--strict", "--samples", "100000", "--seed", "2"]) == 0
 
@@ -409,6 +424,25 @@ BAD_INPUT_CASES = [
     (["oracles", "--max-panels", "0"], None, 2, "n_points must be at least 16, got 0"),
     (["oracles", "--max-panels", "4"], None, 2, "n_points must be at least 16, got 4"),
 ]
+
+
+@pytest.mark.parametrize("argv, env_seed, message", [
+    (_RATES_ZF + ["--samples", "1"], None, "--samples: n_samples must be at least 2, got 1"),
+    (["oracles", "--seed", "-1"], None, "--seed: seed must fit in an unsigned 64-bit integer"),
+    (["oracles", "--workers", "0"], None, "--workers: n_workers must be positive, got 0"),
+    (["oracles", "--max-panels", "4"], None,
+     "--max-panels: n_points must be at least 16, got 4"),
+    (["oracles"], "-1", "MISO_DOF_SEED: seed must fit in an unsigned 64-bit integer"),
+], ids=["samples", "seed", "workers", "max_panels", "env_seed"])
+def test_usage_error_names_its_option(argv, env_seed, message, tmp_path, monkeypatch, capsys):
+    # a value that a config type rejects is named by where the user set it
+    if env_seed is None:
+        monkeypatch.delenv("MISO_DOF_SEED", raising=False)
+    else:
+        monkeypatch.setenv("MISO_DOF_SEED", env_seed)
+    out = [] if argv[0] == "oracles" else ["--out", str(tmp_path / "x.out")]
+    assert cli.main(argv + out) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("argv, env_seed, code, fragment", BAD_INPUT_CASES)

@@ -1,19 +1,14 @@
 """Golden outputs of the `rates` sweep and the `slopes` fit.
 
-The ``rates_all_alpha*.csv`` files were written by the integrands as they
-stood before the shared projection kernel, with
-``rates --scheme all --alpha A --snr-db 20:20:80 --samples 20000 --seed 0``.
-The one edit is in the alpha = 1 file, where the r_eta columns then printed
-``-0``; they print ``0`` now.  alpha = 0 pins the beams of the zero
+``COMMANDS`` holds the command behind each file, and ``golden/regenerate.py``
+rewrites the files with them.  All five were last rewritten when the sampler
+moved to the estimates' canonical frame: a new stream with the same
+distribution, under which every regenerated rsum lay within 2.3 combined
+standard errors of the one it replaced.  alpha = 0 pins the beams of the zero
 estimates, h_hat along antenna 1 and g_hat along antenna 2, which
-``rates._project`` chooses for every scheme.  Its 4 TDMA rows were rewritten
-when that choice moved there: TDMA's user-2 beam went from antenna 1 to
-antenna 2, which changes r2, rsum and stderr_sum but not their distribution.
-
-``rates_all_sigma_sq0.1.csv`` and ``slopes_proposed_alpha0.5.json`` were
-written while each SNR of a run was still its own estimate, so they pin the
-grid estimator, which draws each block once for every SNR, to the per-SNR
-numbers.  A fixed sigma_sq gives every SNR the same estimate scale.
+``rates._project`` chooses for every scheme.  ``rates_all_sigma_sq0.1.csv``
+fixes sigma_sq, so every SNR of its grid estimate has the same estimate
+scale.
 """
 
 from pathlib import Path
@@ -24,24 +19,33 @@ from misodof import cli
 
 GOLDEN = Path(__file__).parent / "golden"
 
+_RATES = ["rates", "--scheme", "all"]
+_GRID = ["--snr-db", "20:20:80", "--samples", "20000", "--seed", "0"]
+# each golden file and the command that writes it, less its --out;
+# golden/regenerate.py rewrites the files with these commands
+COMMANDS = {
+    **{f"rates_all_alpha{alpha}.csv": _RATES + ["--alpha", alpha] + _GRID
+       for alpha in ("0", "0.5", "1")},
+    "rates_all_sigma_sq0.1.csv": _RATES + ["--sigma-sq", "0.1"] + _GRID,
+    "slopes_proposed_alpha0.5.json": ["slopes", "--scheme", "proposed", "--alpha", "0.5",
+                                      "--samples", "20000", "--seed", "0"],
+}
+
+
+def _check(name, tmp_path):
+    out = tmp_path / name
+    assert cli.main(COMMANDS[name] + ["--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
 
 @pytest.mark.parametrize("alpha", ["0", "0.5", "1"])
 def test_rates_all_matches_golden(alpha, tmp_path):
-    out = tmp_path / "rates.csv"
-    assert cli.main(["rates", "--scheme", "all", "--alpha", alpha, "--snr-db", "20:20:80",
-                     "--samples", "20000", "--seed", "0", "--out", str(out)]) == 0
-    assert out.read_bytes() == (GOLDEN / f"rates_all_alpha{alpha}.csv").read_bytes()
+    _check(f"rates_all_alpha{alpha}.csv", tmp_path)
 
 
 def test_rates_fixed_sigma_sq_matches_golden(tmp_path):
-    out = tmp_path / "rates.csv"
-    assert cli.main(["rates", "--scheme", "all", "--sigma-sq", "0.1", "--snr-db", "20:20:80",
-                     "--samples", "20000", "--seed", "0", "--out", str(out)]) == 0
-    assert out.read_bytes() == (GOLDEN / "rates_all_sigma_sq0.1.csv").read_bytes()
+    _check("rates_all_sigma_sq0.1.csv", tmp_path)
 
 
 def test_slopes_matches_golden(tmp_path):
-    out = tmp_path / "slopes.json"
-    assert cli.main(["slopes", "--scheme", "proposed", "--alpha", "0.5",
-                     "--samples", "20000", "--seed", "0", "--out", str(out)]) == 0
-    assert out.read_bytes() == (GOLDEN / "slopes_proposed_alpha0.5.json").read_bytes()
+    _check("slopes_proposed_alpha0.5.json", tmp_path)

@@ -20,7 +20,9 @@ from misodof.channel import ChannelBatch, CsitConfig, Normals, sample_batch
 from misodof.mc import McConfig
 from misodof.rates import rate_scheme
 from misodof.regions import Scheme
-from reference import E1, E2, interference_power, perp, policy_matrices, projector, unit
+from reference import (
+    E1, E2, interference_power, isotropic_batch, perp, policy_matrices, projector, unit,
+)
 
 SCHEMES = ("tdma", "zf", "mat", "rszf", "proposed")
 # each estimate, in rates._project's order, with the beam it takes when zero
@@ -107,15 +109,35 @@ def test_integrand_matches_explicit_matrices(scheme, snr_p, alpha):
                                rtol=1e-9, atol=1e-12)
 
 
-def test_zero_estimate_row_is_non_finite():
-    # Below sigma_sq = 1 a zero estimate has probability 0 and no fallback
-    # beam: its row comes out non-finite, which mc.estimate reports (exit 3).
+def test_zero_norm_row_is_its_small_norm_limit():
+    # The kernel never divides by an estimate's norm: below sigma_sq = 1 a
+    # zero estimate, which has probability 0, keeps its frame's beams, so
+    # its row is finite and equals the limit of a vanishing norm.  Row 5
+    # zeroes both norms, row 6 h_hat's and row 7 g_hat's.
     cfg = CsitConfig.from_alpha(1e4, 0.5)
-    batch = _batch(cfg, 64, seed=44)
-    batch.normals.e[5, 0:2] = 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        got = _integrand(tuple(Scheme), cfg)(batch)
-    assert np.flatnonzero(~np.isfinite(got).all(axis=1)).tolist() == [5]
+    f = _integrand(tuple(Scheme), cfg)
+    got = []
+    for norm in (0.0, 1e-300):
+        batch = _batch(cfg, 64, seed=44)
+        batch.normals.norm[5] = batch.normals.norm[6, 0] = batch.normals.norm[7, 1] = norm
+        got.append(f(batch))
+    assert np.isfinite(got[0]).all()
+    np.testing.assert_array_equal(got[0], got[1])
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_canonical_frame_matches_isotropic_draw(scheme, alpha):
+    # sample_batch draws the estimates in their canonical frame, with real r
+    # and s; every integrand is invariant under a common unitary and a
+    # per-user phase, so its column means match those of the isotropic draw.
+    cfg = CsitConfig.from_alpha(1e3, alpha)
+    n = 20_000
+    iso = isotropic_batch(Generator(Philox(key=np.array([46, 0], dtype=np.uint64))), cfg, n)
+    cols = [_explicit_integrand(scheme, cfg, batch) for batch in (iso, _batch(cfg, n, seed=47))]
+    mean = [c.mean(axis=0) for c in cols]
+    se = [c.std(axis=0, ddof=1) / np.sqrt(n) for c in cols]
+    assert np.all(np.abs(mean[0] - mean[1]) <= 4.0 * np.hypot(*se))
 
 
 def _columns(batch, name):
@@ -164,7 +186,9 @@ def test_zero_estimate_beams_are_user_symmetric(scheme):
     cfg = CsitConfig.from_sigma_sq(1e3, 1.0)
     batch = _batch(cfg, 256, seed=45)
     order = [3, 2, 1, 0]
-    swapped = ChannelBatch(Normals(batch.normals.e[:, order], batch.normals.n[:, order]), cfg)
+    normals = batch.normals
+    swapped = ChannelBatch(Normals(normals.norm[:, ::-1], normals.r, normals.s,
+                                   normals.n[:, order]), cfg)
     f = _integrand(scheme, cfg)
     got, want = f(swapped), f(batch)[:, USER_SWAP[scheme]]
     if scheme in ("mat", "proposed"):

@@ -68,9 +68,11 @@ def test_std_error_scaling():
 
 
 def test_vector_integrand():
+    # each user's power per antenna: the sampler puts h_hat along antenna 1,
+    # so a single entry's power is not 1 on average
     def f(batch):
-        mags = np.abs(batch.h) ** 2
-        return np.stack([mags[:, 0], mags[:, 1]], axis=1)
+        return np.stack([np.sum(np.abs(x) ** 2, axis=1) / 2.0 for x in (batch.h, batch.g)],
+                        axis=1)
 
     [est] = estimate(f, McConfig(200_000, 7), [CFG])
     assert est.mean.shape == (2,)
