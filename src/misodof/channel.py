@@ -22,13 +22,14 @@ antenna coordinates and independent of them.  What is left to draw is
 |h_hat|^2 and |g_hat|^2, each (1 - sigma_sq) Gamma(2), and r^2 ~ U(0, 1),
 the squared cosine between the estimates, all independent: 5 uniforms and
 the errors' 8 normals per sample, where the antenna-frame draw took 16
-normals.
+normals.  A block is drawn as rows, one per quantity, so kernels read
+contiguous arrays, and ``Normals.g_frame`` rotates its errors once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -95,18 +96,27 @@ class CsitConfig:
 @dataclass(frozen=True)
 class Normals:
     """One block's draw in the canonical frame, shared by its batches:
-    ``norm``, (n, 2), holds |e_h| and |e_g|, the chi^2_4 norms of each
+    ``norm``, (2, n), holds |e_h| and |e_g|, the chi^2_4 norms of each
     estimate's two unit-variance complex normals; ``r`` and ``s`` =
-    sqrt(1 - r^2), (n,), put g's estimate direction at (r, -s); ``n``, (n,
-    4), holds the unit-variance complex error normals, columns (h_1, h_2,
-    g_1, g_2) in antenna coordinates.  ``memo`` keeps what is derived from
-    them alone."""
+    sqrt(1 - r^2), (n,), put g's estimate direction at (r, -s); ``n``, (2,
+    4, n), holds the real, then the imaginary, parts of the unit-variance
+    complex error normals, rows (h_1, h_2, g_1, g_2) in antenna
+    coordinates."""
 
     norm: np.ndarray
     r: np.ndarray
     s: np.ndarray
     n: np.ndarray
-    memo: dict = field(default_factory=dict, repr=False, compare=False)
+
+    @cached_property
+    def g_frame(self):
+        """``n`` in g_hat's frame, each user's (r x_1 - s x_2, s x_1 + r x_2)
+        along w_g = (r, -s) and w_g-perp = (s, r): one real rotation, which
+        every config of the block shares."""
+        out, s = self.n * self.r, self.s  # r x_1, r x_2
+        out[:, 0::2] -= s * self.n[:, 1::2]
+        out[:, 1::2] += s * self.n[:, 0::2]
+        return out
 
 
 def _pair(first, second):
@@ -120,24 +130,26 @@ def _pair(first, second):
 class ChannelBatch:
     """The block's ``normals`` at config ``csit``, in the canonical frame:
     h_hat = a |e_h| (1, 0) and g_hat = a |e_g| (r, -s), so h_hat-perp =
-    (0, 1) and g_hat-perp = (s, r); h_tilde = b n_h and g_tilde = b n_g,
-    with a = sqrt((1 - sigma_sq)/2) and b = sqrt(sigma_sq/2).  The (n, 2)
-    vectors are formed on first use."""
+    (0, 1) and g_hat-perp = (s, r); h_tilde = b n_h and g_tilde = b n_g, the
+    halves of one (n, 4) copy, with a = sqrt((1 - sigma_sq)/2) and b =
+    sqrt(sigma_sq/2).  The (n, 2) vectors are formed on first use."""
 
     normals: Normals
     csit: CsitConfig
-    n = property(lambda self: self.normals.n.shape[0])
+    n = property(lambda self: self.normals.n.shape[-1])
     a = property(lambda self: math.sqrt(max(1.0 - self.csit.sigma_sq, 0.0) / 2.0))
     b = property(lambda self: math.sqrt(self.csit.sigma_sq / 2.0))
-    h_hat = cached_property(lambda self: _pair(self.a * self.normals.norm[:, 0], 0.0))
-    h_tilde = cached_property(lambda self: self.normals.n[:, 0:2] * self.b)
-    g_tilde = cached_property(lambda self: self.normals.n[:, 2:4] * self.b)
+    h_hat = cached_property(lambda self: _pair(self.a * self.normals.norm[0], 0.0))
+    _errors = cached_property(lambda self: np.multiply(  # b n as (n, 4) complex, one copy
+        np.moveaxis(self.normals.n, 0, -1), self.b, order="C").view(complex)[..., 0].T)
+    h_tilde = property(lambda self: self._errors[:, 0:2])
+    g_tilde = property(lambda self: self._errors[:, 2:4])
     h = cached_property(lambda self: self.h_hat + self.h_tilde)
     g = cached_property(lambda self: self.g_hat + self.g_tilde)
 
     @cached_property
     def g_hat(self):
-        scale = self.a * self.normals.norm[:, 1]
+        scale = self.a * self.normals.norm[1]
         return _pair(scale * self.normals.r, -scale * self.normals.s)
 
 
@@ -152,11 +164,12 @@ def sample_batch(rng, cfgs, n):
     unitary and a per-user phase, as every rate here is, has the law it
     has under i.i.d. CN(0, 1 - sigma_sq) estimate entries.
     """
-    # Fixed draw layout: 8 normals, then 5 uniforms per sample.
-    errors = rng.standard_normal((n, 8)).view(complex)
-    u = rng.random((n, 5))
+    # Fixed draw layout: 8 rows of n normals, then 5 rows of n uniforms.
+    errors = rng.standard_normal((2, 4, n))
+    u = rng.random((5, n))
+    r = np.sqrt(u[4])
     # chi^2_4 = -2 (ln U1 + ln U2) for U1, U2 uniform on (0, 1]: 1 - u is exact
     # on the 2^-53 grid of Generator.random, so one log of the product serves
-    norm = np.sqrt(-2.0 * np.log((1.0 - u[:, 0:4:2]) * (1.0 - u[:, 1:4:2])))
-    normals = Normals(norm, np.sqrt(u[:, 4]), np.sqrt(1.0 - u[:, 4]), errors)
+    np.subtract(1.0, u, out=u)
+    normals = Normals(np.sqrt(-2.0 * np.log(u[0:2] * u[2:4])), r, np.sqrt(u[4]), errors)
     return (ChannelBatch(normals, c) for c in cfgs)

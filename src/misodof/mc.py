@@ -1,16 +1,16 @@
 """Deterministic, parallelizable Monte Carlo estimator over channel draws.
 
 Estimates are pure functions of ``(n_samples, seed)``.  Samples are generated
-in fixed-size blocks; block ``b`` draws from its own counter-based substream
-``Philox(key=(seed, b))``, and per-block sums are combined in block order
-with numpy's pairwise reduction.  Within a block, every integrand result is
-read as (m, k) columns, an (m,) one as one column, and reduced by one pair of
-``einsum`` calls into (k,) sums and sums of squares.  The worker
-count only changes scheduling, never the result, and the pool never runs
-more threads than there are blocks or usable CPUs.  An estimate always
-covers a grid of CSIT configs, one or many (say, every SNR of a sweep): the
-block keys do not depend on the config, so each block is drawn once and
-every config is evaluated from that draw.
+in fixed-size blocks; block ``b`` draws from its own stream, an SFC64
+generator seeded by ``SeedSequence([seed, b])``, and per-block sums are
+combined in block order with numpy's pairwise reduction.  Within a block,
+every integrand result is read as (k, m) rows, an (m,) one as one row, and
+reduced by one pair of ``einsum`` calls over contiguous rows into (k,) sums
+and sums of squares.  The worker count only changes scheduling, never the
+result, and the pool never runs more threads than there are blocks or
+usable CPUs.  An estimate always covers a grid of CSIT configs, one or many
+(say, every SNR of a sweep): the block keys do not depend on the config, so
+each block is drawn once and every config is evaluated from that draw.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Generator, Philox
+from numpy.random import SFC64, Generator, SeedSequence
 
 from .channel import sample_batch
 
@@ -34,7 +34,7 @@ BLOCK_SIZE = 8192
 
 class NonFiniteSampleError(RuntimeError):
     """An integrand returned a non-finite value; carries the sample, the
-    column and the position of its config in the estimate's grid."""
+    column (its row of the result) and its config's position in the grid."""
 
     scheme = None  # set by a caller that knows which scheme owns the column
 
@@ -71,8 +71,9 @@ class McEstimate:
 
 
 def block_rng(seed, block):
-    """Counter-based substream for one block: Philox keyed by (seed, block)."""
-    return Generator(Philox(key=np.array([seed, block], dtype=np.uint64)))
+    """One block's stream: SFC64 seeded by SeedSequence([seed, block]), whose
+    hash gives every (seed, block) pair its own, independent, state."""
+    return Generator(SFC64(SeedSequence([seed, block])))
 
 
 def _run_block(f, cfg, grid, block):
@@ -82,20 +83,20 @@ def _run_block(f, cfg, grid, block):
     sums = []
     for i, batch in enumerate(sample_batch(block_rng(cfg.seed, block), grid, size)):
         vals = np.asarray(f(batch), dtype=float)
-        if vals.shape[0] != size:
+        if vals.shape[-1] != size:
             raise ValueError(
-                f"integrand returned {vals.shape[0]} values for a batch of {size} samples"
+                f"integrand returned {vals.shape[-1]} values for a batch of {size} samples"
             )
-        vals = vals.reshape(size, -1)  # an (m,) result is one column
-        total = np.einsum("ij->j", vals)
-        # A NaN or infinite value makes its column's sum non-finite, so only
+        vals = vals.reshape(-1, size)  # an (m,) result is one row
+        total = np.einsum("ij->i", vals)
+        # A NaN or infinite value makes its row's sum non-finite, so only
         # then are the values searched; finite values whose sum overflows pass.
         if not np.isfinite(total).all():
-            bad = ~np.isfinite(vals)
+            bad = ~np.isfinite(vals.T)
             if bad.any():
                 bad_row, bad_col = np.argwhere(bad)[0]
                 raise NonFiniteSampleError(start + int(bad_row), int(bad_col), i)
-        sums.append((total, np.einsum("ij,ij->j", vals, vals)))
+        sums.append((total, np.einsum("ij,ij->i", vals, vals)))
         del batch, vals  # the next config runs without this one's arrays
     return sums
 
@@ -132,8 +133,8 @@ def estimate(f, cfg, grid):
     """Monte Carlo expectations of a batch integrand over channel draws.
 
     ``f`` maps a ChannelBatch of size m to an array of per-sample values,
-    shape (m, k) for k components evaluated jointly; an (m,) result is one
-    column.  ``grid`` is a sequence of CsitConfigs, and the result a list
+    shape (k, m) for k components evaluated jointly; an (m,) result is one
+    row.  ``grid`` is a sequence of CsitConfigs, and the result a list
     of McEstimates, one per config, each of (k,) arrays.  Block keys do not depend on the config,
     so each block's normals are drawn once for the whole grid; ``f`` sees one
     batch per config, all sharing them, and ``batch.csit`` names it.  Each

@@ -18,20 +18,21 @@ builds each user's coordinates from its estimate's norm and its error
 normals apart, which nulls h_hat exactly.  The sampler's canonical frame
 (see ``channel``) puts h_hat along the first antenna and g_hat along the real
 direction (r, -s), so the kernel neither normalizes nor divides by a norm.
-No scheme forms a covariance matrix; the explicit-matrix reference the tests
-check this arithmetic against lives in ``tests/reference.py``.
+Kernels hold squared projections only: det(S Q S^H) = det Q |det[h g]|^2,
+one value per batch, stands in for every cross term.  The explicit-matrix
+reference the tests check this arithmetic against is ``tests/reference.py``.
 
 Each scheme is a (width, fill, finalize) triple: ``fill(batch, shared, out)``
-writes its per-sample log terms into ``out``, its (n, width) slice of one
+writes its per-sample log terms into ``out``, its (width, n) rows of one
 array, from ``shared``, the batch's ``_Shared`` memo, and
 ``finalize(mean, se)`` maps their means and standard errors to a result.
 Any set of schemes at any set of configs (say, every SNR of a sweep) is
-thus one estimate over one draw per block.  Each block's g errors are
+thus one estimate over one draw per block.  Each block's errors are
 rotated into g_hat's frame once, and each batch's ``_Shared`` forms its two
-kernels, one per estimate, and each phase-2 split once.  A zero estimate
-(sigma_sq = 1, the no-CSIT limit) still has a fixed beam pair, chosen by
-``_project`` alone, so every scheme reads the same two kernels at every
-config.
+kernels, one per estimate, |det[h g]|^2 and each phase-2 split once.  A
+zero estimate (sigma_sq = 1, the no-CSIT limit) still has a fixed beam
+pair, chosen by ``_project`` alone, so every scheme reads the same two
+kernels at every config.
 ``rate_scheme`` always takes a sequence of configs, as ``mc.estimate`` does,
 and returns one entry per config; a single config is a one-element grid.
 """
@@ -71,81 +72,76 @@ class RateResult:
 
 
 def _abs2(z):
-    return z.real ** 2 + z.imag ** 2
+    # |z|^2 of the entries with real parts z[0] and imaginary parts z[1]; squares z
+    np.square(z, out=z)
+    return z[0] + z[1]
 
 
-class _Kernel:
-    """``sq``, the |.|^2 of columns (h.w, h.w-perp, g.w, g.w-perp), and
-    ``cross``, (h.w-perp conj(g.w-perp), h.w conj(g.w)) for every m01."""
-
-    def __init__(self, cols):
-        self.sq = [_abs2(z) for z in cols]
-        self.cross = (cols[1] * np.conj(cols[3]), cols[0] * np.conj(cols[2]))
-
-
-def _frames(normals):
-    """g's error coordinates (w_g^H n_g, w_g-perp^H n_g) in g_hat's frame,
-    w_g = (r, -s) and w_g-perp = (s, r): one real rotation of g's error
-    normals per block, which every config of the block shares.  h_hat's
-    frame is the antenna frame, so h's are n_h itself."""
-    r, s, n = normals.r, normals.s, normals.n
-    return r * n[:, 2] - s * n[:, 3], s * n[:, 2] + r * n[:, 3]
+def _abs2_det(z):
+    # |det[h g]|^2 = |h_1 g_2 - h_2 g_1|^2 for h = (z_0, z_1) and g = (z_2,
+    # z_3), the complex entries with real parts z[0] and imaginary parts z[1]
+    (h1, h2, g1, g2), (h1i, h2i, g1i, g2i) = z
+    re = h1 * g2 - h1i * g2i - h2 * g1 + h2i * g1i
+    im = h1 * g2i + h1i * g2 - h2 * g1i - h2i * g1
+    return re * re + im * im
 
 
 def _project(batch):
-    """The kernels behind every scheme's integrand: for h_hat, then g_hat,
-    the columns (h.w, h.w-perp, g.w, g.w-perp), x.w = w^H x along the
-    estimate's unit direction w and w-perp.  In its own estimate's frame a
-    user's columns are a (|e|, 0) + b (its error's coordinates), so h.w-perp
-    is exactly b n_h2 for h_hat; the other user's are those rotated by the
-    real [[r, s], [-s, r]], which takes coordinates in g_hat's frame to
-    h_hat's.  At sigma_sq = 1 (a = 0) the estimates are zero: h_hat points
-    at antenna 1 and g_hat at antenna 2, each w-perp at the other antenna,
-    up to a sign that no beam power or m01 sees."""
+    """The kernels behind every scheme's integrand, for h_hat's and then
+    g_hat's unit direction w: rows |h.w|^2, |h.w-perp|^2, |g.w|^2, |g.w-perp|^2
+    (x.w = w^H x); then |det[h g]|^2.  In its own estimate's frame a user is
+    a (|e|, 0) + b (its error), so h.w-perp is exactly b n_h2 for h_hat.
+    h_hat's frame is the antenna frame, where g_hat is a |e_g| (r, -s); in
+    g_hat's, h_hat is a |e_h| (r, s) and the errors are ``normals.g_frame``.
+    At sigma_sq = 1 (a = 0) the estimates are zero: h_hat points at antenna
+    1 and g_hat at antenna 2 (r = 0, s = 1), each w-perp at the other."""
     a, b, normals = batch.a, batch.b, batch.normals
+    x_h, x_g = a * normals.norm  # |h_hat| and |g_hat|
+    h = np.multiply(normals.n, b)  # h, then g, in h_hat's frame
+    h[0, 0] += x_h
+    h[0, 2] += x_g * normals.r
+    h[0, 3] -= x_g * normals.s
+    det = _abs2_det(h)
+    kernel_h = _abs2(h)
     if a == 0.0:
-        h1, h2, g1, g2 = (normals.n[:, k] * b for k in range(4))
-        return [h1, h2, g1, g2], [h2, h1, g2, g1]
-    if "frames" not in normals.memo:
-        normals.memo["frames"] = _frames(normals)
-    par_g, perp_g = normals.memo["frames"]
-    r, s, norm = normals.r, normals.s, normals.norm
-    h0, h1 = a * norm[:, 0] + b * normals.n[:, 0], b * normals.n[:, 1]  # h in h_hat's frame
-    g0, g1 = a * norm[:, 1] + b * par_g, b * perp_g  # g in g_hat's frame
-    return ([h0, h1, r * g0 + s * g1, r * g1 - s * g0],
-            [r * h0 - s * h1, s * h0 + r * h1, g0, g1])
+        return kernel_h, kernel_h[[1, 0, 3, 2]], det  # g_hat's frame swaps each pair
+    g = np.multiply(normals.g_frame, b)  # h, then g, in g_hat's frame
+    g[0, 0] += x_h * normals.r
+    g[0, 1] += x_h * normals.s
+    g[0, 2] += x_g
+    return kernel_h, _abs2(g), det
 
 
 def _beam_pair(kernel, a, b):
-    # Entries (m00, m11, |m01|^2) of S Q S^H, Q = a w-perp w-perp^H + b w w^H, from a _Kernel.
-    h_par2, h_perp2, g_par2, g_perp2 = kernel.sq
-    m00 = a * h_perp2 + b * h_par2
-    m11 = a * g_perp2 + b * g_par2
-    off = _abs2(a * kernel.cross[0] + b * kernel.cross[1])
-    return m00, m11, off
+    # The diagonal (m00, m11) of S Q S^H, S = [h^H; g^H] and Q = a w-perp
+    # w-perp^H + b w w^H, from the kernel of w's estimate.
+    m = a * kernel[1::2]
+    m += b * kernel[0::2]
+    return m
 
 
 class _Shared:
     """What a group's schemes read from one batch, each computed once: the
-    _Kernels ``h`` and ``g`` of h_hat's and g_hat's beams, and the default
-    policy's phase-2 columns."""
+    kernels ``h`` and ``g`` of h_hat's and g_hat's beams, |det[h g]|^2 as
+    ``det``, and the default policy's phase-2 rows."""
 
     def __init__(self, batch):
-        self.h, self.g = (_Kernel(cols) for cols in _project(batch))
+        self.h, self.g, self.det = _project(batch)
+        self.p = batch.csit.snr_p
         self._phase2 = {}
 
     def phase2(self, p_c, p_p, out):
         # Phase-2 log terms of the default policy, q_c = (p_c/2) I and q_p1,
-        # q_p2 = (p_p/2) along g_hat-perp, h_hat-perp, into out[:, :4].
+        # q_p2 = (p_p/2) along g_hat-perp, h_hat-perp, into out[:4], over P.
         if (p_c, p_p) in self._phase2:
-            out[:, :4] = self._phase2[p_c, p_p]
+            out[:4] = self._phase2[p_c, p_p]
             return
-        c, s = p_c / 2.0, p_p / 2.0
+        c, s = p_c / (2.0 * self.p), p_p / (2.0 * self.p)
         # hg = |h.g_hat-perp|^2 and so on; |x|^2 = |x.w|^2 + |x.w-perp|^2
-        _, hg, gw, gg = self.g.sq
-        hw, hh, _, gh = self.h.sq
-        _phase2_logs(c * hw + c * hh, s * hg, s * hh, c * gw + c * gg, s * gg, s * gh, out)
-        self._phase2[p_c, p_p] = out[:, :4]
+        _, hg, gw, gg = self.g
+        hw, hh, _, gh = self.h
+        _phase2_logs(c * (hw + hh), s * hg, s * hh, c * (gw + gg), s * gg, s * gh, 1 / self.p, out)
+        self._phase2[p_c, p_p] = out[:4]
 
 
 def _power_split(cfg):
@@ -175,47 +171,45 @@ def quantization_rate(d_tilde):
     return abs(math.log2(d_tilde))
 
 
-def _side_gain(sig, d_tilde):
-    # Effective gain of the decoded-interference observation:
-    # (1 - d)/(sig * d).  Zero when nothing is overheard (sig == 0) or the
-    # quantizer conveys nothing (d == 1).
-    sig = np.asarray(sig, dtype=float)
-    useless = (sig <= 0.0) | (d_tilde >= 1.0)
-    den = np.where(useless, 1.0, sig * d_tilde)
-    return np.where(useless, 0.0, (1.0 - d_tilde) / den)
+def _side_gain(sig, d_tilde, pd):
+    # Effective gain of the decoded-interference observation, (1 - d)/(sig
+    # d), from sig over P and pd = P d; zero when the quantizer conveys
+    # nothing (d == 1).  Where nothing is overheard (sig == 0, a null event)
+    # it stays finite, and multiplies powers and a determinant that are 0.
+    return (1.0 - d_tilde) / np.maximum(sig * pd, np.finfo(float).tiny)
 
 
-def _det_rowscaled(m00, m11, off, r0, r1):
-    # det(I + diag(r0, r1) @ M) for Hermitian M given by m00, m11, |m01|^2
-    return (1.0 + r0 * m00) * (1.0 + r1 * m11) - r0 * r1 * off
+def _mimo_logdets(u, v, det_m, d1, d2, p, out):
+    """Per-sample rates of both users' equivalent 2x2 channels (phase 1),
+    into ``out[0]`` and ``out[1]``.
 
-
-def _mimo_logdets(u, v, d1, d2):
-    """Per-sample rates of both users' equivalent 2x2 channels (phase 1).
-
-    ``u``, ``v``: the entries (m00, m11, |m01|^2) of q_u and q_v that
-    ``_beam_pair`` returns for the g_hat and h_hat beams.  Each receiver stacks
-    its direct observation (aligned interference removed, residual
-    quantization noise folded into the noise floor) with the decoded
-    quantized version of what the other receiver overheard.
+    ``u``, ``v``: the diagonals (m00, m11) over P of M = S q S^H, S = [h^H;
+    g^H], for q_u and q_v, from ``_beam_pair``; ``det_m``: det M over P^2,
+    det q |det S|^2, the same for both.  Each receiver stacks its direct
+    observation (aligned interference removed, residual quantization noise
+    folded into the noise floor) with the decoded quantized version of what
+    the other receiver overheard: log2 det(I + diag(r0, r1) M) = log2(1 +
+    r0 m00 + r1 m11 + r0 r1 det M), with no cross term, is evaluated over
+    P^2, where every term stays finite for any finite P, plus 2 log2 P.
     """
-    u00, u11, u_off = u
-    v00, v11, v_off = v
-    sig1 = np.maximum(v00, 0.0)   # interference power seen by user 1
-    sig2 = np.maximum(u11, 0.0)   # interference power seen by user 2
-    det1 = _det_rowscaled(u00, u11, u_off, 1.0 / (1.0 + sig1 * d1), _side_gain(sig2, d2))
-    det2 = _det_rowscaled(v00, v11, v_off, _side_gain(sig1, d1), 1.0 / (1.0 + sig2 * d2))
-    return np.log2(np.maximum(det1, 1.0)), np.log2(np.maximum(det2, 1.0))
+    pd1, pd2 = p * d1, p * d2
+    sig1, sig2 = v[0], u[1]  # interference powers seen by users 1 and 2, over P
+    rows = ((1.0 / (1.0 + sig1 * pd1), _side_gain(sig2, d2, pd2)),
+            (_side_gain(sig1, d1, pd1), 1.0 / (1.0 + sig2 * pd2)))
+    for (m00, m11), (r0, r1), row in zip((u, v), rows, out):
+        np.log2((r0 * m00 + r1 * m11) / p + r0 * r1 * det_m + p ** -2.0, out=row)
+        row += 2.0 * math.log2(p)
 
 
-def _phase2_logs(ch, ph1, ph2, cg, pg1, pg2, out):
+def _phase2_logs(ch, ph1, ph2, cg, pg1, pg2, noise, out):
     # Per-sample log terms of the common-message region from the received
-    # powers of q_c, q_p1, q_p2 at h and g, into columns 0-3 of ``out``:
-    # common message under both privates, then each private under the other.
-    out[:, 0] = np.log2(1.0 + ch / (1.0 + ph1 + ph2))
-    out[:, 1] = np.log2(1.0 + cg / (1.0 + pg1 + pg2))
-    out[:, 2] = np.log2(1.0 + ph1 / (1.0 + ph2))
-    out[:, 3] = np.log2(1.0 + pg2 / (1.0 + pg1))
+    # powers of q_c, q_p1, q_p2 at h and g, over a noise power ``noise``,
+    # into rows 0-3 of ``out``: common message under both privates, then
+    # each private under the other.
+    np.log2(1.0 + ch / (noise + ph1 + ph2), out=out[0])
+    np.log2(1.0 + cg / (noise + pg1 + pg2), out=out[1])
+    np.log2(1.0 + ph1 / (noise + ph2), out=out[2])
+    np.log2(1.0 + pg2 / (noise + pg1), out=out[3])
 
 
 def _common_message_rates(mean, se):
@@ -242,7 +236,8 @@ def _combine_rate(r_c, se_c, r_m, se_m, r_p, se_p, r_eta):
 def _proposed_columns(pcfg):
     # Quantize-and-multicast with powers and distortions derived from ``pcfg``.
     p1, p2, p_c, p_p = _power_split(pcfg)
-    a, b = p1 / 2.0, p2 / 2.0
+    p = pcfg.snr_p
+    a, b = p1 / (2.0 * p), p2 / (2.0 * p)  # beam powers over P
     d_tilde = _distortion(pcfg)
     r_eta1 = r_eta2 = quantization_rate(d_tilde)
     r_eta = r_eta1 + r_eta2
@@ -250,10 +245,9 @@ def _proposed_columns(pcfg):
     def fill(batch, shared, out):
         # q_u = a g_hat-perp + b g_hat and q_v = a h_hat-perp + b h_hat,
         # one beam pair per estimate direction
-        u = _beam_pair(shared.g, a, b)
-        v = _beam_pair(shared.h, a, b)
         shared.phase2(p_c, p_p, out)
-        out[:, 4], out[:, 5] = _mimo_logdets(u, v, d_tilde, d_tilde)
+        _mimo_logdets(_beam_pair(shared.g, a, b), _beam_pair(shared.h, a, b),
+                      a * b * shared.det, d_tilde, d_tilde, p, out[4:6])
 
     def finalize(mean, se):
         cm = _common_message_rates(mean, se)
@@ -286,8 +280,8 @@ def _tdma_columns(cfg):
     p = cfg.snr_p
 
     def fill(batch, shared, out):
-        out[:, 0] = np.log2(1.0 + p * shared.h.sq[0])
-        out[:, 1] = np.log2(1.0 + p * shared.g.sq[2])
+        np.log2(1.0 + p * shared.h[0], out=out[0])
+        np.log2(1.0 + p * shared.g[2], out=out[1])
 
     return 2, fill, _user_pair(0.5)
 
@@ -298,10 +292,10 @@ def _zf_columns(cfg):
     half_p = cfg.snr_p / 2.0
 
     def fill(batch, shared, out):
-        _, h_w1, _, g_w1 = shared.g.sq
-        _, h_w2, _, g_w2 = shared.h.sq
-        out[:, 0] = np.log2(1.0 + half_p * h_w1 / (1.0 + half_p * h_w2))
-        out[:, 1] = np.log2(1.0 + half_p * g_w2 / (1.0 + half_p * g_w1))
+        _, h_w1, _, g_w1 = shared.g
+        _, h_w2, _, g_w2 = shared.h
+        np.log2(1.0 + half_p * h_w1 / (1.0 + half_p * h_w2), out=out[0])
+        np.log2(1.0 + half_p * g_w2 / (1.0 + half_p * g_w1), out=out[1])
 
     return 2, fill, _user_pair(1.0)
 
@@ -353,9 +347,9 @@ def rate_scheme(scheme, cfgs, mc_cfg):
     spans = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
     def f(batch):
-        shared, out = _Shared(batch), np.empty((batch.n, bounds[-1]))
+        shared, out = _Shared(batch), np.empty((bounds[-1], batch.n))
         for (_, fill, _), span in zip(columns[batch.csit], spans):
-            fill(batch, shared, out[:, span])
+            fill(batch, shared, out[span])
         return out
 
     try:

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -114,6 +115,19 @@ class TestRatesCommand:
         se_small = float(small.read_text().splitlines()[1].split(",")[6])
         se_large = float(large.read_text().splitlines()[1].split(",")[6])
         assert 5.0 < se_small / se_large < 20.0
+
+    @pytest.mark.parametrize("alpha", ["0", "0.5", "1"])
+    def test_every_scheme_finite_at_extreme_snr(self, alpha, tmp_path):
+        # The phase-1 determinant, ~P^2, is evaluated over P^2, so MAT and
+        # the proposed scheme stay finite where P^2 overflows a double, as
+        # every scheme does where P does not; a numpy overflow warning fails
+        # the test too.
+        out = tmp_path / "rates.csv"
+        assert _run(["rates", "--scheme", "all", "--alpha", alpha, "--snr-db", "1545:1455:3000",
+                     "--samples", "20000", "--seed", "1", "--out", str(out)]) == 0
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == 2 * 5
+        assert all(math.isfinite(float(v)) for row in rows for v in row.split(",")[3:])
 
     def test_malformed_range_exits_2(self, tmp_path):
         code = _run(["rates", "--scheme", "zf", "--alpha", "0.5",
@@ -289,7 +303,7 @@ class TestOraclesCommand:
 
         def chi2_2_norms(rng, cfgs, n):
             batches = list(real(rng, cfgs, n))
-            batches[0].normals.norm[:] = np.sqrt(2.0 * rng.standard_exponential((n, 2)))
+            batches[0].normals.norm[:] = np.sqrt(2.0 * rng.standard_exponential((2, n)))
             return iter(batches)
 
         monkeypatch.setattr(mc, "sample_batch", chi2_2_norms)
@@ -516,7 +530,7 @@ def test_non_finite_column_names_its_scheme(scheme, tmp_path, monkeypatch, capsy
 
         def bad_fill(batch, proj, out):
             fill(batch, proj, out)
-            out[5, width - 1] = np.nan
+            out[width - 1, 5] = np.nan
 
         return width, bad_fill, finalize
 
@@ -539,7 +553,7 @@ def test_non_finite_names_its_snr(tmp_path, monkeypatch, capsys):
 
         def bad_fill(batch, proj, out):
             fill(batch, proj, out)
-            out[5, 0] = np.nan
+            out[0, 5] = np.nan
 
         return width, (bad_fill if cfg.snr_p > 50.0 else fill), finalize
 

@@ -1,9 +1,9 @@
 """Golden outputs of the `rates` sweep and the `slopes` fit.
 
 ``COMMANDS`` holds the command behind each file, and ``golden/regenerate.py``
-rewrites the files with them.  All five were last rewritten when the sampler
-moved to the estimates' canonical frame: a new stream with the same
-distribution, under which every regenerated rsum lay within 2.3 combined
+rewrites the files with them.  All five were last rewritten when each block
+moved to its own SFC64 stream, drawn as rows: a new stream with the same
+distribution, under which every regenerated rsum lay within 1.9 combined
 standard errors of the one it replaced.  alpha = 0 pins the beams of the zero
 estimates, h_hat along antenna 1 and g_hat along antenna 2, which
 ``rates._project`` chooses for every scheme.  ``rates_all_sigma_sq0.1.csv``

@@ -13,7 +13,6 @@ h_tilde in double precision would lose the nulled quadratic forms.
 import mpmath
 import numpy as np
 import pytest
-from numpy.random import Generator, Philox
 
 from misodof import mc, rates
 from misodof.channel import ChannelBatch, CsitConfig, Normals, sample_batch
@@ -21,7 +20,8 @@ from misodof.mc import McConfig
 from misodof.rates import rate_scheme
 from misodof.regions import Scheme
 from reference import (
-    E1, E2, interference_power, isotropic_batch, perp, policy_matrices, projector, unit,
+    E1, E2, interference_power, isotropic_batch, pair_entries, perp, policy_matrices, projector,
+    unit,
 )
 
 SCHEMES = ("tdma", "zf", "mat", "rszf", "proposed")
@@ -48,7 +48,7 @@ def _integrand(scheme, cfg):
 
 
 def _batch(cfg, n, seed):
-    [batch] = sample_batch(Generator(Philox(key=np.array([seed, 0], dtype=np.uint64))), [cfg], n)
+    [batch] = sample_batch(mc.block_rng(seed, 0), [cfg], n)
     return batch
 
 
@@ -80,13 +80,13 @@ def _explicit_integrand(scheme, cfg, batch):
         q_h = p * projector(unit(batch.h_hat, E1))
         q_g = p * projector(unit(batch.g_hat, E2))
         return np.stack([np.log2(1.0 + interference_power(h, q_h)),
-                         np.log2(1.0 + interference_power(g, q_g))], axis=-1)
+                         np.log2(1.0 + interference_power(g, q_g))])
     if scheme == "zf":
         q1 = p / 2.0 * projector(perp(batch.g_hat, E1))
         q2 = p / 2.0 * projector(perp(batch.h_hat, E2))
         ip = interference_power
         return np.stack([np.log2(1.0 + ip(h, q1) / (1.0 + ip(h, q2))),
-                         np.log2(1.0 + ip(g, q2) / (1.0 + ip(g, q1)))], axis=-1)
+                         np.log2(1.0 + ip(g, q2) / (1.0 + ip(g, q1)))])
     pcfg = _policy_cfg(scheme, cfg)
     q = policy_matrices(pcfg, batch.h_hat, batch.g_hat)
     ch, ph1, ph2, cg, pg1, pg2 = (interference_power(x, q[name]) for x in (h, g)
@@ -95,7 +95,7 @@ def _explicit_integrand(scheme, cfg, batch):
             np.log2(1.0 + ph1 / (1.0 + ph2)), np.log2(1.0 + pg2 / (1.0 + pg1))]
     if scheme != "rszf":
         cols += _explicit_mimo(h, g, q["q_u"], q["q_v"], rates._distortion(pcfg))
-    return np.stack(cols, axis=-1)
+    return np.stack(cols)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.3, 0.5, 1.0])
@@ -119,7 +119,7 @@ def test_zero_norm_row_is_its_small_norm_limit():
     got = []
     for norm in (0.0, 1e-300):
         batch = _batch(cfg, 64, seed=44)
-        batch.normals.norm[5] = batch.normals.norm[6, 0] = batch.normals.norm[7, 1] = norm
+        batch.normals.norm[:, 5] = batch.normals.norm[0, 6] = batch.normals.norm[1, 7] = norm
         got.append(f(batch))
     assert np.isfinite(got[0]).all()
     np.testing.assert_array_equal(got[0], got[1])
@@ -133,16 +133,22 @@ def test_canonical_frame_matches_isotropic_draw(scheme, alpha):
     # per-user phase, so its column means match those of the isotropic draw.
     cfg = CsitConfig.from_alpha(1e3, alpha)
     n = 20_000
-    iso = isotropic_batch(Generator(Philox(key=np.array([46, 0], dtype=np.uint64))), cfg, n)
-    cols = [_explicit_integrand(scheme, cfg, batch) for batch in (iso, _batch(cfg, n, seed=47))]
-    mean = [c.mean(axis=0) for c in cols]
-    se = [c.std(axis=0, ddof=1) / np.sqrt(n) for c in cols]
+    iso = isotropic_batch(mc.block_rng(46, 0), cfg, n)
+    rows = [_explicit_integrand(scheme, cfg, batch) for batch in (iso, _batch(cfg, n, seed=47))]
+    mean = [r.mean(axis=1) for r in rows]
+    se = [r.std(axis=1, ddof=1) / np.sqrt(n) for r in rows]
     assert np.all(np.abs(mean[0] - mean[1]) <= 4.0 * np.hypot(*se))
 
 
-def _columns(batch, name):
-    # rates._project's columns of one estimate
+def _kernel(batch, name):
+    # rates._project's squared columns of one estimate
     return dict(zip(FALLBACKS, rates._project(batch)))[name]
+
+
+def _beams(batch, name, fallback_beam):
+    # the estimate's unit direction w and w-perp, from the reference's projectors
+    w = unit(getattr(batch, name), fallback_beam)
+    return w, np.stack([-np.conj(w[:, 1]), np.conj(w[:, 0])], axis=-1)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
@@ -151,25 +157,44 @@ def test_kernel_columns_match_projectors(alpha, fallback):
     cfg = CsitConfig.from_alpha(1e4, alpha)
     batch = _batch(cfg, 256, seed=42)
     name, fallback_beam = fallback
-    w = unit(getattr(batch, name), fallback_beam)
-    w_perp = np.stack([-np.conj(w[:, 1]), np.conj(w[:, 0])], axis=-1)
-    cols = _columns(batch, name)
-    kernel = rates._Kernel(cols)
-    h_par, h_perp, g_par, g_perp = cols
-    for col, x, beam in ((h_par, batch.h, w), (h_perp, batch.h, w_perp),
-                         (g_par, batch.g, w), (g_perp, batch.g, w_perp)):
-        np.testing.assert_allclose(np.abs(col) ** 2, interference_power(x, projector(beam)),
+    w, w_perp = _beams(batch, name, fallback_beam)
+    kernel = _kernel(batch, name)
+    for col_sq, x, beam in zip(kernel, (batch.h, batch.h, batch.g, batch.g),
+                               (w, w_perp, w, w_perp)):
+        np.testing.assert_allclose(col_sq, interference_power(x, projector(beam)),
                                    rtol=1e-12, atol=1e-14)
     a, b = 3.0, 0.25
-    q = a * projector(w_perp) + b * projector(w)
-    s = np.stack([np.conj(batch.h), np.conj(batch.g)], axis=-2)
-    m = s @ q @ np.conj(np.swapaxes(s, -1, -2))
-    m00, m11, off = rates._beam_pair(kernel, a, b)
-    np.testing.assert_allclose(m00, m[:, 0, 0].real, rtol=1e-12)
-    np.testing.assert_allclose(m11, m[:, 1, 1].real, rtol=1e-12)
-    np.testing.assert_allclose(off, np.abs(m[:, 0, 1]) ** 2, rtol=1e-10)
-    for col, col_sq in zip(cols, kernel.sq):
-        np.testing.assert_allclose(col_sq, np.abs(col) ** 2, rtol=1e-15)
+    m00, m11, _ = pair_entries(batch.h, batch.g, a * projector(w_perp) + b * projector(w))
+    got00, got11 = rates._beam_pair(kernel, a, b)
+    np.testing.assert_allclose(got00, m00, rtol=1e-12)
+    np.testing.assert_allclose(got11, m11, rtol=1e-12)
+
+
+@pytest.mark.parametrize("snr_p, alpha, s", [
+    (1e4, 0.0, None), (1e4, 0.5, None), (1e4, 1.0, None), (1e12, 1.0, 1e-7),
+])
+@pytest.mark.parametrize("fallback", FALLBACKS.items())
+def test_det_identity_matches_explicit_matrices(fallback, snr_p, alpha, s):
+    # m00 m11 - |m01|^2 of S Q S^H, S = [h^H; g^H] and Q = a w-perp w-perp^H
+    # + b w w^H, is det Q |det S|^2 = a b |det[h g]|^2, the kernel's one
+    # determinant per batch for either estimate's beams.  The last case puts
+    # g_hat within 1e-7 of h_hat's direction, with errors ~1e-6, so h and g
+    # are nearly collinear; the explicit m00 m11 - |m01|^2 then cancels
+    # about 12 digits, and the bound allows for that.
+    cfg = CsitConfig.from_alpha(snr_p, alpha)
+    batch = _batch(cfg, 256, seed=48)
+    if s is not None:
+        batch.normals.s[:] = s
+        batch.normals.r[:] = np.sqrt(1.0 - s * s)
+    name, fallback_beam = fallback
+    w, w_perp = _beams(batch, name, fallback_beam)
+    a, b = 3.0, 0.25
+    m00, m11, off = pair_entries(batch.h, batch.g, a * projector(w_perp) + b * projector(w))
+    det = rates._project(batch)[2]
+    explicit = m00 * m11 - off
+    assert np.all(np.abs(a * b * det - explicit) <= 1e-13 * m00 * m11 + 1e-12 * explicit)
+    if s is not None:
+        assert np.median(explicit / (m00 * m11)) < 1e-8
 
 
 # each scheme's integrand columns with the two users swapped
@@ -187,10 +212,10 @@ def test_zero_estimate_beams_are_user_symmetric(scheme):
     batch = _batch(cfg, 256, seed=45)
     order = [3, 2, 1, 0]
     normals = batch.normals
-    swapped = ChannelBatch(Normals(normals.norm[:, ::-1], normals.r, normals.s,
+    swapped = ChannelBatch(Normals(normals.norm[::-1], normals.r, normals.s,
                                    normals.n[:, order]), cfg)
     f = _integrand(scheme, cfg)
-    got, want = f(swapped), f(batch)[:, USER_SWAP[scheme]]
+    got, want = f(swapped), f(batch)[USER_SWAP[scheme]]
     if scheme in ("mat", "proposed"):
         np.testing.assert_allclose(got, want, rtol=1e-12)
     else:
@@ -282,30 +307,35 @@ def _mp_sample(scheme, cfg, h_hat, g_hat, h, g):
 @pytest.mark.parametrize("fallback", FALLBACKS.items())
 def test_kernel_backward_stable_at_extreme_snr(fallback, log2_p, alpha):
     # Every column of the estimate's kernel is within a few eps |x| of the
-    # exact projection of the exact x; its zero-estimate beam is unused, as
-    # no estimate is zero.
+    # modulus of the exact projection of the exact x; its zero-estimate beam
+    # is unused, as no estimate is zero.
     cfg = CsitConfig.from_alpha(2.0 ** log2_p, alpha)
     batch = _batch(cfg, 16, seed=43)
     name, _ = fallback
-    cols = _columns(batch, name)
+    kernel = _kernel(batch, name)
     with mpmath.workdps(80):
         for i in range(batch.n):
             h_hat, g_hat, h, g = _mp_channels(batch, i)
             w, w_perp = _mp_beams(h_hat if name == "h_hat" else g_hat)
             for k, (x, beam) in enumerate(((h, w), (h, w_perp), (g, w), (g, w_perp))):
-                ref = _mp_dot(beam, x)
-                assert abs(mpmath.mpc(complex(cols[k][i])) - ref) <= 4 * EPS * mpmath.sqrt(
+                ref = abs(_mp_dot(beam, x))
+                assert abs(mpmath.sqrt(kernel[k][i]) - ref) <= 5 * EPS * mpmath.sqrt(
                     abs(x[0]) ** 2 + abs(x[1]) ** 2)
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 1.0])
-@pytest.mark.parametrize("log2_p", [60, 80, 100, 120])
-@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("scheme, log2_p", [
+    *((scheme, log2_p) for scheme in SCHEMES for log2_p in (60, 80, 100, 120)),
+    ("mat", 1000), ("proposed", 1000),
+])
 def test_integrand_matches_mpmath_at_extreme_snr(scheme, log2_p, alpha):
+    # At P = 2^1000 the phase-1 determinant is ~P^2, beyond the double
+    # range; the reference's m00 m11 - |m01|^2 cancels up to log10 P^2
+    # digits, so it works with that many more.
     cfg = CsitConfig.from_alpha(2.0 ** log2_p, alpha)
     batch = _batch(cfg, 16, seed=43)
     got = _integrand(scheme, cfg)(batch)
-    with mpmath.workdps(80):
+    with mpmath.workdps(80 if log2_p <= 120 else 80 + log2_p):
         ref = np.array([[float(v) for v in _mp_sample(scheme, cfg, *_mp_channels(batch, i))]
-                        for i in range(batch.n)])
+                        for i in range(batch.n)]).T
     np.testing.assert_allclose(got, ref, rtol=1e-9, atol=1e-12)

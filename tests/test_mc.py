@@ -71,8 +71,7 @@ def test_vector_integrand():
     # each user's power per antenna: the sampler puts h_hat along antenna 1,
     # so a single entry's power is not 1 on average
     def f(batch):
-        return np.stack([np.sum(np.abs(x) ** 2, axis=1) / 2.0 for x in (batch.h, batch.g)],
-                        axis=1)
+        return np.stack([np.sum(np.abs(x) ** 2, axis=1) / 2.0 for x in (batch.h, batch.g)])
 
     [est] = estimate(f, McConfig(200_000, 7), [CFG])
     assert est.mean.shape == (2,)
@@ -93,8 +92,8 @@ def test_non_finite_value_reports_index():
 
 def test_non_finite_reports_first_bad_column():
     def f(batch):
-        vals = np.ones((batch.n, 3))
-        vals[6, 0] = vals[4, 2] = vals[4, 1] = np.inf
+        vals = np.ones((3, batch.n))
+        vals[0, 6] = vals[2, 4] = vals[1, 4] = np.inf
         return vals
 
     with pytest.raises(NonFiniteSampleError) as err:
@@ -103,18 +102,18 @@ def test_non_finite_reports_first_bad_column():
 
 
 def test_non_finite_found_through_column_sums():
-    # Values are searched only where a column's sum is non-finite.  +inf and
-    # -inf in one column sum to NaN and still name the first bad sample;
-    # finite values whose column sum overflows are not an error.
+    # Values are searched only where a row's sum is non-finite.  +inf and
+    # -inf in one row sum to NaN and still name the first bad sample;
+    # finite values whose row sum overflows are not an error.
     def f(batch):
-        vals = np.ones((batch.n, 3))
-        vals[9, 1], vals[2, 1] = np.inf, -np.inf
+        vals = np.ones((3, batch.n))
+        vals[1, 9], vals[1, 2] = np.inf, -np.inf
         return vals
 
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NonFiniteSampleError) as err:
             estimate(f, McConfig(100, 8), [CFG])
-        [est] = estimate(lambda batch: np.full((batch.n, 2), 1e308), McConfig(100, 8), [CFG])
+        [est] = estimate(lambda batch: np.full((2, batch.n), 1e308), McConfig(100, 8), [CFG])
     assert (err.value.index, err.value.column) == (2, 1)
     assert np.all(est.mean == np.inf)
 
@@ -159,6 +158,19 @@ def test_non_finite_in_later_block():
     assert err.value.index == target
 
 
+def test_block_rng_is_a_pure_function_of_seed_and_block():
+    # Each (seed, block) pair keys its own stream: the same pair draws the
+    # same numbers again, distinct pairs draw distinct ones, and the largest
+    # seed McConfig accepts is a valid key.
+    top = 2 ** 64 - 1
+    keys = [(0, 0), (0, 1), (1, 0), (5, 2), (top, 0), (top, 1), (top, 2 ** 32)]
+    draws = {key: mc.block_rng(*key).random(4) for key in keys}
+    assert all(np.array_equal(mc.block_rng(*key).random(4), v) for key, v in draws.items())
+    assert len({v.tobytes() for v in draws.values()}) == len(keys)
+    [est] = estimate(lambda batch: np.abs(batch.h[:, 0]) ** 2, McConfig(BLOCK_SIZE + 5, top), [CFG])
+    assert np.isfinite(est.mean).all()
+
+
 def test_bad_config_rejected():
     with pytest.raises(ValueError):
         McConfig(0, 1)
@@ -190,23 +202,23 @@ def test_pool_size_is_bounded(monkeypatch, workers, cpus, blocks, threads):
 
 
 def _spread_values(batch, width):
-    # Reproducible values per block size, columns on scales 1e-3..1e3.
+    # Reproducible values per block size, rows on scales 1e-3..1e3.
     rng = np.random.default_rng(batch.n)
-    shape = (batch.n,) if width is None else (batch.n, width)
-    return rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3, size=shape[1:])
+    shape = (batch.n,) if width is None else (width, batch.n)
+    return rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3, size=shape[:-1] + (1,))
 
 
 @pytest.mark.parametrize("width", [1, 2, 6, 20])
 def test_block_sums_bitwise(width):
-    # Every integrand result is read as (m, k) columns and reduced by the
-    # same two einsum calls, whatever k; a 1-D result is one column and
-    # reduces bitwise like its one-column form.  Block 1 is a short last
+    # Every integrand result is read as (k, m) rows and reduced by the
+    # same two einsum calls, whatever k; a 1-D result is one row and
+    # reduces bitwise like its one-row form.  Block 1 is a short last
     # block.
     cfg = McConfig(BLOCK_SIZE + 777, 11)
     for block, size in ((0, BLOCK_SIZE), (1, 777)):
         vals = _spread_values(type("Batch", (), {"n": size}), width)
-        expected = (np.einsum("ij->j", vals).tobytes(),
-                    np.einsum("ij,ij->j", vals, vals).tobytes())
+        expected = (np.einsum("ij->i", vals).tobytes(),
+                    np.einsum("ij,ij->i", vals, vals).tobytes())
         for shape in [width] if width > 1 else [1, None]:
             [(total, total_sq)] = mc._run_block(lambda b: _spread_values(b, shape), cfg, [CFG],
                                                 block)

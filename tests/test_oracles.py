@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from numpy.random import Generator, Philox
 from scipy import stats
 
 from misodof import oracles
@@ -54,7 +53,7 @@ class TestRotationIdentity:
 
 def _batch_pairs():
     # the oracles command's 1000 pairs at seed 0, then a == b and a ratio of 1e-3
-    rng = Generator(Philox(key=np.array([0, 0], dtype=np.uint64)))
+    rng = block_rng(0, 0)
     extra = [(1.0, 1.0), (3.7, 3.7), (0.01, 10.0), (10.0, 0.01), (0.0, 2.0)]
     return np.vstack([rng.uniform(0.05, 10.0, size=(1000, 2)), extra])
 

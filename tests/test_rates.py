@@ -2,15 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from numpy.random import Generator, Philox
 
 from misodof import mc, rates
-from misodof.channel import CsitConfig, sample_batch
+from misodof.channel import CsitConfig, Normals, sample_batch
 from misodof.mc import McConfig, estimate
 from misodof.oracles import mean_log2_quadratic
 from misodof.rates import (
     RateResult,
-    _Kernel,
     _beam_pair,
     _distortion,
     _mimo_logdets,
@@ -30,14 +28,24 @@ MIMO_FIXED_SAMPLE_RATE = 2.874469117916141
 
 
 def _rng(seed=0):
-    return Generator(Philox(key=np.array([seed, 0], dtype=np.uint64)))
+    return mc.block_rng(seed, 0)
+
+
+def _explicit_mimo_logdets(h, g, q_u, q_v, d):
+    # both users' equivalent-MIMO rates at P = 1 from the explicit entries
+    # of S q S^H; q_u and q_v must share their determinant
+    (u00, u11, u_off), v = (pair_entries(h, g, q) for q in (q_u, q_v))
+    out = np.empty((2, np.size(u00)))
+    _mimo_logdets((u00, u11), v[:2], u00 * u11 - u_off, d, d, 1.0, out)
+    return out[0], out[1]
 
 
 def _fixed_mimo_rates(q_u, q_v, d):
     # both users' equivalent-MIMO rates at h = (1, 0), g = (0, 1)
-    h = np.array([1.0 + 0j, 0.0 + 0j])
-    g = np.array([0.0 + 0j, 1.0 + 0j])
-    return _mimo_logdets(pair_entries(h, g, q_u), pair_entries(h, g, q_v), d, d)
+    h = np.array([[1.0 + 0j, 0.0 + 0j]])
+    g = np.array([[0.0 + 0j, 1.0 + 0j]])
+    m1, m2 = _explicit_mimo_logdets(h, g, q_u, q_v, d)
+    return float(m1[0]), float(m2[0])
 
 
 class TestDefaultPolicy:
@@ -52,14 +60,15 @@ class TestDefaultPolicy:
         # isotropic phase-1 covariances in the no-CSIT regime: each zero
         # estimate's two beams carry p/4 each
         [batch] = sample_batch(_rng(1), [cfg], 64)
-        for cols in _project(batch):
-            m00, m11, off = _beam_pair(_Kernel(cols), p1 / 2.0, p2 / 2.0)
+        *kernels, det = _project(batch)
+        for kernel in kernels:
+            m00, m11 = _beam_pair(kernel, p1 / 2.0, p2 / 2.0)
             np.testing.assert_allclose(m00, p / 4.0 * np.sum(np.abs(batch.h) ** 2, axis=1),
                                        rtol=1e-12)
             np.testing.assert_allclose(m11, p / 4.0 * np.sum(np.abs(batch.g) ** 2, axis=1),
                                        rtol=1e-12)
-            cross = np.abs(np.sum(np.conj(batch.h) * batch.g, axis=1)) ** 2
-            np.testing.assert_allclose(off, (p / 4.0) ** 2 * cross, rtol=1e-9)
+        gram = np.abs(np.linalg.det(np.stack([batch.h, batch.g], axis=-1))) ** 2
+        np.testing.assert_allclose(det, gram, rtol=1e-9)
 
     def test_perfect_csit_split(self):
         cfg = CsitConfig.from_sigma_sq(1e4, 1e-4)
@@ -150,9 +159,8 @@ class TestMimoRate:
         [batch] = sample_batch(_rng(8), [cfg], 64)
         q_u = np.array([[2.0, 0.3 + 0.1j], [0.3 - 0.1j, 1.0]], dtype=complex)
         q_v = np.array([[1.0, -0.2j], [0.2j, 3.0]], dtype=complex)
-        u = pair_entries(batch.h, batch.g, q_u)
-        v = pair_entries(batch.h, batch.g, q_v)
-        m1, m2 = _mimo_logdets(u, v, 1.0, 1.0)
+        # at d = 1 no side information is decoded, so det(q) is never read
+        m1, m2 = _explicit_mimo_logdets(batch.h, batch.g, q_u, q_v, 1.0)
         sig, noise = interference_power(batch.h, q_u), interference_power(batch.h, q_v)
         np.testing.assert_allclose(m1, np.log2(1.0 + sig / (1.0 + noise)), rtol=1e-12)
         sig, noise = interference_power(batch.g, q_v), interference_power(batch.g, q_u)
@@ -334,21 +342,26 @@ def test_snr_grid_equals_per_config_calls(alpha, workers):
 @pytest.mark.parametrize("group", [tuple(Scheme), tuple(reversed(Scheme)), "proposed", "tdma"])
 def test_group_runs_each_kernel_pair_once_per_block(group, monkeypatch):
     # Any group, in any order, reads one kernel pair (h_hat's, g_hat's) per
-    # config and block: one projection.  With estimates (alpha 0.5) it
-    # comes from the frames that every config of the block shares; at
-    # alpha 0 the estimates are zero and no frame is projected.
+    # config and block: one projection.  With estimates (alpha 0.5) g_hat's
+    # reads the errors in g_hat's frame, one rotation that every config of
+    # the block shares; at alpha 0 the estimates are zero and nothing is
+    # rotated.
     snrs = (1e3, 1e4, 1e5)
-    for alpha, frames in ((0.0, 0), (0.5, 1)):
-        calls = dict.fromkeys(("_project", "_frames"), 0)
-        for name in calls:
-            def counted(*a, name=name, real=getattr(rates, name)):
+    for alpha, rotations in ((0.0, 0), (0.5, 1)):
+        calls = {"_project": 0, "g_frame": 0}
+
+        def counted(name, real):
+            def call(*a):
                 calls[name] += 1
                 return real(*a)
-            monkeypatch.setattr(rates, name, counted)
+            return call
+
+        monkeypatch.setattr(rates, "_project", counted("_project", rates._project))
+        monkeypatch.setattr(Normals.g_frame, "func", counted("g_frame", Normals.g_frame.func))
         rate_scheme(group, [CsitConfig.from_alpha(p, alpha) for p in snrs],
                     McConfig(2 * 8192, 26))
         monkeypatch.undo()
-        assert calls == {"_project": 2 * len(snrs), "_frames": 2 * frames}
+        assert calls == {"_project": 2 * len(snrs), "g_frame": 2 * rotations}
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
