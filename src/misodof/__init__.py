@@ -5,6 +5,10 @@ imperfect current transmitter CSI, with Monte Carlo evaluation of the exact
 rate formulas and quadrature oracles for the analytic ingredients.
 """
 
+import os
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # before numpy: an idle BLAS pool spins
+
 __version__ = "0.1.0"
 
 from .channel import ChannelBatch, CsitConfig, sample_batch

@@ -17,11 +17,12 @@ truncation warning is printed only once every usage check has passed.
 
 Numeric output is deterministic for a fixed seed regardless of the worker
 count, so ``rates``, ``slopes`` and ``oracles`` run their Monte Carlo blocks
-on every CPU this process may use unless ``--workers`` says otherwise; the
-``rates`` and ``slopes`` manifests record the count.  In ``rates`` and
-``slopes`` every scheme and SNR of a run shares its channel draws: one
-``rate_scheme`` call evaluates them together.  ``oracles --samples`` counts
-the exponential samples of the exp-log check; each channel draw gives eight.
+in worker processes forked by ``mc``, one per CPU this process may use unless
+``--workers`` says otherwise; the ``rates`` and ``slopes`` manifests record
+the count.  In ``rates`` and ``slopes`` every scheme and SNR of a run shares
+its channel draws: one ``rate_scheme`` call evaluates them together.
+``oracles --samples`` counts the exponential samples of the exp-log check;
+each channel draw gives eight.
 """
 
 from __future__ import annotations
@@ -396,7 +397,7 @@ def cmd_oracles(args):
 def _add_workers(parser):
     workers = usable_cpus()
     parser.add_argument("--workers", type=int, default=workers,
-                        help="Monte Carlo worker threads (default: the CPUs this "
+                        help="Monte Carlo worker processes (default: the CPUs this "
                              f"process may run on, {workers} here; more are capped "
                              "at that count); the output does not depend on it")
 

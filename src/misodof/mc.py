@@ -7,10 +7,12 @@ combined in block order with numpy's pairwise reduction.  Within a block,
 every integrand result is read as (k, m) rows, an (m,) one as one row, and
 reduced by one pair of ``einsum`` calls over contiguous rows into (k,) sums
 and sums of squares.  The worker count only changes scheduling, never the
-result, and the pool never runs more threads than there are blocks or
-usable CPUs.  An estimate always covers a grid of CSIT configs, one or many
-(say, every SNR of a sweep): the block keys do not depend on the config, so
-each block is drawn once and every config is evaluated from that draw.
+result.  Workers are forked processes, never more than blocks or usable
+CPUs: a block makes about 90 short numpy calls, and threads would wait on
+the interpreter lock around each.  An estimate always covers a grid of CSIT
+configs, one or many (say, every SNR of a sweep): the block keys do not
+depend on the config, so each block is drawn once and every config is
+evaluated from that draw.
 """
 
 from __future__ import annotations
@@ -19,7 +21,9 @@ import contextlib
 import ctypes
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import pickle
+import signal
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +47,9 @@ class NonFiniteSampleError(RuntimeError):
         self.index = index
         self.column = column
         self.config_index = config_index
+
+    def __reduce__(self):  # a worker process sends it to the caller pickled
+        return type(self), (self.index, self.column, self.config_index)
 
 
 @dataclass(frozen=True)
@@ -129,6 +136,60 @@ def usable_cpus():
         return os.cpu_count() or 1
 
 
+def _in_order(run, blocks):
+    # (block, sums) pairs up to the first failing block, paired with its error.
+    out = []
+    for block in blocks:
+        try:
+            out.append((block, run(block)))
+        except Exception as exc:
+            out.append((block, exc))
+            break
+    return out
+
+
+def _run_workers(run, n_blocks, n_workers):
+    # Worker k runs blocks k, k + n_workers, ... in order; the caller is
+    # worker 0, forks the others and runs the blocks of any fork that fails.
+    # Every pipe is read before its child is reaped, so no child waits on a
+    # full pipe, and on any exception the children left are killed and reaped.
+    own, children = set(range(n_blocks)), {}
+    try:
+        for k in range(1, n_workers):
+            blocks = range(k, n_blocks, n_workers)
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                for fd in (r, w):
+                    os.close(fd)
+                break
+            if pid == 0:  # the child never returns into the caller's code
+                try:
+                    with os.fdopen(w, "wb") as pipe:
+                        pickle.dump(_in_order(run, blocks), pipe)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(w)
+            children[pid] = os.fdopen(r, "rb")
+            own.difference_update(blocks)
+        pairs = _in_order(run, sorted(own))
+        for pid, data in [(pid, pipe.read()) for pid, pipe in children.items()]:
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            children.pop(pid).close()
+            if status != 0:
+                raise RuntimeError(f"Monte Carlo worker {pid} sent no results "
+                                   f"(exit status {status})")
+            pairs += pickle.loads(data)
+    finally:
+        for pid, pipe in children.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return sorted(pairs, key=lambda pair: pair[0])
+
+
 def estimate(f, cfg, grid):
     """Monte Carlo expectations of a batch integrand over channel draws.
 
@@ -139,16 +200,19 @@ def estimate(f, cfg, grid):
     so each block's normals are drawn once for the whole grid; ``f`` sees one
     batch per config, all sharing them, and ``batch.csit`` names it.  Each
     estimate is bitwise identical to that config's own one-element grid, and
-    to itself for any ``n_workers``; the blocks run on min(n_workers, blocks,
-    usable CPUs) threads.
+    to itself for any ``n_workers``; the blocks run in min(n_workers, blocks,
+    usable CPUs) processes, the caller and its forks, or in the caller alone
+    where there is no ``os.fork`` or another Python thread, which a fork would
+    not copy.  The lowest failing block's error is raised.
     """
     grid = list(grid)
     n = cfg.n_samples
     n_blocks = math.ceil(n / BLOCK_SIZE)
-    n_threads = min(cfg.n_workers, n_blocks, usable_cpus())
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            results = list(pool.map(lambda b: _run_block(f, cfg, grid, b), range(n_blocks)))
-    else:
-        results = [_run_block(f, cfg, grid, b) for b in range(n_blocks)]
-    return [_reduce([r[i] for r in results], n) for i in range(len(grid))]
+    n_workers = min(cfg.n_workers, n_blocks, usable_cpus())
+    if threading.active_count() > 1 or not hasattr(os, "fork"):
+        n_workers = 1
+    pairs = _run_workers(lambda b: _run_block(f, cfg, grid, b), n_blocks, n_workers)
+    for _, sums in pairs:
+        if isinstance(sums, Exception):
+            raise sums
+    return [_reduce([sums[i] for _, sums in pairs], n) for i in range(len(grid))]

@@ -30,9 +30,9 @@ from .mc import block_rng  # by name: tracers count mc.block_rng as mc blocks
 
 # Nodes per summed chunk of a quadrature level, and values per integrand
 # call: 0.5 MiB per temporary array.  The package keeps freed heap memory
-# (see ``mc``), and the Monte Carlo pool threads allocate in arenas of their
-# own, so larger quadrature temporaries would stay resident for the rest of a
-# run.
+# (see ``mc``), and the Monte Carlo workers forked after the quadrature map
+# the caller's heap as well, so larger quadrature temporaries would stay
+# resident for the rest of a run.
 _CHUNK = 1 << 16
 _START_PANELS = 64
 

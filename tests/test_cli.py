@@ -4,7 +4,6 @@ import os
 import re
 import subprocess
 import sys
-import threading
 from collections import Counter
 from pathlib import Path
 
@@ -570,32 +569,31 @@ def test_non_finite_names_its_snr(tmp_path, monkeypatch, capsys):
 def test_traced_seams_call_counts(workers, tmp_path, monkeypatch):
     # The outside-in tracer wraps these module attributes; the rates command
     # must reach every one of them through its module: one rate_scheme call
-    # and one estimate per run, one draw per block for every SNR.
-    counts, keys, lock = Counter(), Counter(), threading.Lock()
+    # and one estimate per run, one draw per block for every SNR.  Blocks
+    # run in forked workers too, so every call appends one line to a log
+    # file: an O_APPEND write of a short line stays whole across processes.
+    log = tmp_path / "calls.log"
     open_cells, first_args = [], []
 
-    def counted(module, name, record=None):
+    def counted(module, name, record=lambda *_: ""):
         fn = getattr(module, name)
 
         def wrapper(*args, **kwargs):
-            with lock:
-                counts[name] += 1
-                if record:
-                    record(*args)
+            fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+            try:
+                os.write(fd, f"{name} {record(*args)}\n".encode())
+            finally:
+                os.close(fd)
             return fn(*args, **kwargs)
 
         monkeypatch.setattr(module, name, wrapper)
 
-    def in_cell(*_):
-        counts["estimate_in_cell"] += len(open_cells) == 1
-
     counted(mc, "sample_batch")
-    counted(mc, "block_rng", lambda seed, block: keys.update([(int(seed), int(block))]))
-    counted(mc, "estimate", in_cell)
+    counted(mc, "block_rng", lambda seed, block: f"{int(seed)} {int(block)}")
+    counted(mc, "estimate", lambda *_: "in_cell" if len(open_cells) == 1 else "")
     real_rate_scheme = cli.rate_scheme
 
     def rate_scheme(*args):
-        counts["rate_scheme"] += 1
         first_args.append(args[0])
         open_cells.append(args[0])
         try:
@@ -608,6 +606,11 @@ def test_traced_seams_call_counts(workers, tmp_path, monkeypatch):
     assert cli.main(["rates", "--scheme", "all", "--alpha", "0.5", "--snr-db", "10:10:20",
                      "--samples", "10000", "--seed", "3", "--workers", str(workers),
                      "--out", str(out)]) == 0
+    calls = [line.split() for line in log.read_text().splitlines()]
+    counts = Counter(call[0] for call in calls)
+    counts["rate_scheme"] = len(first_args)
+    counts["estimate_in_cell"] = sum(call == ["estimate", "in_cell"] for call in calls)
+    keys = Counter((int(c[1]), int(c[2])) for c in calls if c[0] == "block_rng")
     assert counts == {"rate_scheme": 1, "estimate": 1, "estimate_in_cell": 1,
                       "block_rng": 2, "sample_batch": 2}
     assert keys == {(3, 0): 1, (3, 1): 1}
@@ -662,3 +665,17 @@ def test_runtime_imports_numpy_only():
     proc = subprocess.run([sys.executable, "-c", code], cwd=Path(cli.__file__).parents[1],
                           capture_output=True, text=True, check=True)
     assert proc.stdout == "[]\n"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux /proc")
+@pytest.mark.parametrize("setting, threads", [(None, 1), ("2", 2)])
+def test_import_starts_no_blas_pool(setting, threads):
+    # The package pins OpenBLAS to one thread unless the caller says
+    # otherwise, so importing the CLI leaves the process single-threaded.
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if setting:
+        env["OPENBLAS_NUM_THREADS"] = setting
+    code = "import os, misodof.cli; print(len(os.listdir('/proc/self/task')))"
+    proc = subprocess.run([sys.executable, "-c", code], cwd=Path(cli.__file__).parents[1],
+                          env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout == f"{threads}\n"

@@ -1,4 +1,10 @@
+import errno
 import math
+import os
+import pickle
+import signal
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -13,6 +19,7 @@ from misodof.mc import (
 )
 
 CFG = CsitConfig.from_sigma_sq(100.0, 0.25)
+CFG2 = CsitConfig.from_sigma_sq(1000.0, 0.5)
 
 
 def test_constant_integrand():
@@ -182,23 +189,26 @@ def test_bad_config_rejected():
         McConfig(10, 1, n_workers=0)
 
 
-@pytest.mark.parametrize("workers, cpus, blocks, threads", [
+@pytest.mark.parametrize("workers, cpus, blocks, processes", [
     (100_000, 3, 5, 3), (100_000, 64, 2, 2), (2, 64, 5, 2), (1, 64, 5, None), (4, 1, 5, None),
 ])
-def test_pool_size_is_bounded(monkeypatch, workers, cpus, blocks, threads):
-    # The pool runs min(workers, blocks, usable CPUs) threads, and none below two.
-    sizes = []
+def test_pool_size_is_bounded(monkeypatch, workers, cpus, blocks, processes):
+    # min(workers, blocks, usable CPUs) processes run the blocks: the caller
+    # forks one fewer children, and none when that bound is one.
+    forks = []
+    real_fork = os.fork
 
-    class Pool(mc.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-            super().__init__(max_workers=max_workers)
+    def fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
 
-    monkeypatch.setattr(mc, "ThreadPoolExecutor", Pool)
+    monkeypatch.setattr(os, "fork", fork)
     monkeypatch.setattr(mc, "usable_cpus", lambda: cpus)
     cfg = McConfig((blocks - 1) * BLOCK_SIZE + 1, 12, n_workers=workers)
     assert estimate(lambda batch: np.ones(batch.n), cfg, [CFG])[0].mean == 1.0
-    assert sizes == ([] if threads is None else [threads])
+    assert len(forks) == (0 if processes is None else processes - 1)
 
 
 def _spread_values(batch, width):
@@ -224,3 +234,137 @@ def test_block_sums_bitwise(width):
                                                 block)
             assert total.shape == total_sq.shape == (width,)
             assert (total.tobytes(), total_sq.tobytes()) == expected
+
+
+@pytest.mark.parametrize("bad, raised, ran", [
+    ({1}, 1, {0, 1, 2}), ({1, 2}, 1, {0, 1, 2}), ({2, 3}, 2, {0, 1, 2, 3}), ({0, 3}, 0, {0, 1, 3}),
+])
+def test_lowest_failing_block_raises_from_any_process(monkeypatch, tmp_path, bad, raised, ran):
+    # On 2 workers the caller runs blocks 0 and 2, its child 1 and 3.  Each
+    # process stops at its first failing block, and the caller raises the
+    # lowest failing block's error with its attributes, whichever process
+    # ran it.  Blocks log themselves to a file, from either process.
+    log = tmp_path / "blocks.log"
+    real = mc._run_block
+
+    def run_block(f, cfg, grid, block):
+        def nan_in_bad_blocks(batch):  # at sample 17 of config 1's second row
+            vals = np.ones((2, batch.n))
+            if block in bad and batch.csit is grid[1]:
+                vals[1, 17] = np.nan
+            return vals
+
+        with open(log, "a") as out:
+            out.write(f"{block}\n")
+        return real(nan_in_bad_blocks, cfg, grid, block)
+
+    monkeypatch.setattr(mc, "_run_block", run_block)
+    with pytest.raises(NonFiniteSampleError) as err:
+        estimate(lambda batch: None, McConfig(4 * BLOCK_SIZE, 5, n_workers=2), [CFG, CFG2])
+    assert (err.value.index, err.value.column, err.value.config_index) == (
+        raised * BLOCK_SIZE + 17, 1, 1)
+    assert {int(b) for b in log.read_text().split()} == ran
+    copy = pickle.loads(pickle.dumps(err.value))
+    assert (copy.index, copy.column, copy.config_index) == (err.value.index, 1, 1)
+    assert str(copy) == str(err.value)
+
+
+def test_killed_worker_raises_with_its_pid(monkeypatch):
+    # A child that ends without sending its blocks' sums is an error naming
+    # it, never a silent estimate over fewer blocks.
+    caller, forks = os.getpid(), []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        forks.append(pid)
+        return pid
+
+    def f(batch):
+        if os.getpid() != caller:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return np.ones(batch.n)
+
+    monkeypatch.setattr(os, "fork", fork)
+    with pytest.raises(RuntimeError) as err:
+        estimate(f, McConfig(3 * BLOCK_SIZE, 5, n_workers=2), [CFG])
+    [child] = forks
+    assert f"worker {child} " in str(err.value)
+    assert f"exit status {-signal.SIGKILL}" in str(err.value)
+
+
+@pytest.mark.parametrize("forked", [0, 1, 2])
+def test_failed_fork_runs_the_blocks_in_the_caller(monkeypatch, forked):
+    # Workers 4 over 7 blocks; the fork after ``forked`` children raises, and
+    # the caller runs every block that no child took, bitwise as 1 worker.
+    attempts = []
+    real_fork = os.fork
+
+    def fork():
+        attempts.append(1)
+        if len(attempts) > forked:
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+        return real_fork()
+
+    def f(batch):
+        return np.log2(1.0 + np.abs(batch.h[:, 0]) ** 2)
+
+    expected = estimate(f, McConfig(7 * BLOCK_SIZE - 3, 4), [CFG, CFG2])
+    monkeypatch.setattr(os, "fork", fork)
+    got = estimate(f, McConfig(7 * BLOCK_SIZE - 3, 4, n_workers=4), [CFG, CFG2])
+    assert len(attempts) == forked + 1
+    for a, b in zip(got, expected):
+        assert a.mean.tobytes() == b.mean.tobytes()
+        assert a.std_error.tobytes() == b.std_error.tobytes()
+
+
+def test_platform_without_fork_runs_the_blocks_in_the_caller(monkeypatch):
+    def f(batch):
+        return np.abs(batch.h[:, 0]) ** 2
+
+    [expected] = estimate(f, McConfig(3 * BLOCK_SIZE, 6), [CFG])
+    monkeypatch.delattr(os, "fork")
+    [got] = estimate(f, McConfig(3 * BLOCK_SIZE, 6, n_workers=3), [CFG])
+    assert got.mean.tobytes() == expected.mean.tobytes()
+
+
+def test_threaded_caller_runs_blocks_in_its_own_thread(monkeypatch):
+    # A forked child would hold only the forking thread, so a caller that
+    # shares its process with another Python thread runs every block itself.
+    threads = set()
+
+    def f(batch):
+        threads.add(threading.get_ident())
+        return np.abs(batch.h[:, 0]) ** 2
+
+    [expected] = estimate(f, McConfig(3 * BLOCK_SIZE, 6), [CFG])
+    threads.clear()
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked beside another thread"))
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        [got] = estimate(f, McConfig(3 * BLOCK_SIZE, 6, n_workers=3), [CFG])
+    finally:
+        release.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+    assert threads == {threading.get_ident()}
+    assert got.mean.tobytes() == expected.mean.tobytes()
+
+
+def test_interrupted_caller_kills_its_children(monkeypatch):
+    # A KeyboardInterrupt in the caller's own block kills and reaps the
+    # children at once, however long their blocks would take; the conftest
+    # guard checks that none is left.
+    caller = os.getpid()
+
+    def f(batch):
+        if os.getpid() != caller:
+            time.sleep(60)
+        raise KeyboardInterrupt
+
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        estimate(f, McConfig(2 * BLOCK_SIZE, 7, n_workers=2), [CFG])
+    assert time.monotonic() - start < 30
