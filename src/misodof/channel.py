@@ -20,10 +20,11 @@ e^{-i t1} on g and then diag(1, e^{i (t1 - t2)}) make r and s real.  Both
 steps depend on the estimates alone, so the errors stay i.i.d. CN in
 antenna coordinates and independent of them.  What is left to draw is
 |h_hat|^2 and |g_hat|^2, each (1 - sigma_sq) Gamma(2), and r^2 ~ U(0, 1),
-the squared cosine between the estimates, all independent: 5 uniforms and
-the errors' 8 normals per sample, where the antenna-frame draw took 16
-normals.  A block is drawn as rows, one per quantity, so kernels read
-contiguous arrays, and ``Normals.g_frame`` rotates its errors once.
+the squared cosine between the estimates, all independent: 13 uniforms per
+sample, 8 of them mapped to the errors' normals by Box-Muller, where the
+antenna-frame draw took 16 normals.  A block is drawn as rows, one per
+quantity, so kernels read contiguous arrays, and ``Normals.g_frame`` rotates
+its errors once.
 """
 
 from __future__ import annotations
@@ -153,23 +154,37 @@ class ChannelBatch:
         return _pair(scale * self.normals.r, -scale * self.normals.s)
 
 
+def _normals(u):
+    """The Normals of a block's (13, n) uniforms on [0, 1), which it overwrites:
+    rows 0-3 give the error entries' radii sqrt(-2 ln(1 - u)), 4-7 their phases,
+    8-11 the two chi^2_4 norms and 12 r^2.  Box-Muller in tangent form: a phase
+    is twice the angle of t = tan(pi (1 - u - 1/2)), with cosine (1 - t^2)/(1 +
+    t^2) = 2/(1 + t^2) - 1 and sine 2t/(1 + t^2), so one tan replaces cos and sin."""
+    v = np.subtract(1.0, u[:12], out=u[:12])  # exact on Generator.random's 2^-53 grid
+    # chi^2_4 = -2 (ln V1 + ln V2) for V1, V2 uniform on (0, 1]: one log of the product
+    norm, radius, t = np.multiply(v[8:10], v[10:12]), v[0:4], v[4:8]
+    for x in (norm, radius):
+        np.sqrt(np.multiply(np.log(x, out=x), -2.0, out=x), out=x)
+    np.tan(np.multiply(np.subtract(t, 0.5, out=t), math.pi, out=t), out=t)
+    n = np.empty((2, 4, u.shape[1]))
+    k = np.divide(radius, np.add(np.multiply(t, t, out=n[0]), 1.0, out=n[0]), out=n[0])
+    k += k  # 2 radius / (1 + t^2)
+    np.multiply(k, t, out=n[1])
+    k -= radius  # radius (1 - t^2)/(1 + t^2)
+    return Normals(norm, np.sqrt(u[12]), np.sqrt(1.0 - u[12]), n)
+
+
 def sample_batch(rng, cfgs, n):
     """Draw ``n`` independent channel samples once, for a sequence of configs.
 
-    An iterator yields one ChannelBatch per config, all sharing the draw.
-    Error entries are i.i.d. CN(0, sigma_sq) in antenna coordinates.  The
+    An iterator yields one ChannelBatch per config, all sharing the draw:
+    one ``rng.random((13, n))`` call, whose rows ``_normals`` maps.  Error
+    entries are i.i.d. CN(0, sigma_sq) in antenna coordinates.  The
     estimates lie in the canonical frame (see the module docstring), with
     norms^2 of (1 - sigma_sq) Gamma(2) and r^2 ~ U(0, 1), independent of one
     another and of the errors.  So every integrand invariant under a common
     unitary and a per-user phase, as every rate here is, has the law it
     has under i.i.d. CN(0, 1 - sigma_sq) estimate entries.
     """
-    # Fixed draw layout: 8 rows of n normals, then 5 rows of n uniforms.
-    errors = rng.standard_normal((2, 4, n))
-    u = rng.random((5, n))
-    r = np.sqrt(u[4])
-    # chi^2_4 = -2 (ln U1 + ln U2) for U1, U2 uniform on (0, 1]: 1 - u is exact
-    # on the 2^-53 grid of Generator.random, so one log of the product serves
-    np.subtract(1.0, u, out=u)
-    normals = Normals(np.sqrt(-2.0 * np.log(u[0:2] * u[2:4])), r, np.sqrt(u[4]), errors)
+    normals = _normals(rng.random((13, n)))  # the fixed draw layout
     return (ChannelBatch(normals, c) for c in cfgs)

@@ -197,7 +197,7 @@ def estimate(f, cfg, grid):
     shape (k, m) for k components evaluated jointly; an (m,) result is one
     row.  ``grid`` is a sequence of CsitConfigs, and the result a list
     of McEstimates, one per config, each of (k,) arrays.  Block keys do not depend on the config,
-    so each block's normals are drawn once for the whole grid; ``f`` sees one
+    so each block's uniforms are drawn once for the whole grid; ``f`` sees one
     batch per config, all sharing them, and ``batch.csit`` names it.  Each
     estimate is bitwise identical to that config's own one-element grid, and
     to itself for any ``n_workers``; the blocks run in min(n_workers, blocks,

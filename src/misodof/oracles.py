@@ -194,13 +194,13 @@ def exp_log_mean_monte_carlo(mc_cfg):
     other two are h_hat's: the sampler puts h_hat along the first axis, so
     they enter as ||h_hat||^2 / (1 - sigma^2), which is Gamma(2) with E log2
     = gamma + log2(e), as 2 (log2 ||h_hat||^2 / (1 - sigma^2) - log2(e)).
-    One ``mc.estimate`` call runs ceil(n_samples / 8) draws, and at least 2
-    so that the standard error is defined; its integrand is each draw's mean
-    of the eight log2 values, so the one-column McEstimate's standard error
-    is that of the grand mean.  A sampler whose estimate or error scaling, or
-    whose norm law, is off moves the mean away from ``exp_log_mean()``.
+    One ``mc.estimate`` call runs ceil(n_samples / 8) draws, and at least 64,
+    where a 5-SE check fails with P(|t_63| > 5) ~ 5e-6; its integrand is each
+    draw's mean of the eight log2 values, so the one-column McEstimate's
+    standard error is that of the grand mean.  A sampler whose estimate or
+    error scaling, or norm law, is off moves the mean from ``exp_log_mean()``.
     """
-    draws = max(2, -(-mc_cfg.n_samples // _ENTRIES_PER_DRAW))
+    draws = max(64, -(-mc_cfg.n_samples // _ENTRIES_PER_DRAW))
     return mc.estimate(_exp_log_integrand, replace(mc_cfg, n_samples=draws), [_EXP_LOG_CSIT])[0]
 
 

@@ -1,11 +1,13 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from misodof.channel import CsitConfig, sample_batch
+from misodof import mc
+from misodof.channel import CsitConfig, _normals, sample_batch
 from misodof.mc import block_rng
 from reference import E1, E2, orthogonal_complement, perp, projector
 
@@ -139,11 +141,45 @@ class TestSampling:
         # the other error entries' phases (test_error_phase_isotropic has h_1's)
         *[(lambda b, k=k: np.arctan2(b.normals.n[1, k], b.normals.n[0, k]),
            stats.uniform(-math.pi, 2 * math.pi).cdf) for k in range(1, 4)],
-    ], ids=["norm_h", "norm_g", "r", "g_hat_1", "g_hat_2", "phase_h2", "phase_g1", "phase_g2"])
+        # each error entry's |n|^2 / 2 and real part, and the four entries'
+        # total, which is Gamma(4) only if no two share a radius
+        *[(lambda b, k=k: (b.normals.n[0, k] ** 2 + b.normals.n[1, k] ** 2) / 2.0,
+           stats.expon().cdf) for k in range(4)],
+        *[(lambda b, k=k: b.normals.n[0, k], stats.norm().cdf) for k in range(4)],
+        (lambda b: np.sum(b.normals.n ** 2, axis=(0, 1)) / 2.0, stats.gamma(4).cdf),
+    ], ids=["norm_h", "norm_g", "r", "g_hat_1", "g_hat_2", "phase_h2", "phase_g1", "phase_g2",
+            *[f"{q}_{e}" for q in ("exp", "real") for e in ("h1", "h2", "g1", "g2")],
+            "errors_total"])
     def test_draw_law(self, quantity, law):
         n = 200_000
         [batch] = sample_batch(_rng(10), [CsitConfig.from_sigma_sq(100.0, 0.25)], n)
         assert stats.kstest(quantity(batch), law).statistic < 1.95 / math.sqrt(n)  # 0.1%
+
+    def test_tangent_map_edges(self):
+        # the smallest, middle and largest uniforms of Generator.random in
+        # every row: finite fields, no warning, and |n|^2 = -2 ln(1 - u)
+        u = np.tile([0.0, 0.5, 1.0 - 2.0 ** -53], (13, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            normals = _normals(u.copy())
+        for field in dataclasses.fields(normals):
+            assert np.isfinite(getattr(normals, field.name)).all(), field.name
+        abs2 = normals.n[0] ** 2 + normals.n[1] ** 2
+        np.testing.assert_allclose(abs2, -2.0 * np.log(1.0 - u[0:4]),
+                                   rtol=4 * np.finfo(float).eps, atol=0.0)
+
+    def test_draw_layout(self):
+        # mc's batch for (seed, block) is, bitwise, the tangent map of one
+        # (13, n) array of the block's uniforms: a new uniform source swaps
+        # only that array
+        seen = []
+        mc.estimate(lambda b: seen.append(b.normals) or b.normals.r,
+                    mc.McConfig(mc.BLOCK_SIZE + 100, 5), [CsitConfig.from_alpha(100.0, 0.5)])
+        assert [got.r.size for got in seen] == [mc.BLOCK_SIZE, 100]
+        for block, got in enumerate(seen):
+            want = _normals(block_rng(5, block).random((13, got.r.size)))
+            for field in dataclasses.fields(got):
+                assert np.array_equal(getattr(got, field.name), getattr(want, field.name))
 
 
 class TestGeometry:
