@@ -7,9 +7,8 @@ of the current channel vectors: the true vectors decompose as
 errors are independent circularly-symmetric complex Gaussians with per-entry
 variances ``1 - sigma_sq`` and ``sigma_sq``.  Estimation quality is tracked
 through the exponent ``alpha`` defined by ``sigma_sq = snr_p ** -alpha``.
-A draw keeps that split, unscaled, and each config of a grid scales it: the
-rounded sums h and g lose h's part along h_hat-perp once sigma ~ eps
-|h_hat|.  The sampler always takes a sequence of configs, one or many.
+A draw keeps that split, unscaled, and each config of a grid scales it.
+The sampler always takes a sequence of configs, one or many.
 
 The estimates are drawn in their canonical frame.  Every rate here builds
 its beams from the estimates, so its integrand does not change when one
@@ -120,38 +119,18 @@ class Normals:
         return out
 
 
-def _pair(first, second):
-    # an (n, 2) complex vector from its two coordinates
-    out = np.empty((first.shape[0], 2), dtype=complex)
-    out[:, 0], out[:, 1] = first, second
-    return out
-
-
 @dataclass(frozen=True)
 class ChannelBatch:
     """The block's ``normals`` at config ``csit``, in the canonical frame:
     h_hat = a |e_h| (1, 0) and g_hat = a |e_g| (r, -s), so h_hat-perp =
-    (0, 1) and g_hat-perp = (s, r); h_tilde = b n_h and g_tilde = b n_g, the
-    halves of one (n, 4) copy, with a = sqrt((1 - sigma_sq)/2) and b =
-    sqrt(sigma_sq/2).  The (n, 2) vectors are formed on first use."""
+    (0, 1) and g_hat-perp = (s, r); h_tilde = b n_h and g_tilde = b n_g,
+    with a = sqrt((1 - sigma_sq)/2) and b = sqrt(sigma_sq/2)."""
 
     normals: Normals
     csit: CsitConfig
     n = property(lambda self: self.normals.n.shape[-1])
     a = property(lambda self: math.sqrt(max(1.0 - self.csit.sigma_sq, 0.0) / 2.0))
     b = property(lambda self: math.sqrt(self.csit.sigma_sq / 2.0))
-    h_hat = cached_property(lambda self: _pair(self.a * self.normals.norm[0], 0.0))
-    _errors = cached_property(lambda self: np.multiply(  # b n as (n, 4) complex, one copy
-        np.moveaxis(self.normals.n, 0, -1), self.b, order="C").view(complex)[..., 0].T)
-    h_tilde = property(lambda self: self._errors[:, 0:2])
-    g_tilde = property(lambda self: self._errors[:, 2:4])
-    h = cached_property(lambda self: self.h_hat + self.h_tilde)
-    g = cached_property(lambda self: self.g_hat + self.g_tilde)
-
-    @cached_property
-    def g_hat(self):
-        scale = self.a * self.normals.norm[1]
-        return _pair(scale * self.normals.r, -scale * self.normals.s)
 
 
 def _normals(u):

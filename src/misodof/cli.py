@@ -317,6 +317,7 @@ def cmd_slopes(args, argv):
         "theory": 2.0 * dof_scheme(scheme, alpha),
         "snr_db": grid,
         "rsum": rsum,
+        "stderr_sum": [float(r[6]) for r in rows],
         "samples": args.samples,
         "seed": seed,
     }

@@ -5,10 +5,10 @@ exponential-log constant, plus exact one-dimensional-integral checks of the
 slack-free conditional log bounds used by the converse analysis.  Everything
 here is decoupled from the rate-evaluation path so it can serve as an oracle.
 The one Monte Carlo check, ``exp_log_mean_monte_carlo``, reads the channel
-sampler itself: divided by their variances, the error entries and g_hat's
-entries are Exp(1) samples and ||h_hat||^2 is Gamma(2), so its mean tests the
-sampler's estimate and error scalings and its norm law against the
-quadrature constant.  The bound check draws its estimates from it too.
+sampler's canonical frame itself: divided by their variances, the error
+entries and g_hat's entries are Exp(1) samples and ||h_hat||^2 is Gamma(2),
+so its mean tests the batch's scales a and b and the norm law against the
+quadrature constant.  The bound check reads its estimates from it too.
 
 One batched midpoint rule serves both quadratures: the rotation identity
 takes arrays of pairs, refines only the pairs not yet converged and returns
@@ -166,21 +166,18 @@ def exp_log_mean(config=None):
     return float(val)
 
 
-def _scaled_abs2(x, var):
-    sq = x.real ** 2
-    sq += x.imag ** 2
-    sq /= var
-    return sq
-
-
 def _exp_log_integrand(batch):
     # each draw's mean of log2 |x|^2 / Var x over its eight exponential
     # samples; h_hat's two enter through their Gamma(2) sum
-    s2 = batch.csit.sigma_sq
-    total = 2.0 * (np.log2(_scaled_abs2(batch.h_hat, 1.0 - s2).sum(axis=1)) - _LOG2_E)
-    for x, var in ((batch.g_hat, 1.0 - s2), (batch.h_tilde, s2), (batch.g_tilde, s2)):
-        sq = _scaled_abs2(x, var)
-        total += np.log2(sq, out=sq).sum(axis=1)
+    normals, s2 = batch.normals, batch.csit.sigma_sq
+    x_h, x_g = batch.a * normals.norm  # |h_hat| and |g_hat|
+    total = 2.0 * (np.log2(np.square(x_h) / (1.0 - s2)) - _LOG2_E)
+    err = np.square(np.multiply(normals.n, batch.b))
+    err = (err[0] + err[1]) / s2  # rows h_1, h_2, g_1, g_2
+    for sq in (np.square(x_g * np.stack((normals.r, normals.s))) / (1.0 - s2),
+               err[0:2], err[2:4]):
+        np.log2(sq, out=sq)
+        total += sq[0] + sq[1]
     return total / _ENTRIES_PER_DRAW
 
 
@@ -194,6 +191,7 @@ def exp_log_mean_monte_carlo(mc_cfg):
     other two are h_hat's: the sampler puts h_hat along the first axis, so
     they enter as ||h_hat||^2 / (1 - sigma^2), which is Gamma(2) with E log2
     = gamma + log2(e), as 2 (log2 ||h_hat||^2 / (1 - sigma^2) - log2(e)).
+    It reads the frame: ||h_hat|| = a |e_h|, g_hat = a |e_g| (r, -s), errors b n.
     One ``mc.estimate`` call runs ceil(n_samples / 8) draws, and at least 64,
     where a 5-SE check fails with P(|t_63| > 5) ~ 5e-6; its integrand is each
     draw's mean of the eight log2 values, so the one-column McEstimate's
@@ -267,7 +265,9 @@ def conditional_log_bounds_check(k_eigs, cfg, mc_cfg, n_batches=100, *, gamma):
     rhs_lower = max(gamma + math.log2(s2 * lam1), 0.0)
 
     [batch] = sample_batch(block_rng(mc_cfg.seed, _BATCH_KEY_OFFSET), [cfg], n_batches)
-    h_hat_sq, g_hat_sq = np.abs(batch.h_hat) ** 2, np.abs(batch.g_hat) ** 2
+    x_h, x_g = batch.a * batch.normals.norm  # h_hat = x_h (1, 0), g_hat = x_g (r, -s)
+    h_hat_sq = np.square(np.stack((x_h, np.zeros_like(x_h)), axis=-1))
+    g_hat_sq = np.square(np.stack((x_g * batch.normals.r, x_g * batch.normals.s), axis=-1))
     upper = (np.log2(1.0 + lam1 * np.sum(h_hat_sq, axis=1) + 2.0 * s2 * lam1)
              - mean_log2_quadratic((lam1, lam1), h_hat_sq, s2))
     lower = mean_log2_quadratic((lam1, lam2), g_hat_sq, s2) - rhs_lower

@@ -22,7 +22,7 @@ Kernels hold squared projections only: det(S Q S^H) = det Q |det[h g]|^2,
 one value per batch, stands in for every cross term.  The explicit-matrix
 reference the tests check this arithmetic against is ``tests/reference.py``.
 
-Each scheme is a (width, fill, finalize) triple: ``fill(batch, shared, out)``
+Each scheme is a (width, fill, finalize) triple: ``fill(shared, out)``
 writes its per-sample log terms into ``out``, its (width, n) rows of one
 array, from ``shared``, the batch's ``_Shared`` memo, and
 ``finalize(mean, se)`` maps their means and standard errors to a result.
@@ -242,7 +242,7 @@ def _proposed_columns(pcfg):
     r_eta1 = r_eta2 = quantization_rate(d_tilde)
     r_eta = r_eta1 + r_eta2
 
-    def fill(batch, shared, out):
+    def fill(shared, out):
         # q_u = a g_hat-perp + b g_hat and q_v = a h_hat-perp + b h_hat,
         # one beam pair per estimate direction
         shared.phase2(p_c, p_p, out)
@@ -279,7 +279,7 @@ def _tdma_columns(cfg):
     # estimated channel.
     p = cfg.snr_p
 
-    def fill(batch, shared, out):
+    def fill(shared, out):
         np.log2(1.0 + p * shared.h[0], out=out[0])
         np.log2(1.0 + p * shared.g[2], out=out[1])
 
@@ -291,7 +291,7 @@ def _zf_columns(cfg):
     # treated as noise.
     half_p = cfg.snr_p / 2.0
 
-    def fill(batch, shared, out):
+    def fill(shared, out):
         _, h_w1, _, g_w1 = shared.g
         _, h_w2, _, g_w2 = shared.h
         np.log2(1.0 + half_p * h_w1 / (1.0 + half_p * h_w2), out=out[0])
@@ -305,7 +305,7 @@ def _rs_zf_columns(cfg):
     # user gets common + private in one slot and private-only in the other.
     _, _, p_c, p_p = _power_split(cfg)
 
-    def fill(batch, shared, out):
+    def fill(shared, out):
         shared.phase2(p_c, p_p, out)
 
     def finalize(mean, se):
@@ -349,7 +349,7 @@ def rate_scheme(scheme, cfgs, mc_cfg):
     def f(batch):
         shared, out = _Shared(batch), np.empty((bounds[-1], batch.n))
         for (_, fill, _), span in zip(columns[batch.csit], spans):
-            fill(batch, shared, out[span])
+            fill(shared, out[span])
         return out
 
     try:

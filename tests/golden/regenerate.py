@@ -9,9 +9,7 @@ Each file is the ``--out`` of its command in ``test_golden.COMMANDS``; the
 manifests that the commands also write are discarded.  With ``--compare``,
 before it overwrites a file it prints the largest |z| = |delta rsum| /
 hypot(stderr_sum) of the new rows against the committed ones: under a new
-stream with the same law, each z is about standard normal.  A slopes file
-holds no stderr_sum, so its rows take theirs from ``rates`` over the same
-grid, samples and seed, and that one error bar stands for both files'.
+stream with the same law, each z is about standard normal.
 """
 
 import argparse
@@ -37,32 +35,21 @@ def _run(argv, out):
 
 
 def _rows(path):
-    # (rsum, stderr_sum) of each row; a slopes file's stderr_sum is None
+    # (rsum, stderr_sum) of each row, or grid point of a slopes file
     text = path.read_text(encoding="utf-8")
     if path.suffix == ".csv":
         return [(float(r["rsum"]), float(r["stderr_sum"]))
                 for r in csv.DictReader(io.StringIO(text))]
-    return [(rsum, None) for rsum in json.loads(text)["rsum"]]
+    payload = json.loads(text)
+    return list(zip(payload["rsum"], payload["stderr_sum"]))
 
 
-def _slopes_stderr(argv, path):
-    # the slopes command's rows, with their stderr_sum, as `rates` writes them
-    grid = json.loads(path.read_text(encoding="utf-8"))["snr_db"]
-    out = path.with_suffix(".rates.csv")
-    _run(["rates"] + argv[1:] + ["--snr-db", f"{grid[0]}:{grid[1] - grid[0]}:{grid[-1]}"], out)
-    return [se for _, se in _rows(out)]
-
-
-def max_z(old, new, argv):
+def max_z(old, new):
     """The largest |delta rsum| / hypot(stderr_sum) between two versions of
     a golden file, the committed ``old`` and the regenerated ``new``."""
     before, after = _rows(old), _rows(new)
     if len(before) != len(after):
         sys.exit(f"{new.name}: {len(after)} rows, the committed file has {len(before)}")
-    if after[0][1] is None:
-        ses = _slopes_stderr(argv, new)
-        before = [(rsum, se) for (rsum, _), se in zip(before, ses)]
-        after = [(rsum, se) for (rsum, _), se in zip(after, ses)]
     return max(abs(a - b) / math.hypot(sa, sb) for (a, sa), (b, sb) in zip(before, after))
 
 
@@ -77,7 +64,7 @@ def main(argv=None):
             _run(command, out)
             if args.compare:
                 print(f"{name}: max |delta rsum| / hypot(stderr_sum) = "
-                      f"{max_z(GOLDEN / name, out, command):.2f}")
+                      f"{max_z(GOLDEN / name, out):.2f}")
             shutil.copyfile(out, GOLDEN / name)
             print(f"wrote {GOLDEN / name}")
 

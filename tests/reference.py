@@ -8,9 +8,12 @@ orthogonal-complement directions with a zero estimate's fixed beams (h_hat
 along E1 with its complement along E2, g_hat along E2 with its complement
 along E1), the five covariances (q_u, q_v, q_c, q_p1, q_p2) of the default
 policy, and the quadratic forms h^H Q h of explicit (..., 2, 2) matrices.
-Only the scalar power split comes from ``rates``.  ``isotropic_batch`` is a
-channel draw in antenna coordinates with no frame chosen, to check the
-sampler's canonical-frame draw against in law.
+Only the scalar power split comes from ``rates``.  ``vectors`` writes a
+sampler batch, which holds its draw in the estimates' canonical frame, as
+the explicit (n, 2) complex vectors h_hat, g_hat, h_tilde, g_tilde, h and g.
+``isotropic_batch`` is a channel draw in antenna coordinates with no frame
+chosen, in the same namespace, to check the sampler's canonical-frame draw
+against in law.
 """
 
 import math
@@ -88,16 +91,33 @@ def policy_matrices(cfg, h_hat, g_hat):
             for name, beams in policy_beams(cfg, h_hat, g_hat).items()}
 
 
+def _channels(cfg, h_hat, g_hat, h_tilde, g_tilde):
+    return SimpleNamespace(csit=cfg, n=len(h_hat), h_hat=h_hat, g_hat=g_hat, h_tilde=h_tilde,
+                           g_tilde=g_tilde, h=h_hat + h_tilde, g=g_hat + g_tilde)
+
+
+def vectors(batch):
+    """The explicit vectors of a sampler batch, in a namespace: in the
+    canonical frame, h_hat = a |e_h| (1, 0) and g_hat = a |e_g| (r, -s), and
+    h_tilde and g_tilde are b times the error normals, with h and g the
+    rounded sums h_hat + h_tilde and g_hat + g_tilde."""
+    normals, a = batch.normals, batch.a
+    h_hat, g_hat = np.zeros((batch.n, 2), dtype=complex), np.empty((batch.n, 2), dtype=complex)
+    h_hat[:, 0] = a * normals.norm[0]
+    scale = a * normals.norm[1]
+    g_hat[:, 0], g_hat[:, 1] = scale * normals.r, -scale * normals.s
+    err = np.empty((batch.n, 4), dtype=complex)
+    err.real, err.imag = np.multiply(normals.n, batch.b).transpose(0, 2, 1)
+    return _channels(batch.csit, h_hat, g_hat, err[:, 0:2], err[:, 2:4])
+
+
 def isotropic_batch(rng, cfg, n):
     """``n`` channel samples at ``cfg`` with every entry of the estimates
     i.i.d. CN(0, 1 - sigma_sq) and of the errors i.i.d. CN(0, sigma_sq), in
     antenna coordinates: 16 normals per sample, the real then the imaginary
     parts of (h_hat, g_hat), then of (h_tilde, g_tilde).  The explicit
-    vectors, as ``ChannelBatch`` names them, in a namespace."""
+    vectors, as ``vectors`` names them, in a namespace."""
     z = rng.standard_normal((n, 16))
     est, err = z[:, 0:4] + 1j * z[:, 4:8], z[:, 8:12] + 1j * z[:, 12:16]
     a, b = math.sqrt((1.0 - cfg.sigma_sq) / 2.0), math.sqrt(cfg.sigma_sq / 2.0)
-    h_hat, g_hat = est[:, 0:2] * a, est[:, 2:4] * a
-    h_tilde, g_tilde = err[:, 0:2] * b, err[:, 2:4] * b
-    return SimpleNamespace(csit=cfg, n=n, h_hat=h_hat, g_hat=g_hat, h_tilde=h_tilde,
-                           g_tilde=g_tilde, h=h_hat + h_tilde, g=g_hat + g_tilde)
+    return _channels(cfg, est[:, 0:2] * a, est[:, 2:4] * a, err[:, 0:2] * b, err[:, 2:4] * b)

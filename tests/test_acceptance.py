@@ -142,7 +142,7 @@ def test_criterion_4_proposed_slope_across_alpha():
 
 
 def test_criterion_5_interference_power_scaling():
-    from reference import policy_beams
+    from reference import policy_beams, vectors
 
     start = time.time()
     mc_cfg = McConfig(n_samples=100_000, seed=SEED)
@@ -153,8 +153,9 @@ def test_criterion_5_interference_power_scaling():
             cfg = CsitConfig.from_alpha(2.0 ** log2_power, alpha)
 
             def f(batch):
-                comps = policy_beams(cfg, batch.h_hat, batch.g_hat)
-                total = sum(c * np.abs(np.sum(np.conj(batch.h) * w, axis=-1)) ** 2
+                v = vectors(batch)
+                comps = policy_beams(cfg, v.h_hat, v.g_hat)
+                total = sum(c * np.abs(np.sum(np.conj(v.h) * w, axis=-1)) ** 2
                             for c, w in comps["q_v"])
                 return np.maximum(total, 0.0)
 

@@ -9,7 +9,7 @@ from scipy import stats
 from misodof import mc
 from misodof.channel import CsitConfig, _normals, sample_batch
 from misodof.mc import block_rng
-from reference import E1, E2, orthogonal_complement, perp, projector
+from reference import E1, E2, orthogonal_complement, perp, projector, vectors
 
 
 def _rng(seed=0):
@@ -79,15 +79,17 @@ class TestSampling:
     def test_reconstruction_identity_exact(self):
         cfg = CsitConfig.from_sigma_sq(100.0, 0.25)
         [batch] = sample_batch(_rng(1), [cfg], 4096)
-        assert np.array_equal(batch.h, batch.h_hat + batch.h_tilde)
-        assert np.array_equal(batch.g, batch.g_hat + batch.g_tilde)
+        v = vectors(batch)
+        assert np.array_equal(v.h, v.h_hat + v.h_tilde)
+        assert np.array_equal(v.g, v.g_hat + v.g_tilde)
 
     def test_second_moments(self):
         cfg = CsitConfig.from_sigma_sq(100.0, 0.25)
         n = 1_000_000
         [batch] = sample_batch(_rng(2), [cfg], n)
-        err_norm_sq = np.sum(np.abs(batch.h_tilde) ** 2, axis=1)
-        est_norm_sq = np.sum(np.abs(batch.h_hat) ** 2, axis=1)
+        v = vectors(batch)
+        err_norm_sq = np.sum(np.abs(v.h_tilde) ** 2, axis=1)
+        est_norm_sq = np.sum(np.abs(v.h_hat) ** 2, axis=1)
         for values, target in [(err_norm_sq, 0.5), (est_norm_sq, 1.5)]:
             se = values.std(ddof=1) / math.sqrt(n)
             assert abs(values.mean() - target) < 5 * se
@@ -98,10 +100,11 @@ class TestSampling:
         cfg = CsitConfig.from_sigma_sq(100.0, 0.5)
         n = 500_000
         [batch] = sample_batch(_rng(3), [cfg], n)
+        v = vectors(batch)
         bound = 5.0 / math.sqrt(n)
-        estimates = [np.sum(np.abs(batch.h_hat) ** 2, axis=1),
-                     np.abs(batch.g_hat[:, 0]) ** 2, np.abs(batch.g_hat[:, 1]) ** 2]
-        errors = [part(x[:, j]) for x in (batch.h_tilde, batch.g_tilde) for j in range(2)
+        estimates = [np.sum(np.abs(v.h_hat) ** 2, axis=1),
+                     np.abs(v.g_hat[:, 0]) ** 2, np.abs(v.g_hat[:, 1]) ** 2]
+        errors = [part(x[:, j]) for x in (v.h_tilde, v.g_tilde) for j in range(2)
                   for part in (np.real, np.imag, np.abs)]
         for est in estimates:
             for err in errors:
@@ -111,21 +114,23 @@ class TestSampling:
         cfg = CsitConfig.from_sigma_sq(100.0, 0.25)
         [s1] = sample_batch(_rng(7), [cfg], 4)
         [s2] = sample_batch(_rng(7), [cfg], 4)
-        assert np.array_equal(s1.h, s2.h)
-        assert np.array_equal(s1.g_tilde, s2.g_tilde)
+        v1, v2 = vectors(s1), vectors(s2)
+        assert np.array_equal(v1.h, v2.h)
+        assert np.array_equal(v1.g_tilde, v2.g_tilde)
 
     def test_no_csit_gives_zero_estimates(self):
         cfg = CsitConfig.from_sigma_sq(100.0, 1.0)
         [batch] = sample_batch(_rng(4), [cfg], 1000)
-        assert np.all(batch.h_hat == 0.0)
-        assert np.all(batch.g_hat == 0.0)
-        assert np.all(np.linalg.norm(batch.h, axis=1) > 0)
+        v = vectors(batch)
+        assert np.all(v.h_hat == 0.0)
+        assert np.all(v.g_hat == 0.0)
+        assert np.all(np.linalg.norm(v.h, axis=1) > 0)
 
     def test_error_phase_isotropic(self):
         cfg = CsitConfig.from_sigma_sq(100.0, 0.25)
         n = 1_000_000
         [batch] = sample_batch(_rng(6), [cfg], n)
-        phase = np.angle(batch.h_tilde[:, 0])
+        phase = np.angle(vectors(batch).h_tilde[:, 0])
         stat = stats.kstest(phase, "uniform", args=(-math.pi, 2 * math.pi)).statistic
         assert stat < 1.63 / math.sqrt(n)   # 1% critical value
 
@@ -136,8 +141,10 @@ class TestSampling:
         # |r|^2, the squared cosine between the two estimates
         (lambda b: b.normals.r ** 2, stats.uniform().cdf),
         # g_hat's entries over their variance: a Uniform share of a Gamma(2)
-        (lambda b: np.abs(b.g_hat[:, 0]) ** 2 / (1.0 - b.csit.sigma_sq), stats.expon().cdf),
-        (lambda b: np.abs(b.g_hat[:, 1]) ** 2 / (1.0 - b.csit.sigma_sq), stats.expon().cdf),
+        (lambda b: np.abs(vectors(b).g_hat[:, 0]) ** 2 / (1.0 - b.csit.sigma_sq),
+         stats.expon().cdf),
+        (lambda b: np.abs(vectors(b).g_hat[:, 1]) ** 2 / (1.0 - b.csit.sigma_sq),
+         stats.expon().cdf),
         # the other error entries' phases (test_error_phase_isotropic has h_1's)
         *[(lambda b, k=k: np.arctan2(b.normals.n[1, k], b.normals.n[0, k]),
            stats.uniform(-math.pi, 2 * math.pi).cdf) for k in range(1, 4)],

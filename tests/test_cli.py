@@ -527,8 +527,8 @@ def test_non_finite_column_names_its_scheme(scheme, tmp_path, monkeypatch, capsy
     def poisoned(cfg):
         width, fill, finalize = real(cfg)
 
-        def bad_fill(batch, proj, out):
-            fill(batch, proj, out)
+        def bad_fill(proj, out):
+            fill(proj, out)
             out[width - 1, 5] = np.nan
 
         return width, bad_fill, finalize
@@ -550,8 +550,8 @@ def test_non_finite_names_its_snr(tmp_path, monkeypatch, capsys):
     def poisoned(cfg):
         width, fill, finalize = real(cfg)
 
-        def bad_fill(batch, proj, out):
-            fill(batch, proj, out)
+        def bad_fill(proj, out):
+            fill(proj, out)
             out[0, 5] = np.nan
 
         return width, (bad_fill if cfg.snr_p > 50.0 else fill), finalize

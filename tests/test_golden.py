@@ -5,9 +5,10 @@ rewrites the files with them.  All five were last rewritten when each block
 came to be drawn from 13 uniforms per sample, its error normals by Box-Muller
 in tangent form: a new stream with the same distribution, under which every
 regenerated rsum lay within 2.1 combined standard errors of the one it
-replaced (``regenerate.py --compare``).  alpha = 0 pins the beams of the zero
-estimates, h_hat along antenna 1 and g_hat along antenna 2, which
-``rates._project`` chooses for every scheme.  ``rates_all_sigma_sq0.1.csv``
+replaced (``regenerate.py --compare``); the slopes file has since gained
+each grid point's stderr_sum, its other bytes unchanged.  alpha = 0 pins
+the beams of the zero estimates, h_hat along antenna 1 and g_hat along
+antenna 2, which ``rates._project`` chooses for every scheme.  ``rates_all_sigma_sq0.1.csv``
 fixes sigma_sq, so every SNR of its grid estimate has the same estimate
 scale.
 """

@@ -21,7 +21,7 @@ from misodof.rates import rate_scheme
 from misodof.regions import Scheme
 from reference import (
     E1, E2, interference_power, isotropic_batch, pair_entries, perp, policy_matrices, projector,
-    unit,
+    unit, vectors,
 )
 
 SCHEMES = ("tdma", "zf", "mat", "rszf", "proposed")
@@ -74,21 +74,22 @@ def _explicit_mimo(h, g, q_u, q_v, d):
     return out
 
 
-def _explicit_integrand(scheme, cfg, batch):
-    h, g, p = batch.h, batch.g, cfg.snr_p
+def _explicit_integrand(scheme, cfg, v):
+    # the scheme's log terms from the explicit vectors v, as ``vectors`` names them
+    h, g, p = v.h, v.g, cfg.snr_p
     if scheme == "tdma":
-        q_h = p * projector(unit(batch.h_hat, E1))
-        q_g = p * projector(unit(batch.g_hat, E2))
+        q_h = p * projector(unit(v.h_hat, E1))
+        q_g = p * projector(unit(v.g_hat, E2))
         return np.stack([np.log2(1.0 + interference_power(h, q_h)),
                          np.log2(1.0 + interference_power(g, q_g))])
     if scheme == "zf":
-        q1 = p / 2.0 * projector(perp(batch.g_hat, E1))
-        q2 = p / 2.0 * projector(perp(batch.h_hat, E2))
+        q1 = p / 2.0 * projector(perp(v.g_hat, E1))
+        q2 = p / 2.0 * projector(perp(v.h_hat, E2))
         ip = interference_power
         return np.stack([np.log2(1.0 + ip(h, q1) / (1.0 + ip(h, q2))),
                          np.log2(1.0 + ip(g, q2) / (1.0 + ip(g, q1)))])
     pcfg = _policy_cfg(scheme, cfg)
-    q = policy_matrices(pcfg, batch.h_hat, batch.g_hat)
+    q = policy_matrices(pcfg, v.h_hat, v.g_hat)
     ch, ph1, ph2, cg, pg1, pg2 = (interference_power(x, q[name]) for x in (h, g)
                                   for name in ("q_c", "q_p1", "q_p2"))
     cols = [np.log2(1.0 + ch / (1.0 + ph1 + ph2)), np.log2(1.0 + cg / (1.0 + pg1 + pg2)),
@@ -105,7 +106,7 @@ def test_integrand_matches_explicit_matrices(scheme, snr_p, alpha):
     cfg = CsitConfig.from_alpha(snr_p, alpha)
     batch = _batch(cfg, 512, seed=41)
     got = _integrand(scheme, cfg)(batch)
-    np.testing.assert_allclose(got, _explicit_integrand(scheme, cfg, batch),
+    np.testing.assert_allclose(got, _explicit_integrand(scheme, cfg, vectors(batch)),
                                rtol=1e-9, atol=1e-12)
 
 
@@ -134,7 +135,7 @@ def test_canonical_frame_matches_isotropic_draw(scheme, alpha):
     cfg = CsitConfig.from_alpha(1e3, alpha)
     n = 20_000
     iso = isotropic_batch(mc.block_rng(46, 0), cfg, n)
-    rows = [_explicit_integrand(scheme, cfg, batch) for batch in (iso, _batch(cfg, n, seed=47))]
+    rows = [_explicit_integrand(scheme, cfg, v) for v in (iso, vectors(_batch(cfg, n, seed=47)))]
     mean = [r.mean(axis=1) for r in rows]
     se = [r.std(axis=1, ddof=1) / np.sqrt(n) for r in rows]
     assert np.all(np.abs(mean[0] - mean[1]) <= 4.0 * np.hypot(*se))
@@ -145,9 +146,9 @@ def _kernel(batch, name):
     return dict(zip(FALLBACKS, rates._project(batch)))[name]
 
 
-def _beams(batch, name, fallback_beam):
+def _beams(v, name, fallback_beam):
     # the estimate's unit direction w and w-perp, from the reference's projectors
-    w = unit(getattr(batch, name), fallback_beam)
+    w = unit(getattr(v, name), fallback_beam)
     return w, np.stack([-np.conj(w[:, 1]), np.conj(w[:, 0])], axis=-1)
 
 
@@ -156,15 +157,15 @@ def _beams(batch, name, fallback_beam):
 def test_kernel_columns_match_projectors(alpha, fallback):
     cfg = CsitConfig.from_alpha(1e4, alpha)
     batch = _batch(cfg, 256, seed=42)
+    v = vectors(batch)
     name, fallback_beam = fallback
-    w, w_perp = _beams(batch, name, fallback_beam)
+    w, w_perp = _beams(v, name, fallback_beam)
     kernel = _kernel(batch, name)
-    for col_sq, x, beam in zip(kernel, (batch.h, batch.h, batch.g, batch.g),
-                               (w, w_perp, w, w_perp)):
+    for col_sq, x, beam in zip(kernel, (v.h, v.h, v.g, v.g), (w, w_perp, w, w_perp)):
         np.testing.assert_allclose(col_sq, interference_power(x, projector(beam)),
                                    rtol=1e-12, atol=1e-14)
     a, b = 3.0, 0.25
-    m00, m11, _ = pair_entries(batch.h, batch.g, a * projector(w_perp) + b * projector(w))
+    m00, m11, _ = pair_entries(v.h, v.g, a * projector(w_perp) + b * projector(w))
     got00, got11 = rates._beam_pair(kernel, a, b)
     np.testing.assert_allclose(got00, m00, rtol=1e-12)
     np.testing.assert_allclose(got11, m11, rtol=1e-12)
@@ -186,10 +187,11 @@ def test_det_identity_matches_explicit_matrices(fallback, snr_p, alpha, s):
     if s is not None:
         batch.normals.s[:] = s
         batch.normals.r[:] = np.sqrt(1.0 - s * s)
+    v = vectors(batch)
     name, fallback_beam = fallback
-    w, w_perp = _beams(batch, name, fallback_beam)
+    w, w_perp = _beams(v, name, fallback_beam)
     a, b = 3.0, 0.25
-    m00, m11, off = pair_entries(batch.h, batch.g, a * projector(w_perp) + b * projector(w))
+    m00, m11, off = pair_entries(v.h, v.g, a * projector(w_perp) + b * projector(w))
     det = rates._project(batch)[2]
     explicit = m00 * m11 - off
     assert np.all(np.abs(a * b * det - explicit) <= 1e-13 * m00 * m11 + 1e-12 * explicit)
@@ -254,11 +256,11 @@ def _mp_dot(beam, x):
     return mpmath.conj(beam[0]) * x[0] + mpmath.conj(beam[1]) * x[1]
 
 
-def _mp_channels(batch, i):
-    # h_hat, g_hat and the exact h, g of sample i
-    h_hat, g_hat = _mp_vec(batch.h_hat[i]), _mp_vec(batch.g_hat[i])
-    h = [u + v for u, v in zip(h_hat, _mp_vec(batch.h_tilde[i]))]
-    g = [u + v for u, v in zip(g_hat, _mp_vec(batch.g_tilde[i]))]
+def _mp_channels(v, i):
+    # h_hat, g_hat and the exact h, g of sample i of the explicit vectors v
+    h_hat, g_hat = _mp_vec(v.h_hat[i]), _mp_vec(v.g_hat[i])
+    h = [x + e for x, e in zip(h_hat, _mp_vec(v.h_tilde[i]))]
+    g = [x + e for x, e in zip(g_hat, _mp_vec(v.g_tilde[i]))]
     return h_hat, g_hat, h, g
 
 
@@ -312,10 +314,10 @@ def test_kernel_backward_stable_at_extreme_snr(fallback, log2_p, alpha):
     cfg = CsitConfig.from_alpha(2.0 ** log2_p, alpha)
     batch = _batch(cfg, 16, seed=43)
     name, _ = fallback
-    kernel = _kernel(batch, name)
+    kernel, v = _kernel(batch, name), vectors(batch)
     with mpmath.workdps(80):
         for i in range(batch.n):
-            h_hat, g_hat, h, g = _mp_channels(batch, i)
+            h_hat, g_hat, h, g = _mp_channels(v, i)
             w, w_perp = _mp_beams(h_hat if name == "h_hat" else g_hat)
             for k, (x, beam) in enumerate(((h, w), (h, w_perp), (g, w), (g, w_perp))):
                 ref = abs(_mp_dot(beam, x))
@@ -334,8 +336,8 @@ def test_integrand_matches_mpmath_at_extreme_snr(scheme, log2_p, alpha):
     # digits, so it works with that many more.
     cfg = CsitConfig.from_alpha(2.0 ** log2_p, alpha)
     batch = _batch(cfg, 16, seed=43)
-    got = _integrand(scheme, cfg)(batch)
+    got, v = _integrand(scheme, cfg)(batch), vectors(batch)
     with mpmath.workdps(80 if log2_p <= 120 else 80 + log2_p):
-        ref = np.array([[float(v) for v in _mp_sample(scheme, cfg, *_mp_channels(batch, i))]
+        ref = np.array([[float(x) for x in _mp_sample(scheme, cfg, *_mp_channels(v, i))]
                         for i in range(batch.n)]).T
     np.testing.assert_allclose(got, ref, rtol=1e-9, atol=1e-12)

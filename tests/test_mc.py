@@ -17,6 +17,7 @@ from misodof.mc import (
     NonFiniteSampleError,
     estimate,
 )
+from reference import vectors
 
 CFG = CsitConfig.from_sigma_sq(100.0, 0.25)
 CFG2 = CsitConfig.from_sigma_sq(1000.0, 0.5)
@@ -31,7 +32,7 @@ def test_constant_integrand():
 
 def test_channel_norm_mean_is_antenna_count():
     def f(batch):
-        return np.sum(np.abs(batch.h) ** 2, axis=1)
+        return np.sum(np.abs(vectors(batch).h) ** 2, axis=1)
 
     [est] = estimate(f, McConfig(1_000_000, 2), [CFG])
     assert abs(est.mean - 2.0) < 5 * est.std_error
@@ -39,7 +40,7 @@ def test_channel_norm_mean_is_antenna_count():
 
 def test_worker_invariance_bitwise():
     def f(batch):
-        return np.log2(1.0 + np.sum(np.abs(batch.h) ** 2, axis=1))
+        return np.log2(1.0 + np.sum(np.abs(vectors(batch).h) ** 2, axis=1))
 
     results = [estimate(f, McConfig(50_000, 3, n_workers=w), [CFG])[0] for w in (1, 2, 8)]
     assert results[0].mean == results[1].mean == results[2].mean
@@ -48,7 +49,7 @@ def test_worker_invariance_bitwise():
 
 def test_repeatable_across_runs():
     def f(batch):
-        return np.sum(np.abs(batch.g) ** 2, axis=1)
+        return np.sum(np.abs(vectors(batch).g) ** 2, axis=1)
 
     [a] = estimate(f, McConfig(30_000, 4), [CFG])
     [b] = estimate(f, McConfig(30_000, 4), [CFG])
@@ -57,7 +58,7 @@ def test_repeatable_across_runs():
 
 def test_seed_changes_result():
     def f(batch):
-        return np.sum(np.abs(batch.g) ** 2, axis=1)
+        return np.sum(np.abs(vectors(batch).g) ** 2, axis=1)
 
     [a] = estimate(f, McConfig(30_000, 4), [CFG])
     [b] = estimate(f, McConfig(30_000, 5), [CFG])
@@ -66,7 +67,7 @@ def test_seed_changes_result():
 
 def test_std_error_scaling():
     def f(batch):
-        return np.log2(1.0 + np.sum(np.abs(batch.h) ** 2, axis=1))
+        return np.log2(1.0 + np.sum(np.abs(vectors(batch).h) ** 2, axis=1))
 
     [small] = estimate(f, McConfig(100_000, 6), [CFG])
     [large] = estimate(f, McConfig(200_000, 6), [CFG])
@@ -78,7 +79,8 @@ def test_vector_integrand():
     # each user's power per antenna: the sampler puts h_hat along antenna 1,
     # so a single entry's power is not 1 on average
     def f(batch):
-        return np.stack([np.sum(np.abs(x) ** 2, axis=1) / 2.0 for x in (batch.h, batch.g)])
+        v = vectors(batch)
+        return np.stack([np.sum(np.abs(x) ** 2, axis=1) / 2.0 for x in (v.h, v.g)])
 
     [est] = estimate(f, McConfig(200_000, 7), [CFG])
     assert est.mean.shape == (2,)
@@ -142,7 +144,7 @@ def test_grid_estimates_equal_per_config_estimates():
     grid = [CsitConfig.from_sigma_sq(p, 0.25) for p in (10.0, 100.0, 1e4)]
 
     def f(batch):
-        return np.log2(1.0 + batch.csit.snr_p * np.sum(np.abs(batch.h) ** 2, axis=1))
+        return np.log2(1.0 + batch.csit.snr_p * np.sum(np.abs(vectors(batch).h) ** 2, axis=1))
 
     for workers in (1, 2):
         cfg = McConfig(2 * BLOCK_SIZE + 5, 10, n_workers=workers)
@@ -174,7 +176,8 @@ def test_block_rng_is_a_pure_function_of_seed_and_block():
     draws = {key: mc.block_rng(*key).random(4) for key in keys}
     assert all(np.array_equal(mc.block_rng(*key).random(4), v) for key, v in draws.items())
     assert len({v.tobytes() for v in draws.values()}) == len(keys)
-    [est] = estimate(lambda batch: np.abs(batch.h[:, 0]) ** 2, McConfig(BLOCK_SIZE + 5, top), [CFG])
+    [est] = estimate(lambda batch: np.abs(vectors(batch).h[:, 0]) ** 2,
+                     McConfig(BLOCK_SIZE + 5, top), [CFG])
     assert np.isfinite(est.mean).all()
 
 
@@ -307,7 +310,7 @@ def test_failed_fork_runs_the_blocks_in_the_caller(monkeypatch, forked):
         return real_fork()
 
     def f(batch):
-        return np.log2(1.0 + np.abs(batch.h[:, 0]) ** 2)
+        return np.log2(1.0 + np.abs(vectors(batch).h[:, 0]) ** 2)
 
     expected = estimate(f, McConfig(7 * BLOCK_SIZE - 3, 4), [CFG, CFG2])
     monkeypatch.setattr(os, "fork", fork)
@@ -320,7 +323,7 @@ def test_failed_fork_runs_the_blocks_in_the_caller(monkeypatch, forked):
 
 def test_platform_without_fork_runs_the_blocks_in_the_caller(monkeypatch):
     def f(batch):
-        return np.abs(batch.h[:, 0]) ** 2
+        return np.abs(vectors(batch).h[:, 0]) ** 2
 
     [expected] = estimate(f, McConfig(3 * BLOCK_SIZE, 6), [CFG])
     monkeypatch.delattr(os, "fork")
@@ -335,7 +338,7 @@ def test_threaded_caller_runs_blocks_in_its_own_thread(monkeypatch):
 
     def f(batch):
         threads.add(threading.get_ident())
-        return np.abs(batch.h[:, 0]) ** 2
+        return np.abs(vectors(batch).h[:, 0]) ** 2
 
     [expected] = estimate(f, McConfig(3 * BLOCK_SIZE, 6), [CFG])
     threads.clear()

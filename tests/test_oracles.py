@@ -17,6 +17,7 @@ from misodof.oracles import (
     rotation_mean_log_closed_form,
     rotation_mean_log_quadrature,
 )
+from reference import vectors
 
 # Exact value of the exponential-log constant: -EulerGamma / ln 2.
 GAMMA_EXACT = -0.832746177276867
@@ -139,12 +140,33 @@ class TestExpLogConstant:
         cfg = CsitConfig.from_sigma_sq(100.0, 0.25)
 
         def f(batch):
-            scaled = 2.0 * batch.g_tilde[:, 0]
+            scaled = 2.0 * vectors(batch).g_tilde[:, 0]
             mag_sq = scaled.real ** 2 + scaled.imag ** 2
             return np.log2(mag_sq / cfg.sigma_sq)
 
         [est] = estimate(f, McConfig(1_000_000, 33), [cfg])
         assert abs(est.mean - (GAMMA_EXACT + 2.0)) < 5.0 * est.std_error
+
+    @pytest.mark.parametrize("cfg", [oracles._EXP_LOG_CSIT, CsitConfig.from_sigma_sq(1000.0, 0.1)],
+                             ids=["exp_log_csit", "sigma_sq_0.1"])
+    def test_integrand_matches_explicit_vectors(self, cfg):
+        # The integrand reads the canonical frame; its explicit-vector form,
+        # each entry's |x|^2 over its variance and h_hat's two through their
+        # sum, gives the same bits.
+        [batch] = sample_batch(block_rng(42, 0), [cfg], 4096)
+        v, s2 = vectors(batch), cfg.sigma_sq
+
+        def scaled_abs2(x, var):
+            sq = x.real ** 2
+            sq += x.imag ** 2
+            sq /= var
+            return sq
+
+        want = 2.0 * (np.log2(scaled_abs2(v.h_hat, 1.0 - s2).sum(axis=1)) - 1.0 / math.log(2.0))
+        for x, var in ((v.g_hat, 1.0 - s2), (v.h_tilde, s2), (v.g_tilde, s2)):
+            sq = scaled_abs2(x, var)
+            want += np.log2(sq, out=sq).sum(axis=1)
+        assert np.array_equal(oracles._exp_log_integrand(batch), want / 8.0)
 
     def test_budget_exhaustion_raises(self):
         # the constant is one number, so it raises where the rotation
@@ -178,7 +200,7 @@ class TestConditionalLogBounds:
         assert report.passed
 
         def f(batch):
-            return np.log2(1.0 + np.sum(np.abs(batch.h) ** 2, axis=1))
+            return np.log2(1.0 + np.sum(np.abs(vectors(batch).h) ** 2, axis=1))
 
         [est] = estimate(f, McConfig(200_000, 36), [cfg])
         assert est.mean < math.log2(3.0)
@@ -219,7 +241,8 @@ class TestConditionalLogBounds:
         cfg = CsitConfig.from_sigma_sq(1000.0, 0.1)
         lam1, s2, n_batches = cfg.snr_p, cfg.sigma_sq, 30
         [batch] = sample_batch(block_rng(40, 2 ** 32), [cfg], n_batches)
-        h_hat_sq, g_hat_sq = np.abs(batch.h_hat) ** 2, np.abs(batch.g_hat) ** 2
+        v = vectors(batch)
+        h_hat_sq, g_hat_sq = np.abs(v.h_hat) ** 2, np.abs(v.g_hat) ** 2
         upper = (np.log2(1.0 + lam1 * np.sum(h_hat_sq, axis=1) + 2.0 * s2 * lam1)
                  - mean_log2_quadratic((lam1, lam1), h_hat_sq, s2))
         lower = (mean_log2_quadratic((lam1, 0.0), g_hat_sq, s2)

@@ -19,7 +19,7 @@ from misodof.rates import (
 )
 from misodof.regions import Scheme
 from reference import (
-    E1, E2, interference_power, pair_entries, perp, policy_beams, policy_matrices, unit,
+    E1, E2, interference_power, pair_entries, perp, policy_beams, policy_matrices, unit, vectors,
 )
 
 # Frozen by a straight-line determinant evaluation done ahead of the
@@ -60,14 +60,15 @@ class TestDefaultPolicy:
         # isotropic phase-1 covariances in the no-CSIT regime: each zero
         # estimate's two beams carry p/4 each
         [batch] = sample_batch(_rng(1), [cfg], 64)
+        v = vectors(batch)
         *kernels, det = _project(batch)
         for kernel in kernels:
             m00, m11 = _beam_pair(kernel, p1 / 2.0, p2 / 2.0)
-            np.testing.assert_allclose(m00, p / 4.0 * np.sum(np.abs(batch.h) ** 2, axis=1),
+            np.testing.assert_allclose(m00, p / 4.0 * np.sum(np.abs(v.h) ** 2, axis=1),
                                        rtol=1e-12)
-            np.testing.assert_allclose(m11, p / 4.0 * np.sum(np.abs(batch.g) ** 2, axis=1),
+            np.testing.assert_allclose(m11, p / 4.0 * np.sum(np.abs(v.g) ** 2, axis=1),
                                        rtol=1e-12)
-        gram = np.abs(np.linalg.det(np.stack([batch.h, batch.g], axis=-1))) ** 2
+        gram = np.abs(np.linalg.det(np.stack([v.h, v.g], axis=-1))) ** 2
         np.testing.assert_allclose(det, gram, rtol=1e-9)
 
     def test_perfect_csit_split(self):
@@ -88,7 +89,8 @@ class TestDefaultPolicy:
         # the explicit covariances built from the split spend exactly P per phase
         cfg = CsitConfig.from_alpha(p, 0.3)
         [batch] = sample_batch(_rng(3), [cfg], 512)
-        q = policy_matrices(cfg, batch.h_hat, batch.g_hat)
+        v = vectors(batch)
+        q = policy_matrices(cfg, v.h_hat, v.g_hat)
         tr1 = np.real(np.trace(q["q_u"], axis1=-2, axis2=-1)
                       + np.trace(q["q_v"], axis1=-2, axis2=-1))
         tr2 = np.real(np.trace(q["q_c"]) + np.trace(q["q_p1"], axis1=-2, axis2=-1)
@@ -110,9 +112,10 @@ class TestInterferencePower:
     def test_estimate_sees_only_aligned_power(self):
         cfg = CsitConfig.from_alpha(1e4, 0.5)
         [batch] = sample_batch(_rng(6), [cfg], 256)
-        q_v = policy_matrices(cfg, batch.h_hat, batch.g_hat)["q_v"]
-        got = interference_power(batch.h_hat, q_v)
-        expected = (_power_split(cfg)[1] / 2.0) * np.sum(np.abs(batch.h_hat) ** 2, axis=1)
+        v = vectors(batch)
+        q_v = policy_matrices(cfg, v.h_hat, v.g_hat)["q_v"]
+        got = interference_power(v.h_hat, q_v)
+        expected = (_power_split(cfg)[1] / 2.0) * np.sum(np.abs(v.h_hat) ** 2, axis=1)
         assert np.allclose(got, expected, rtol=1e-9, atol=1e-9)
 
     def test_mean_scaling_with_power(self):
@@ -123,9 +126,10 @@ class TestInterferencePower:
             cfg = CsitConfig.from_alpha(2.0 ** log2p, alpha)
 
             def f(batch):
-                comps = policy_beams(cfg, batch.h_hat, batch.g_hat)
+                v = vectors(batch)
+                comps = policy_beams(cfg, v.h_hat, v.g_hat)
                 return np.maximum(
-                    sum(c * np.abs(np.sum(np.conj(batch.h) * w, axis=-1)) ** 2
+                    sum(c * np.abs(np.sum(np.conj(v.h) * w, axis=-1)) ** 2
                         for c, w in comps["q_v"]), 0.0)
 
             [est] = estimate(f, McConfig(50_000, 7), [cfg])
@@ -157,13 +161,14 @@ class TestMimoRate:
     def test_unit_distortion_reduces_to_sinr(self):
         cfg = CsitConfig.from_alpha(1e3, 0.5)
         [batch] = sample_batch(_rng(8), [cfg], 64)
+        v = vectors(batch)
         q_u = np.array([[2.0, 0.3 + 0.1j], [0.3 - 0.1j, 1.0]], dtype=complex)
         q_v = np.array([[1.0, -0.2j], [0.2j, 3.0]], dtype=complex)
         # at d = 1 no side information is decoded, so det(q) is never read
-        m1, m2 = _explicit_mimo_logdets(batch.h, batch.g, q_u, q_v, 1.0)
-        sig, noise = interference_power(batch.h, q_u), interference_power(batch.h, q_v)
+        m1, m2 = _explicit_mimo_logdets(v.h, v.g, q_u, q_v, 1.0)
+        sig, noise = interference_power(v.h, q_u), interference_power(v.h, q_v)
         np.testing.assert_allclose(m1, np.log2(1.0 + sig / (1.0 + noise)), rtol=1e-12)
-        sig, noise = interference_power(batch.g, q_v), interference_power(batch.g, q_u)
+        sig, noise = interference_power(v.g, q_v), interference_power(v.g, q_u)
         np.testing.assert_allclose(m2, np.log2(1.0 + sig / (1.0 + noise)), rtol=1e-12)
 
     def test_frozen_fixed_sample_value(self):
@@ -238,12 +243,13 @@ class TestProposedScheme:
             cfg = CsitConfig.from_alpha(2.0 ** log2p, alpha)
 
             def f(batch):
-                comps = policy_beams(cfg, batch.h_hat, batch.g_hat)
+                v = vectors(batch)
+                comps = policy_beams(cfg, v.h_hat, v.g_hat)
                 s1 = np.maximum(
-                    sum(c * np.abs(np.sum(np.conj(batch.h) * w, axis=-1)) ** 2
+                    sum(c * np.abs(np.sum(np.conj(v.h) * w, axis=-1)) ** 2
                         for c, w in comps["q_v"]), 1e-300)
                 s2 = np.maximum(
-                    sum(c * np.abs(np.sum(np.conj(batch.g) * w, axis=-1)) ** 2
+                    sum(c * np.abs(np.sum(np.conj(v.g) * w, axis=-1)) ** 2
                         for c, w in comps["q_u"]), 1e-300)
                 return np.log2(s1) + np.log2(s2)
 
@@ -274,8 +280,9 @@ class TestBaselines:
         cfg = CsitConfig.from_alpha(1e4, 0.5)
 
         def full_slot(batch):
-            beam = unit(batch.h_hat, E1)
-            sig = cfg.snr_p * np.abs(np.sum(np.conj(batch.h) * beam, axis=-1)) ** 2
+            v = vectors(batch)
+            beam = unit(v.h_hat, E1)
+            sig = cfg.snr_p * np.abs(np.sum(np.conj(v.h) * beam, axis=-1)) ** 2
             return np.log2(1.0 + sig)
 
         mc_cfg = McConfig(20_000, 21)
@@ -287,8 +294,9 @@ class TestBaselines:
         # the beam serving user 2 carries no power toward user 1's estimate
         cfg = CsitConfig.from_alpha(1e4, 0.5)
         [batch] = sample_batch(_rng(22), [cfg], 1024)
-        w2 = perp(batch.h_hat, E2)
-        leak = np.abs(np.sum(np.conj(batch.h_hat) * w2, axis=-1)) ** 2
+        h_hat = vectors(batch).h_hat
+        w2 = perp(h_hat, E2)
+        leak = np.abs(np.sum(np.conj(h_hat) * w2, axis=-1)) ** 2
         assert leak.max() < 1e-20
 
     def test_positive_rates_all_schemes(self):
@@ -331,7 +339,8 @@ def test_snr_grid_equals_per_config_calls(alpha, workers):
     for cfg, batch in zip(cfgs, grid_batches):
         [own] = sample_batch(mc.block_rng(27, 0), [cfg], 8192)
         assert batch.csit == own.csit == cfg
-        assert all(np.array_equal(getattr(batch, k), getattr(own, k)) for k in fields)
+        v, own_v = vectors(batch), vectors(own)
+        assert all(np.array_equal(getattr(v, k), getattr(own_v, k)) for k in fields)
 
     mc_cfg = McConfig(2 * 8192 + 100, 27, workers)
     grid = rate_scheme(tuple(Scheme), cfgs, mc_cfg)
