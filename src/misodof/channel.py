@@ -23,7 +23,7 @@ the squared cosine between the estimates, all independent: 13 uniforms per
 sample, 8 of them mapped to the errors' normals by Box-Muller, where the
 antenna-frame draw took 16 normals.  A block is drawn as rows, one per
 quantity, so kernels read contiguous arrays, and ``Normals.g_frame`` rotates
-its errors once.
+g's errors, and only g's, into g_hat's frame once.
 """
 
 from __future__ import annotations
@@ -110,12 +110,13 @@ class Normals:
 
     @cached_property
     def g_frame(self):
-        """``n`` in g_hat's frame, each user's (r x_1 - s x_2, s x_1 + r x_2)
-        along w_g = (r, -s) and w_g-perp = (s, r): one real rotation, which
-        every config of the block shares."""
-        out, s = self.n * self.r, self.s  # r x_1, r x_2
-        out[:, 0::2] -= s * self.n[:, 1::2]
-        out[:, 1::2] += s * self.n[:, 0::2]
+        """g's error normals in g_hat's frame, (2, 2, n): (r x_1 - s x_2, s x_1
+        + r x_2) along w_g = (r, -s) and w_g-perp = (s, r), one real rotation
+        that every config of the block shares."""
+        g, s = self.n[:, 2:], self.s
+        out = g * self.r  # r x_1, r x_2
+        out[:, 0] -= s * g[:, 1]
+        out[:, 1] += s * g[:, 0]
         return out
 
 

@@ -10,29 +10,33 @@ may depend on the estimates only.
 The built-in schemes never form a covariance matrix: each covariance is a
 sum of rank-1 beams along a unit estimate direction and its orthogonal
 complement, and every quadratic form is summed beam by beam from one
-kernel's projections of h and g onto those directions.  That matters
-numerically: at very high SNR the matrix entries are ~P while quadratic
-forms along nulled directions are O(1), and forming the matrix first loses
-them to cancellation.  So is the rounding of h = h_hat + h_tilde: the kernel
-builds each user's coordinates from its estimate's norm and its error
-normals apart, which nulls h_hat exactly.  The sampler's canonical frame
-(see ``channel``) puts h_hat along the first antenna and g_hat along the real
+kernel's squared projections of h and g.  That matters numerically: at very
+high SNR the matrix entries are ~P while quadratic forms along nulled
+directions are O(1), and forming the matrix first loses them to
+cancellation.  So is the rounding of h = h_hat + h_tilde: the kernel builds
+each user's coordinates from its estimate's norm and its error normals
+apart, which nulls h_hat exactly.  The sampler's canonical frame (see
+``channel``) puts h_hat along the first antenna and g_hat along the real
 direction (r, -s), so the kernel neither normalizes nor divides by a norm.
-Kernels hold squared projections only: det(S Q S^H) = det Q |det[h g]|^2,
-one value per batch, stands in for every cross term.  The explicit-matrix
-reference the tests check this arithmetic against is ``tests/reference.py``.
+It builds only the rows the schemes read: |h|^2, |g|^2, each user's
+projections onto the zero-forcing beams h_hat-perp and g_hat-perp, and
+TDMA's along-estimate rows.  A beam pair a w-perp w-perp^H + b w w^H puts b
+|x|^2 + (a - b) |x.w-perp|^2 on x, and det(S Q S^H) = det Q |det[h g]|^2,
+one value per batch, stands in for every cross term.  Each log term is a
+difference of logs of sums over P, so it is finite for every finite P.  The
+explicit-matrix reference the tests check this arithmetic against is
+``tests/reference.py``.
 
 Each scheme is a (width, fill, finalize) triple: ``fill(shared, out)``
 writes its per-sample log terms into ``out``, its (width, n) rows of one
 array, from ``shared``, the batch's ``_Shared`` memo, and
 ``finalize(mean, se)`` maps their means and standard errors to a result.
 Any set of schemes at any set of configs (say, every SNR of a sweep) is
-thus one estimate over one draw per block.  Each block's errors are
-rotated into g_hat's frame once, and each batch's ``_Shared`` forms its two
-kernels, one per estimate, |det[h g]|^2 and each phase-2 split once.  A
-zero estimate (sigma_sq = 1, the no-CSIT limit) still has a fixed beam
-pair, chosen by ``_project`` alone, so every scheme reads the same two
-kernels at every config.
+thus one estimate over one draw per block.  Each block rotates g's errors
+into g_hat's frame once, and each batch's ``_Shared`` forms its kernel and
+each phase-2 split once.  A zero estimate (sigma_sq = 1, the no-CSIT limit)
+still has a fixed beam pair, chosen by ``_project`` alone, so every scheme
+reads the same rows at every config.
 ``rate_scheme`` always takes a sequence of configs, as ``mc.estimate`` does,
 and returns one entry per config; a single config is a one-element grid.
 """
@@ -71,76 +75,95 @@ class RateResult:
     se_r_mimo2: float = 0.0
 
 
-def _abs2(z):
-    # |z|^2 of the entries with real parts z[0] and imaginary parts z[1]; squares z
-    np.square(z, out=z)
-    return z[0] + z[1]
-
-
-def _abs2_det(z):
-    # |det[h g]|^2 = |h_1 g_2 - h_2 g_1|^2 for h = (z_0, z_1) and g = (z_2,
-    # z_3), the complex entries with real parts z[0] and imaginary parts z[1]
-    (h1, h2, g1, g2), (h1i, h2i, g1i, g2i) = z
-    re = h1 * g2 - h1i * g2i - h2 * g1 + h2i * g1i
-    im = h1 * g2i + h1i * g2 - h2 * g1i - h2i * g1
-    return re * re + im * im
-
-
 def _project(batch):
-    """The kernels behind every scheme's integrand, for h_hat's and then
-    g_hat's unit direction w: rows |h.w|^2, |h.w-perp|^2, |g.w|^2, |g.w-perp|^2
-    (x.w = w^H x); then |det[h g]|^2.  In its own estimate's frame a user is
-    a (|e|, 0) + b (its error), so h.w-perp is exactly b n_h2 for h_hat.
-    h_hat's frame is the antenna frame, where g_hat is a |e_g| (r, -s); in
-    g_hat's, h_hat is a |e_h| (r, s) and the errors are ``normals.g_frame``.
-    At sigma_sq = 1 (a = 0) the estimates are zero: h_hat points at antenna
-    1 and g_hat at antenna 2 (r = 0, s = 1), each w-perp at the other."""
+    """The kernel: one (8, n) array of squared projections x.w = w^H x, and
+    |det[h g]|^2.  Rows 0-3 are |h.h_hat-perp|^2, |g.g_hat-perp|^2,
+    |h.g_hat-perp|^2 and |g.h_hat-perp|^2, each user's leakage and then its
+    own power under the beams w1 = g_hat-perp and w2 = h_hat-perp; rows 4-7
+    are |h|^2, |g|^2, |h.h_hat|^2 and |g.h_hat|^2.  In the antenna frame,
+    h_hat's, g_hat is a |e_g| (r, -s) and g_hat-perp (s, r): h.h_hat-perp is
+    exactly b n_h2 and g.g_hat-perp b (s n_g1 + r n_g2), from the errors
+    alone (``normals.g_frame``), and h.g_hat-perp = s h_1 + r h_2 is not
+    nulled.  At sigma_sq = 1 (a = 0) the estimates are zero: h_hat points at
+    antenna 1 and g_hat at antenna 2 (r = 0, s = 1), each w-perp at the other."""
     a, b, normals = batch.a, batch.b, batch.normals
+    r, s = normals.r, normals.s
     x_h, x_g = a * normals.norm  # |h_hat| and |g_hat|
-    h = np.multiply(normals.n, b)  # h, then g, in h_hat's frame
-    h[0, 0] += x_h
-    h[0, 2] += x_g * normals.r
-    h[0, 3] -= x_g * normals.s
-    det = _abs2_det(h)
-    kernel_h = _abs2(h)
+    z = np.multiply(normals.n, b)  # h, then g, in the antenna frame
+    z[0, 0] += x_h
+    z[0, 2] += x_g * r
+    z[0, 3] -= x_g * s
+    # det[h g] = h_1 g_2 - h_2 g_1, from the (re re, im im) and (re im, im re) products
+    re = z[:, 0] * z[:, 3] - z[:, 1] * z[:, 2]
+    im = z[:, 0] * z[::-1, 3] - z[:, 1] * z[::-1, 2]
+    det = np.square(re[0] - re[1]) + np.square(im[0] + im[1])
+    sq = np.empty((8, batch.n))
+    if a > 0.0:
+        w = np.empty((2, 2, batch.n))  # g.g_hat-perp, then h.g_hat-perp
+        np.multiply(normals.g_frame[:, 1], b, out=w[:, 0])
+        np.multiply(z[:, 0], s, out=w[:, 1])
+        w[:, 1] += z[:, 1] * r
+        np.add(*np.square(w, out=w), out=sq[1:3])
+    np.square(z, out=z)
+    np.add(z[0, 1::2], z[1, 1::2], out=sq[0:4:3])
+    np.add(z[0, 0::2], z[1, 0::2], out=sq[6:8])
+    np.add(sq[6:8], sq[0:4:3], out=sq[4:6])
     if a == 0.0:
-        return kernel_h, kernel_h[[1, 0, 3, 2]], det  # g_hat's frame swaps each pair
-    g = np.multiply(normals.g_frame, b)  # h, then g, in g_hat's frame
-    g[0, 0] += x_h * normals.r
-    g[0, 1] += x_h * normals.s
-    g[0, 2] += x_g
-    return kernel_h, _abs2(g), det
+        sq[1:3] = sq[7:5:-1]  # g_hat-perp is antenna 1
+    return sq, det
 
 
-def _beam_pair(kernel, a, b):
-    # The diagonal (m00, m11) of S Q S^H, S = [h^H; g^H] and Q = a w-perp
-    # w-perp^H + b w w^H, from the kernel of w's estimate.
-    m = a * kernel[1::2]
-    m += b * kernel[0::2]
+def _beam_pairs(sq, a, b):
+    # Diagonals of S q S^H over P, S = [h^H; g^H], q = a w-perp w-perp^H + b w
+    # w^H: b |x|^2 + (a - b) |x.w-perp|^2, nonnegative as a >= b.  Row 0 is each
+    # user's interference (m00 of q_v, m11 of q_u), row 1 its own (m00 of q_u, m11 of q_v).
+    m = np.multiply(sq[:4], a - b).reshape(2, 2, -1)
+    m += b * sq[4:6]
     return m
 
 
+def _private_sums(s, sq, noise):
+    # Each user's noise plus leakage under beams of power s, then plus its own.
+    leak = np.multiply(sq[0:2], s)
+    leak += noise
+    own = np.multiply(sq[2:4], s)
+    own += leak
+    return leak, own
+
+
 class _Shared:
-    """What a group's schemes read from one batch, each computed once: the
-    kernels ``h`` and ``g`` of h_hat's and g_hat's beams, |det[h g]|^2 as
-    ``det``, and the default policy's phase-2 rows."""
+    """What a group's schemes read from one batch, each computed once:
+    ``_project``'s rows ``sq`` and ``det``, and the default policy's phase-2
+    rows."""
 
     def __init__(self, batch):
-        self.h, self.g, self.det = _project(batch)
-        self.p = batch.csit.snr_p
+        self.batch, self.p = batch, batch.csit.snr_p
+        self.sq, self.det = _project(batch)
         self._phase2 = {}
+
+    def g_along(self):
+        # |g.g_hat|^2 = |a |e_g| + b (r n_g1 - s n_g2)|^2, TDMA's alone
+        batch = self.batch
+        if batch.a == 0.0:
+            return self.sq[3]
+        x = np.multiply(batch.normals.g_frame[:, 0], batch.b)
+        x[0] += batch.a * batch.normals.norm[1]
+        return np.add(*np.square(x, out=x))
 
     def phase2(self, p_c, p_p, out):
         # Phase-2 log terms of the default policy, q_c = (p_c/2) I and q_p1,
-        # q_p2 = (p_p/2) along g_hat-perp, h_hat-perp, into out[:4], over P.
+        # q_p2 = (p_p/2) along g_hat-perp, h_hat-perp, into out[:4]: the common
+        # message under both privates, then each private under the other's.
         if (p_c, p_p) in self._phase2:
             out[:4] = self._phase2[p_c, p_p]
             return
-        c, s = p_c / (2.0 * self.p), p_p / (2.0 * self.p)
-        # hg = |h.g_hat-perp|^2 and so on; |x|^2 = |x.w|^2 + |x.w-perp|^2
-        _, hg, gw, gg = self.g
-        hw, hh, _, gh = self.h
-        _phase2_logs(c * (hw + hh), s * hg, s * hh, c * (gw + gg), s * gg, s * gh, 1 / self.p, out)
+        leak, own = _private_sums(0.5 * (p_p / self.p), self.sq, 1.0 / self.p)
+        both = np.multiply(self.sq[4:6], 0.5 * (p_c / self.p))
+        both += own
+        np.log2(own, out=own)
+        np.log2(both, out=out[0:2])
+        out[0:2] -= own
+        np.subtract(own, np.log2(leak, out=leak), out=out[2:4])
         self._phase2[p_c, p_p] = out[:4]
 
 
@@ -171,49 +194,34 @@ def quantization_rate(d_tilde):
     return abs(math.log2(d_tilde))
 
 
-def _side_gain(sig, d_tilde, pd):
-    # Effective gain of the decoded-interference observation, (1 - d)/(sig
-    # d), from sig over P and pd = P d; zero when the quantizer conveys
-    # nothing (d == 1).  Where nothing is overheard (sig == 0, a null event)
-    # it stays finite, and multiplies powers and a determinant that are 0.
-    return (1.0 - d_tilde) / np.maximum(sig * pd, np.finfo(float).tiny)
-
-
-def _mimo_logdets(u, v, det_m, d1, d2, p, out):
+def _mimo_logdets(m, det_q, det, d, p, out):
     """Per-sample rates of both users' equivalent 2x2 channels (phase 1),
     into ``out[0]`` and ``out[1]``.
 
-    ``u``, ``v``: the diagonals (m00, m11) over P of M = S q S^H, S = [h^H;
-    g^H], for q_u and q_v, from ``_beam_pair``; ``det_m``: det M over P^2,
-    det q |det S|^2, the same for both.  Each receiver stacks its direct
-    observation (aligned interference removed, residual quantization noise
-    folded into the noise floor) with the decoded quantized version of what
-    the other receiver overheard: log2 det(I + diag(r0, r1) M) = log2(1 +
-    r0 m00 + r1 m11 + r0 r1 det M), with no cross term, is evaluated over
-    P^2, where every term stays finite for any finite P, plus 2 log2 P.
+    ``m``: ``_beam_pairs``' interference and own powers over P of M = S q
+    S^H, S = [h^H; g^H], for q_u and q_v; det M over P^2 is det_q det, the
+    same for both.  Each receiver stacks its direct observation (aligned
+    interference removed, residual quantization noise folded into the noise
+    floor, gain r = 1/(1 + sig_own P d)) with the decoded quantized version
+    of what the other receiver overheard, whose gain times its power sig is
+    k = (1 - d)/(P d), or 0 where nothing is overheard (sig == 0, a null
+    event).  So log2 det(I + diag(r0, r1) M), with no cross term, is log2(r
+    (m_own/P + det_q k det/sig) + k/P + 1/P^2) + 2 log2 P, where every term
+    stays finite for any finite P.
     """
-    pd1, pd2 = p * d1, p * d2
-    sig1, sig2 = v[0], u[1]  # interference powers seen by users 1 and 2, over P
-    rows = ((1.0 / (1.0 + sig1 * pd1), _side_gain(sig2, d2, pd2)),
-            (_side_gain(sig1, d1, pd1), 1.0 / (1.0 + sig2 * pd2)))
-    for (m00, m11), (r0, r1), row in zip((u, v), rows, out):
-        np.log2((r0 * m00 + r1 * m11) / p + r0 * r1 * det_m + p ** -2.0, out=row)
-        row += 2.0 * math.log2(p)
-
-
-def _phase2_logs(ch, ph1, ph2, cg, pg1, pg2, noise, out):
-    # Per-sample log terms of the common-message region from the received
-    # powers of q_c, q_p1, q_p2 at h and g, over a noise power ``noise``,
-    # into rows 0-3 of ``out``: common message under both privates, then
-    # each private under the other.
-    np.log2(1.0 + ch / (noise + ph1 + ph2), out=out[0])
-    np.log2(1.0 + cg / (noise + pg1 + pg2), out=out[1])
-    np.log2(1.0 + ph1 / (noise + ph2), out=out[2])
-    np.log2(1.0 + pg2 / (noise + pg1), out=out[3])
+    (sig, own), pd, noise = m, p * d, 1.0 / p
+    k, sig_o = (1.0 - d) / pd, sig[::-1]
+    t = np.divide(det * (det_q * k), np.maximum(sig_o, np.finfo(float).tiny))
+    t += own * noise
+    t /= sig * pd + 1.0
+    np.add(t, k * noise, out=t, where=sig_o > 0.0)
+    t += noise * noise
+    np.log2(t, out=out)
+    out += 2.0 * math.log2(p)
 
 
 def _common_message_rates(mean, se):
-    # RateResult's common-message fields from the _phase2_logs columns; the
+    # RateResult's common-message fields from the phase-2 columns; the
     # common rate takes the outer min of the two users' expectations.
     branch = 0 if mean[0] <= mean[1] else 1
     return dict(r_c=float(mean[branch]), se_r_c=float(se[branch]),
@@ -237,7 +245,7 @@ def _proposed_columns(pcfg):
     # Quantize-and-multicast with powers and distortions derived from ``pcfg``.
     p1, p2, p_c, p_p = _power_split(pcfg)
     p = pcfg.snr_p
-    a, b = p1 / (2.0 * p), p2 / (2.0 * p)  # beam powers over P
+    a, b = 0.5 * (p1 / p), 0.5 * (p2 / p)  # beam powers over P
     d_tilde = _distortion(pcfg)
     r_eta1 = r_eta2 = quantization_rate(d_tilde)
     r_eta = r_eta1 + r_eta2
@@ -246,8 +254,7 @@ def _proposed_columns(pcfg):
         # q_u = a g_hat-perp + b g_hat and q_v = a h_hat-perp + b h_hat,
         # one beam pair per estimate direction
         shared.phase2(p_c, p_p, out)
-        _mimo_logdets(_beam_pair(shared.g, a, b), _beam_pair(shared.h, a, b),
-                      a * b * shared.det, d_tilde, d_tilde, p, out[4:6])
+        _mimo_logdets(_beam_pairs(shared.sq, a, b), a * b, shared.det, d_tilde, p, out[4:6])
 
     def finalize(mean, se):
         cm = _common_message_rates(mean, se)
@@ -276,26 +283,27 @@ def _user_pair(share):
 
 def _tdma_columns(cfg):
     # Alternating single-user slots, full power beamformed along the
-    # estimated channel.
+    # estimated channel: log2(1/P + |x.w|^2) + log2 P.
     p = cfg.snr_p
 
     def fill(shared, out):
-        np.log2(1.0 + p * shared.h[0], out=out[0])
-        np.log2(1.0 + p * shared.g[2], out=out[1])
+        np.add(shared.sq[6], 1.0 / p, out=out[0])
+        np.add(shared.g_along(), 1.0 / p, out=out[1])
+        np.log2(out, out=out)
+        out += math.log2(p)
 
     return 2, fill, _user_pair(0.5)
 
 
 def _zf_columns(cfg):
     # Equal-power beams w1 = g_hat-perp and w2 = h_hat-perp, leakage
-    # treated as noise.
-    half_p = cfg.snr_p / 2.0
+    # treated as noise, over P.
+    noise = 1.0 / cfg.snr_p
 
     def fill(shared, out):
-        _, h_w1, _, g_w1 = shared.g
-        _, h_w2, _, g_w2 = shared.h
-        np.log2(1.0 + half_p * h_w1 / (1.0 + half_p * h_w2), out=out[0])
-        np.log2(1.0 + half_p * g_w2 / (1.0 + half_p * g_w1), out=out[1])
+        leak, own = _private_sums(0.5, shared.sq, noise)
+        np.log2(own, out=out)
+        out -= np.log2(leak, out=leak)
 
     return 2, fill, _user_pair(1.0)
 

@@ -24,6 +24,7 @@ from misodof.rates import rate_scheme
 from misodof.regions import (
     Scheme,
     dof_imperfect_delayed,
+    dof_scheme,
     region_common_message,
     region_main,
 )
@@ -320,3 +321,71 @@ def test_criterion_10_common_message_oracle_equivalence():
     assert elapsed < 120.0
     _report(10, f"{checked} rate components match the brute-force evaluator "
                 f"within 3 combined std errors ({elapsed:.1f}s)")
+
+
+def _nearest_vertex_gap(region, point):
+    return float(np.min(np.max(np.abs(region.vertices - np.asarray(point)), axis=1)))
+
+
+def test_criterion_11_dof_is_the_high_snr_limit_of_the_rates():
+    # Over 1000:3000 dB every config shares one 8192-sample draw, and the
+    # rates are finite up to 3082 dB, so each slope in log2 P is the DoF to
+    # well within 1e-4, where 40:80 dB gives it to 0.08.  A distortion
+    # exponent off by 5% moves the MAT and proposed slopes by over 5e-3.
+    start = time.time()
+    grid_db = [1000.0 + 500.0 * k for k in range(5)]
+    log2p = [db / 10.0 * math.log2(10.0) for db in grid_db]
+    alphas, schemes = (0.0, 0.25, 0.5, 1.0), tuple(Scheme)
+    cfgs = [CsitConfig.from_alpha(10.0 ** (db / 10.0), alpha) for alpha in alphas for db in grid_db]
+    results = rate_scheme(schemes, cfgs, McConfig(n_samples=8192, seed=SEED))
+    worst = 0.0
+    for k, alpha in enumerate(alphas):
+        at_alpha = results[k * len(grid_db):(k + 1) * len(grid_db)]
+        main, common = region_main(alpha), region_common_message(alpha)
+        for j, scheme in enumerate(schemes):
+            rows = [at_snr[j] for at_snr in at_alpha]
+            pair = [_fit(log2p, [getattr(res, f) for res in rows]) for f in ("r1", "r2")]
+            gap = max(abs(d - dof_scheme(scheme, alpha)) for d in pair)
+            assert gap <= 1e-4, f"{scheme.value} at alpha={alpha}: slopes {pair}"
+            assert main.contains(pair, tol=1e-4), f"{scheme.value} at alpha={alpha}: {pair}"
+            worst = max(worst, gap)
+        rs_zf, proposed = ([at_snr[schemes.index(s)] for at_snr in at_alpha]
+                           for s in (Scheme.RS_ZF, Scheme.PROPOSED))
+        corner = [_fit(log2p, [res.r_c + res.r_p1 for res in rs_zf]),
+                  _fit(log2p, [res.r_p2 for res in rs_zf])]
+        triple = [_fit(log2p, [getattr(res, f) for res in proposed])
+                  for f in ("r_c", "r_p1", "r_p2")]
+        assert np.max(np.abs(np.array(corner) - (1.0, alpha))) <= 1e-4, f"alpha={alpha}: {corner}"
+        assert _nearest_vertex_gap(main, corner) <= 1e-4
+        assert np.max(np.abs(np.array(triple) - (1.0 - alpha, alpha, alpha))) <= 1e-4, \
+            f"alpha={alpha}: {triple}"
+        assert _nearest_vertex_gap(common, triple) <= 1e-4
+    elapsed = time.time() - start
+    assert elapsed < 1.0
+    _report(11, f"per-user slopes over 1000:3000 dB within {worst:.1e} of the DoF; "
+                f"RS-ZF corner and phase-2 triple on their vertices ({elapsed:.2f}s)")
+
+
+def test_criterion_12_proposed_bridges_mat_and_zero_forcing():
+    # The abstract's bridge claim: without current CSIT (alpha = 0) the
+    # proposed scheme is MAT, bit for bit, and with perfect current CSIT
+    # (alpha = 1) it is ZF and RS-ZF.
+    start = time.time()
+    grid_db = (20.0, 40.0, 60.0, 80.0, 1000.0, 3000.0)
+    mc_cfg = McConfig(n_samples=20_000, seed=SEED)
+    schemes = (Scheme.PROPOSED, Scheme.MAT, Scheme.ZF, Scheme.RS_ZF)
+    worst = 0.0
+    for alpha in (0.0, 1.0):
+        cfgs = [CsitConfig.from_alpha(10.0 ** (db / 10.0), alpha) for db in grid_db]
+        for db, (proposed, mat, zf, rs_zf) in zip(grid_db, rate_scheme(schemes, cfgs, mc_cfg)):
+            if alpha == 0.0:
+                assert proposed == mat, f"{db} dB"
+                continue
+            for other in (zf, rs_zf):
+                for got, want in ((proposed.r1, other.r1), (proposed.r2, other.r2)):
+                    assert got == pytest.approx(want, rel=1e-12, abs=0.0), f"{db} dB"
+                    worst = max(worst, abs(got - want) / abs(want))
+    elapsed = time.time() - start
+    assert elapsed < 10.0
+    _report(12, f"proposed is MAT at alpha 0 exactly, ZF and RS-ZF at alpha 1 within "
+                f"{worst:.1e} relative ({elapsed:.2f}s)")

@@ -117,16 +117,17 @@ class TestRatesCommand:
 
     @pytest.mark.parametrize("alpha", ["0", "0.5", "1"])
     def test_every_scheme_finite_at_extreme_snr(self, alpha, tmp_path):
-        # The phase-1 determinant, ~P^2, is evaluated over P^2, so MAT and
-        # the proposed scheme stay finite where P^2 overflows a double, as
-        # every scheme does where P does not; a numpy overflow warning fails
-        # the test too.
+        # Every log term is a difference of logs of sums over P, and the
+        # phase-1 determinant, ~P^2, is evaluated over P^2, so every scheme
+        # stays finite where P^2 overflows a double, up to the top of the
+        # accepted range, 3082 dB; a numpy overflow warning fails the test too.
         out = tmp_path / "rates.csv"
-        assert _run(["rates", "--scheme", "all", "--alpha", alpha, "--snr-db", "1545:1455:3000",
-                     "--samples", "20000", "--seed", "1", "--out", str(out)]) == 0
-        rows = out.read_text().splitlines()[1:]
-        assert len(rows) == 2 * 5
-        assert all(math.isfinite(float(v)) for row in rows for v in row.split(",")[3:])
+        for grid, points in (("1545:1455:3000", 2), ("3082:1:3082", 1)):
+            assert _run(["rates", "--scheme", "all", "--alpha", alpha, "--snr-db", grid,
+                         "--samples", "20000", "--seed", "1", "--out", str(out)]) == 0
+            rows = out.read_text().splitlines()[1:]
+            assert len(rows) == points * 5
+            assert all(math.isfinite(float(v)) for row in rows for v in row.split(",")[3:])
 
     def test_malformed_range_exits_2(self, tmp_path):
         code = _run(["rates", "--scheme", "zf", "--alpha", "0.5",

@@ -6,7 +6,10 @@ came to be drawn from 13 uniforms per sample, its error normals by Box-Muller
 in tangent form: a new stream with the same distribution, under which every
 regenerated rsum lay within 2.1 combined standard errors of the one it
 replaced (``regenerate.py --compare``); the slopes file has since gained
-each grid point's stderr_sum, its other bytes unchanged.  alpha = 0 pins
+each grid point's stderr_sum, its other bytes unchanged.  When every log
+term became a difference of logs over P, only ``rates_all_alpha1.csv``
+moved: its r_c at 20 and 40 dB, the ~1.6e-15 rate of the common power that
+rounding leaves at alpha = 1, by 0.3% relative.  alpha = 0 pins
 the beams of the zero estimates, h_hat along antenna 1 and g_hat along
 antenna 2, which ``rates._project`` chooses for every scheme.  ``rates_all_sigma_sq0.1.csv``
 fixes sigma_sq, so every SNR of its grid estimate has the same estimate

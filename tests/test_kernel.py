@@ -1,8 +1,9 @@
 """Every scheme's integrand against independent evaluations of its formulas.
 
 The integrands work from one projection kernel (``rates._project``), built
-from the block's estimate and error normals apart.  Here each one is checked
-sample by sample against (a) explicit covariance matrices that
+from the block's estimate and error normals apart, and TDMA's one further
+row, ``_Shared.g_along``.  Here each one is checked sample by sample
+against (a) explicit covariance matrices that
 ``reference.policy_matrices`` builds from rank-1 projectors, evaluated with
 ``reference.interference_power`` and a 2x2 determinant, and (b) an mpmath
 evaluation of the same per-sample formulas at extreme SNR, fed the estimates
@@ -25,7 +26,7 @@ from reference import (
 )
 
 SCHEMES = ("tdma", "zf", "mat", "rszf", "proposed")
-# each estimate, in rates._project's order, with the beam it takes when zero
+# each estimate with the beam it takes when zero
 FALLBACKS = {"h_hat": E1, "g_hat": E2}
 
 
@@ -142,8 +143,20 @@ def test_canonical_frame_matches_isotropic_draw(scheme, alpha):
 
 
 def _kernel(batch, name):
-    # rates._project's squared columns of one estimate
-    return dict(zip(FALLBACKS, rates._project(batch)))[name]
+    # The kernel's squared projections onto one estimate's beams, as (row,
+    # x, beam) with beam "w", "perp" or, for |x|^2, None
+    sq, _ = rates._project(batch)
+    if name == "h_hat":
+        return [(sq[6], "h", "w"), (sq[0], "h", "perp"), (sq[7], "g", "w"),
+                (sq[3], "g", "perp"), (sq[4], "h", None), (sq[5], "g", None)]
+    return [(sq[2], "h", "perp"), (rates._Shared(batch).g_along(), "g", "w"),
+            (sq[1], "g", "perp")]
+
+
+def _pair_rows(batch, name, a, b):
+    # rates._beam_pairs' (m00, m11) of S Q S^H for Q = a w-perp w-perp^H + b w w^H
+    m = rates._beam_pairs(rates._project(batch)[0], a, b)
+    return (m[0, 0], m[1, 1]) if name == "h_hat" else (m[1, 0], m[0, 1])
 
 
 def _beams(v, name, fallback_beam):
@@ -160,13 +173,13 @@ def test_kernel_columns_match_projectors(alpha, fallback):
     v = vectors(batch)
     name, fallback_beam = fallback
     w, w_perp = _beams(v, name, fallback_beam)
-    kernel = _kernel(batch, name)
-    for col_sq, x, beam in zip(kernel, (v.h, v.h, v.g, v.g), (w, w_perp, w, w_perp)):
-        np.testing.assert_allclose(col_sq, interference_power(x, projector(beam)),
+    beams = {"w": projector(w), "perp": projector(w_perp), None: np.eye(2)}
+    for col_sq, x, beam in _kernel(batch, name):
+        np.testing.assert_allclose(col_sq, interference_power(getattr(v, x), beams[beam]),
                                    rtol=1e-12, atol=1e-14)
     a, b = 3.0, 0.25
     m00, m11, _ = pair_entries(v.h, v.g, a * projector(w_perp) + b * projector(w))
-    got00, got11 = rates._beam_pair(kernel, a, b)
+    got00, got11 = _pair_rows(batch, name, a, b)
     np.testing.assert_allclose(got00, m00, rtol=1e-12)
     np.testing.assert_allclose(got11, m11, rtol=1e-12)
 
@@ -192,7 +205,7 @@ def test_det_identity_matches_explicit_matrices(fallback, snr_p, alpha, s):
     w, w_perp = _beams(v, name, fallback_beam)
     a, b = 3.0, 0.25
     m00, m11, off = pair_entries(v.h, v.g, a * projector(w_perp) + b * projector(w))
-    det = rates._project(batch)[2]
+    det = rates._project(batch)[1]
     explicit = m00 * m11 - off
     assert np.all(np.abs(a * b * det - explicit) <= 1e-13 * m00 * m11 + 1e-12 * explicit)
     if s is not None:
@@ -308,7 +321,7 @@ def _mp_sample(scheme, cfg, h_hat, g_hat, h, g):
 @pytest.mark.parametrize("log2_p", [60, 80, 100, 120])
 @pytest.mark.parametrize("fallback", FALLBACKS.items())
 def test_kernel_backward_stable_at_extreme_snr(fallback, log2_p, alpha):
-    # Every column of the estimate's kernel is within a few eps |x| of the
+    # Every row of the estimate's kernel is within a few eps |x| of the
     # modulus of the exact projection of the exact x; its zero-estimate beam
     # is unused, as no estimate is zero.
     cfg = CsitConfig.from_alpha(2.0 ** log2_p, alpha)
@@ -319,10 +332,11 @@ def test_kernel_backward_stable_at_extreme_snr(fallback, log2_p, alpha):
         for i in range(batch.n):
             h_hat, g_hat, h, g = _mp_channels(v, i)
             w, w_perp = _mp_beams(h_hat if name == "h_hat" else g_hat)
-            for k, (x, beam) in enumerate(((h, w), (h, w_perp), (g, w), (g, w_perp))):
-                ref = abs(_mp_dot(beam, x))
-                assert abs(mpmath.sqrt(kernel[k][i]) - ref) <= 5 * EPS * mpmath.sqrt(
-                    abs(x[0]) ** 2 + abs(x[1]) ** 2)
+            for row, x_name, beam in kernel:
+                x = h if x_name == "h" else g
+                norm = mpmath.sqrt(abs(x[0]) ** 2 + abs(x[1]) ** 2)
+                ref = norm if beam is None else abs(_mp_dot(w if beam == "w" else w_perp, x))
+                assert abs(mpmath.sqrt(row[i]) - ref) <= 5 * EPS * norm
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 1.0])

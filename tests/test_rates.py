@@ -9,7 +9,7 @@ from misodof.mc import McConfig, estimate
 from misodof.oracles import mean_log2_quadratic
 from misodof.rates import (
     RateResult,
-    _beam_pair,
+    _beam_pairs,
     _distortion,
     _mimo_logdets,
     _power_split,
@@ -34,9 +34,9 @@ def _rng(seed=0):
 def _explicit_mimo_logdets(h, g, q_u, q_v, d):
     # both users' equivalent-MIMO rates at P = 1 from the explicit entries
     # of S q S^H; q_u and q_v must share their determinant
-    (u00, u11, u_off), v = (pair_entries(h, g, q) for q in (q_u, q_v))
+    (u00, u11, u_off), (v00, v11, _) = (pair_entries(h, g, q) for q in (q_u, q_v))
     out = np.empty((2, np.size(u00)))
-    _mimo_logdets((u00, u11), v[:2], u00 * u11 - u_off, d, d, 1.0, out)
+    _mimo_logdets(np.array([[v00, u11], [u00, v11]]), 1.0, u00 * u11 - u_off, d, 1.0, out)
     return out[0], out[1]
 
 
@@ -61,9 +61,9 @@ class TestDefaultPolicy:
         # estimate's two beams carry p/4 each
         [batch] = sample_batch(_rng(1), [cfg], 64)
         v = vectors(batch)
-        *kernels, det = _project(batch)
-        for kernel in kernels:
-            m00, m11 = _beam_pair(kernel, p1 / 2.0, p2 / 2.0)
+        sq, det = _project(batch)
+        m = _beam_pairs(sq, p1 / 2.0, p2 / 2.0)
+        for m00, m11 in ((m[0, 0], m[1, 1]), (m[1, 0], m[0, 1])):  # h_hat's, g_hat's beams
             np.testing.assert_allclose(m00, p / 4.0 * np.sum(np.abs(v.h) ** 2, axis=1),
                                        rtol=1e-12)
             np.testing.assert_allclose(m11, p / 4.0 * np.sum(np.abs(v.g) ** 2, axis=1),
@@ -350,11 +350,11 @@ def test_snr_grid_equals_per_config_calls(alpha, workers):
 
 @pytest.mark.parametrize("group", [tuple(Scheme), tuple(reversed(Scheme)), "proposed", "tdma"])
 def test_group_runs_each_kernel_pair_once_per_block(group, monkeypatch):
-    # Any group, in any order, reads one kernel pair (h_hat's, g_hat's) per
-    # config and block: one projection.  With estimates (alpha 0.5) g_hat's
-    # reads the errors in g_hat's frame, one rotation that every config of
-    # the block shares; at alpha 0 the estimates are zero and nothing is
-    # rotated.
+    # Any group, in any order, reads one projection onto both estimates'
+    # beams per config and block.  With estimates (alpha 0.5) g_hat's beams
+    # read g's errors in g_hat's frame, one rotation that every config of
+    # the block shares, TDMA's row too; at alpha 0 the estimates are zero
+    # and nothing is rotated.
     snrs = (1e3, 1e4, 1e5)
     for alpha, rotations in ((0.0, 0), (0.5, 1)):
         calls = {"_project": 0, "g_frame": 0}
