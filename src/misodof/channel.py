@@ -55,13 +55,11 @@ class CsitConfig:
 
     Build one with ``from_alpha`` or ``from_sigma_sq``, which raise
     ``ValueError`` unless 1 < P < inf, 0 < sigma^2 <= 1 and alpha >= 0.
-    ``sigma_hat_sq`` and ``alpha_hat`` are derived: the error variance
-    floored at the noise-limited level ``1/snr_p``, and its exponent.  Power
-    allocations use the floored pair so they stay meaningful when the raw
-    error variance drops below the AWGN floor.  Under band-limited Doppler
-    fading with normalized bandwidth F = v f_c T / c < 1/2 (speed, carrier,
-    slot, light speed), one-step prediction from delayed CSI gives
-    alpha = 1 - 2F.
+    The channel draw reads sigma^2 and the power policy reads alpha, which is
+    at most 1: an error variance below the AWGN level 1/P gets the
+    perfect-CSIT policy.  Under band-limited Doppler fading with normalized
+    bandwidth F = v f_c T / c < 1/2 (speed, carrier, slot, light speed),
+    one-step prediction from delayed CSI gives alpha = 1 - 2F.
     """
 
     snr_p: float
@@ -83,14 +81,6 @@ class CsitConfig:
         sigma_sq = float(sigma_sq)
         # + 0.0 turns the -0.0 of sigma_sq = 1 into 0.0
         return cls(snr_p, sigma_sq, min(-math.log2(sigma_sq) / math.log2(snr_p), 1.0) + 0.0)
-
-    @property
-    def sigma_hat_sq(self):
-        return max(1.0 / self.snr_p, self.sigma_sq)
-
-    @property
-    def alpha_hat(self):
-        return min(max(-math.log(self.sigma_hat_sq) / math.log(self.snr_p), 0.0), 1.0)
 
 
 @dataclass(frozen=True)
@@ -130,7 +120,7 @@ class ChannelBatch:
     normals: Normals
     csit: CsitConfig
     n = property(lambda self: self.normals.n.shape[-1])
-    a = property(lambda self: math.sqrt(max(1.0 - self.csit.sigma_sq, 0.0) / 2.0))
+    a = property(lambda self: math.sqrt((1.0 - self.csit.sigma_sq) / 2.0))
     b = property(lambda self: math.sqrt(self.csit.sigma_sq / 2.0))
 
 

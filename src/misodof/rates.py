@@ -169,21 +169,20 @@ class _Shared:
 
 def _power_split(cfg):
     # Phase-1 split (p1 orthogonal / p2 aligned with the crossing user's
-    # estimate) and phase-2 split (p_c common / p_p private zero-forced).
-    p_p = cfg.alpha_hat / cfg.sigma_hat_sq
-    p_c = max(cfg.snr_p - p_p, 0.0)
-    p2 = max((1.0 - cfg.alpha_hat) * (cfg.snr_p / 2.0) * cfg.sigma_hat_sq, 0.0)
-    p1 = cfg.snr_p - p2
-    if p_p > cfg.snr_p * (1.0 + 1e-12):
-        raise AssertionError("private power exceeds the budget; config is inconsistent")
-    return p1, p2, p_c, p_p
+    # estimate) and phase-2 split (p_c common / p_p private zero-forced):
+    # p_p = alpha P^alpha <= P and p2 = (1 - alpha) (P/2) P^-alpha <= P/2
+    # for 0 <= alpha <= 1, with p_c = P - p_p and p1 = P - p2.  (p_p, p2) is
+    # exactly MAT's (0, P/2) at alpha = 0 and zero-forcing's (P, 0) at 1.
+    p, alpha = cfg.snr_p, cfg.alpha
+    p_p = alpha * p ** alpha
+    p2 = (1.0 - alpha) * (p / 2.0) * p ** -alpha
+    return p - p2, p2, p - p_p, p_p
 
 
 def _distortion(cfg):
-    # Quantizer distortion at the AWGN level relative to the interference
-    # power, clamped into [1/P, 1].
-    raw = max(1.0 / (cfg.snr_p * cfg.sigma_sq), 1.0 / cfg.snr_p)
-    return min(raw, 1.0)
+    # Quantizer distortion, unit noise over the overheard interference power
+    # P^(1 - alpha): P^(alpha - 1), in [1/P, 1] and exactly 1 at alpha = 1.
+    return cfg.snr_p ** (cfg.alpha - 1.0)
 
 
 def quantization_rate(d_tilde):
@@ -330,8 +329,8 @@ def _rs_zf_columns(cfg):
 
 _COLUMNS = {
     Scheme.TDMA: _tdma_columns, Scheme.ZF: _zf_columns, Scheme.RS_ZF: _rs_zf_columns,
-    # MAT: the proposed scheme with powers and distortions as if sigma_sq were 1
-    Scheme.MAT: lambda cfg: _proposed_columns(CsitConfig.from_sigma_sq(cfg.snr_p, 1.0)),
+    # MAT: the proposed policy at alpha = 0
+    Scheme.MAT: lambda cfg: _proposed_columns(CsitConfig.from_alpha(cfg.snr_p, 0.0)),
     Scheme.PROPOSED: _proposed_columns,
 }
 

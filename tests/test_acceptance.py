@@ -369,23 +369,31 @@ def test_criterion_11_dof_is_the_high_snr_limit_of_the_rates():
 def test_criterion_12_proposed_bridges_mat_and_zero_forcing():
     # The abstract's bridge claim: without current CSIT (alpha = 0) the
     # proposed scheme is MAT, bit for bit, and with perfect current CSIT
-    # (alpha = 1) it is ZF and RS-ZF.
+    # (alpha = 1) it is ZF and RS-ZF: no common message, nothing to
+    # quantize, and the sum rate's standard error of RS-ZF.
     start = time.time()
-    grid_db = (20.0, 40.0, 60.0, 80.0, 1000.0, 3000.0)
+    grid_db = (20.0, 40.0, 60.0, 80.0, 1000.0, 3000.0, 3082.0)
     mc_cfg = McConfig(n_samples=20_000, seed=SEED)
     schemes = (Scheme.PROPOSED, Scheme.MAT, Scheme.ZF, Scheme.RS_ZF)
-    worst = 0.0
+    worst = worst_se = 0.0
     for alpha in (0.0, 1.0):
         cfgs = [CsitConfig.from_alpha(10.0 ** (db / 10.0), alpha) for db in grid_db]
         for db, (proposed, mat, zf, rs_zf) in zip(grid_db, rate_scheme(schemes, cfgs, mc_cfg)):
             if alpha == 0.0:
                 assert proposed == mat, f"{db} dB"
                 continue
-            for other in (zf, rs_zf):
-                for got, want in ((proposed.r1, other.r1), (proposed.r2, other.r2)):
-                    assert got == pytest.approx(want, rel=1e-12, abs=0.0), f"{db} dB"
-                    worst = max(worst, abs(got - want) / abs(want))
+            assert (proposed.r_c, proposed.r_eta1, proposed.r_eta2, rs_zf.r_c) == (0.0,) * 4, \
+                f"{db} dB"
+            assert (rs_zf.r1, rs_zf.r2) == (zf.r1, zf.r2), f"{db} dB"
+            for got, want in ((proposed.r1, zf.r1), (proposed.r2, zf.r2)):
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0), f"{db} dB"
+                worst = max(worst, abs(got - want) / abs(want))
+            se = math.hypot(proposed.se_r1, proposed.se_r2)
+            se_rs = math.hypot(rs_zf.se_r1, rs_zf.se_r2)
+            assert se == pytest.approx(se_rs, rel=1e-9, abs=0.0), f"{db} dB"
+            worst_se = max(worst_se, abs(se - se_rs) / se_rs)
     elapsed = time.time() - start
     assert elapsed < 10.0
     _report(12, f"proposed is MAT at alpha 0 exactly, ZF and RS-ZF at alpha 1 within "
-                f"{worst:.1e} relative ({elapsed:.2f}s)")
+                f"{worst:.1e} relative, sum-rate stderr within {worst_se:.1e} "
+                f"({elapsed:.2f}s)")

@@ -9,6 +9,7 @@ from scipy import stats
 from misodof import mc
 from misodof.channel import CsitConfig, _normals, sample_batch
 from misodof.mc import block_rng
+from misodof.rates import _power_split
 from reference import E1, E2, orthogonal_complement, perp, projector, vectors
 
 
@@ -30,14 +31,14 @@ class TestCsitConfig:
         cfg = CsitConfig.from_sigma_sq(100.0, 100.0 ** -2)
         assert cfg.alpha == 1.0
         assert cfg.sigma_sq == pytest.approx(1e-4)
-        # the floored variance never drops below the noise level
-        assert cfg.sigma_hat_sq == pytest.approx(1e-2)
-        assert cfg.alpha_hat == pytest.approx(1.0)
+        # an error variance below the noise level gets the perfect-CSIT policy
+        assert _power_split(cfg) == (100.0, 0.0, 0.0, 100.0)
 
     def test_no_csit_limit(self):
         cfg = CsitConfig.from_alpha(1e3, 0.0)
         assert cfg.sigma_sq == 1.0
-        assert cfg.alpha_hat == 0.0
+        assert cfg.alpha == 0.0
+        assert _power_split(cfg) == (500.0, 500.0, 1e3, 0.0)
 
     @pytest.mark.parametrize("bad", [0.0, -0.5, 1.5])
     def test_rejects_bad_sigma(self, bad):

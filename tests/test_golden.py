@@ -8,8 +8,10 @@ regenerated rsum lay within 2.1 combined standard errors of the one it
 replaced (``regenerate.py --compare``); the slopes file has since gained
 each grid point's stderr_sum, its other bytes unchanged.  When every log
 term became a difference of logs over P, only ``rates_all_alpha1.csv``
-moved: its r_c at 20 and 40 dB, the ~1.6e-15 rate of the common power that
-rounding leaves at alpha = 1, by 0.3% relative.  alpha = 0 pins
+moved: its r_c at 20 and 40 dB, a ~1.6e-15 rate of the common power that
+rounding then left at alpha = 1.  Since the default policy is a closed form
+of (P, alpha), exact at alpha = 1, those four r_c cells (RS-ZF's and the
+proposed scheme's) read 0, and no other byte moved.  alpha = 0 pins
 the beams of the zero estimates, h_hat along antenna 1 and g_hat along
 antenna 2, which ``rates._project`` chooses for every scheme.  ``rates_all_sigma_sq0.1.csv``
 fixes sigma_sq, so every SNR of its grid estimate has the same estimate

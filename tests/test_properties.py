@@ -1,18 +1,20 @@
 """Hypothesis property tests: grouped estimates, the alpha <-> sigma^2 map,
-the DoF regions and the CLI's handling of numeric input."""
+the default power policy, the DoF regions and the CLI's handling of numeric
+input."""
 
 import contextlib
 import io
 import math
+from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from misodof import cli
 from misodof.channel import CsitConfig
 from misodof.mc import BLOCK_SIZE, McConfig
-from misodof.rates import rate_scheme
+from misodof.rates import _distortion, _power_split, quantization_rate, rate_scheme
 from misodof.regions import (
     Scheme,
     region_common_message,
@@ -55,7 +57,7 @@ def test_alpha_to_sigma_sq_round_trip(snr_db, alpha):
     back = CsitConfig.from_sigma_sq(p, cfg.sigma_sq)
     assert back.sigma_sq == cfg.sigma_sq
     assert back.alpha == pytest.approx(alpha, abs=1e-12 / math.log10(p))
-    assert (back.sigma_hat_sq, back.alpha_hat) == (cfg.sigma_hat_sq, cfg.alpha_hat)
+    assert _power_split(back) == pytest.approx(_power_split(cfg), rel=0.0, abs=1e-12 * p)
 
 
 @FIXED
@@ -68,6 +70,38 @@ def test_sigma_sq_to_alpha_round_trip(snr_db, u):
     back = CsitConfig.from_alpha(p, cfg.alpha)
     assert back.sigma_sq == pytest.approx(sigma_sq, rel=1e-12)
     assert back.alpha == cfg.alpha
+
+
+@FIXED
+@given(snr_db=st.floats(0.5, 3082.5), alpha=UNIT,
+       below=st.floats(2.0 ** -40, 1.0, exclude_max=True))
+@example(snr_db=3082.5, alpha=0.0, below=0.5)
+@example(snr_db=3082.5, alpha=1.0, below=0.5)
+@example(snr_db=30.0, alpha=0.0, below=0.5)
+@example(snr_db=30.0, alpha=1.0, below=0.5)
+def test_default_policy_invariants(snr_db, alpha, below):
+    # The closed-form policy spends within each phase's budget at every (P,
+    # alpha) up to the largest finite P, is exact at both ends of the
+    # bridge, and gives an error variance below the noise level the
+    # perfect-CSIT policy.
+    p = 10.0 ** (snr_db / 10.0)
+    cfg = CsitConfig.from_alpha(p, alpha)
+    _, p2, p_c, p_p = _power_split(cfg)
+    d = _distortion(cfg)
+    assert 0.0 <= p_p <= p and p_c >= 0.0 and 0.0 <= p2 <= p / 2.0
+    assert d <= 1.0 and d * p >= 1.0 - 1e-15
+    bits = (1.0 - alpha) * math.log2(p)
+    assert abs(quantization_rate(d) - bits) <= 1e-15 * max(1.0, bits)
+    if alpha == 1.0:
+        assert (p_c, p2, p_p, d) == (0.0, 0.0, p, 1.0)
+    if alpha == 0.0:
+        assert (p_p, p_c, p2) == (0.0, p, p / 2.0)
+    sigma_sq = below / p
+    assume(Fraction(sigma_sq) * Fraction(p) < 1)  # rounding may lift it to 1/P
+    perfect = CsitConfig.from_alpha(p, 1.0)
+    below_noise = CsitConfig.from_sigma_sq(p, sigma_sq)
+    assert (_power_split(below_noise), _distortion(below_noise)) == \
+        (_power_split(perfect), _distortion(perfect))
 
 
 def _regions(alpha, beta):

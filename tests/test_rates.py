@@ -73,11 +73,7 @@ class TestDefaultPolicy:
 
     def test_perfect_csit_split(self):
         cfg = CsitConfig.from_sigma_sq(1e4, 1e-4)
-        p1, p2, p_c, p_p = _power_split(cfg)
-        assert p_p == pytest.approx(cfg.snr_p, rel=1e-9)
-        assert p_c == pytest.approx(0.0, abs=1e-6)
-        assert p2 == pytest.approx(0.0, abs=1e-9)
-        assert p1 == pytest.approx(cfg.snr_p, rel=1e-9)
+        assert _power_split(cfg) == (cfg.snr_p, 0.0, 0.0, cfg.snr_p)  # p1, p2, p_c, p_p
         assert _distortion(cfg) == 1.0
 
     def test_traces_meet_power_budget_exactly(self):
@@ -100,7 +96,7 @@ class TestDefaultPolicy:
 
     def test_distortion_clamped(self):
         assert _distortion(CsitConfig.from_alpha(2.0 ** 10, 0.5)) == pytest.approx(2.0 ** -5)
-        # clamped at 1 when the error variance is below the AWGN level
+        # 1 when the error variance is below the AWGN level, where alpha is 1
         assert _distortion(CsitConfig.from_sigma_sq(1e4, 1e-6)) == 1.0
 
 
