@@ -1,7 +1,7 @@
 """Batch front-end: region export, rate sweeps, slope fits, oracle runs.
 
-Exit codes: 0 success, 1 oracle failure, 2 bad usage/arguments, 3 non-finite
-Monte Carlo result.
+Exit codes: 0 success, 1 oracle failure, 2 bad usage/arguments or a failed
+write to ``--out`` or stdout, 3 non-finite Monte Carlo result.
 
 Each input is checked once, by the type that owns it: ``channel.exponent``
 for alpha and beta, the ``CsitConfig`` constructors for P and sigma^2 at
@@ -22,13 +22,15 @@ in worker processes forked by ``mc``, one per CPU this process may use unless
 the count.  In ``rates`` and ``slopes`` every scheme and SNR of a run shares
 its channel draws: one ``rate_scheme`` call evaluates them together.
 ``oracles --samples`` counts the exponential samples of the exp-log check;
-each channel draw gives eight.
+each channel draw gives eight.  The process entry ``cli()``, not ``main(argv)``,
+freezes the import-time heap (``gc.freeze``): the exit collections skip it.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import hashlib
 import json
 import math
@@ -392,6 +394,7 @@ def cmd_oracles(args):
 
     for failure in failures:
         print(f"FAIL: {failure}")
+    print(end="", flush=True)  # a full or broken stdout fails here, where main reports it
     return 1 if failures else 0
 
 
@@ -481,13 +484,20 @@ def main(argv=None):
     except _Exit as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except OSError as exc:  # commands open only --out and its manifest
-        print(f"error: cannot write {exc.filename or args.out!r}: {exc.strerror}", file=sys.stderr)
+    except OSError as exc:  # writing --out, its manifest or (oracles) stdout
+        name = exc.filename or getattr(args, "out", "<stdout>")
+        print(f"error: cannot write {name!r}: {exc.strerror}", file=sys.stderr)
         return 2
 
 
 def cli():
-    sys.exit(main())
+    gc.freeze()  # what is alive here (numpy, the package) lives until exit anyway
+    code = main()
+    try:
+        print(end="", flush=True)  # as exit would; a no-op once main has flushed
+    except OSError:  # main reported it; drop the bytes exit would retry
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

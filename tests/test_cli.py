@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -23,6 +24,13 @@ NEGATIVE_ZERO = re.compile(r"-0\.0\b")
 
 def _run(args):
     return cli.main(args)
+
+
+def _entry(args, **kwargs):
+    # The process entry, as the console script runs it; with -m the working
+    # directory, here src/, is on the child's import path.
+    return subprocess.run([sys.executable, "-m", "misodof.cli", *args],
+                          cwd=Path(cli.__file__).parents[1], **kwargs)
 
 
 class TestRegionCommand:
@@ -490,6 +498,29 @@ def test_unwritable_out_exits_2_before_estimating(command, where, tmp_path, monk
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+def test_full_stdout_exits_2_with_one_error_line(unbuffered):
+    # Unbuffered, the first print fails; buffered, the flush at the end of the
+    # command does.  Either way the write is reported once, and the bytes
+    # left in stdout's buffer are not written again at exit.
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
+    with open("/dev/full", "w") as full:
+        proc = _entry(["oracles", "--samples", "1000", "--seed", "1"], stdout=full,
+                      stderr=subprocess.PIPE, text=True, env=env)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: cannot write '<stdout>': ")
+    assert proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+
+
+def test_closed_stdout_is_no_error():
+    # With descriptor 1 closed, sys.stdout is None and print writes nothing.
+    proc = _entry(["oracles", "--samples", "1000", "--seed", "1"],
+                  preexec_fn=lambda: os.close(1), stderr=subprocess.PIPE)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+
+
 def test_out_check_keeps_existing_file(tmp_path, capsys):
     # The check leaves an existing output untouched when a later argument fails.
     out = tmp_path / "x.csv"
@@ -654,6 +685,41 @@ def test_runs_without_glibc(tmp_path, monkeypatch):
     assert tried == ["libc.so.6"]
     assert _run(["region", "--alpha", "0.5", "--out", str(tmp_path / "r.json")]) == 0
     assert _run(_RATES_ZF + ["--samples", "100", "--out", str(tmp_path / "x.csv")]) == 0
+
+
+def test_entry_writes_what_main_writes(tmp_path):
+    argv = _RATES_ZF + ["--samples", "2000", "--seed", "3"]
+    proc = _entry(argv + ["--out", str(tmp_path / "entry.csv")], capture_output=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+    assert cli.main(argv + ["--out", str(tmp_path / "main.csv")]) == 0
+    assert (tmp_path / "entry.csv").read_bytes() == (tmp_path / "main.csv").read_bytes()
+
+
+def test_entry_usage_error_exits_2(tmp_path):
+    proc = _entry(_RATES_ZF + ["--samples", "1", "--out", str(tmp_path / "x.csv")],
+                  capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: --samples: n_samples must be at least 2, got 1\n"
+
+
+def test_entry_freezes_the_heap_before_main(monkeypatch):
+    # main's return value is the exit code: here, the frozen count it saw
+    monkeypatch.setattr(cli, "main", gc.get_freeze_count)
+    try:
+        with pytest.raises(SystemExit) as exit_info:
+            cli.cli()
+    finally:
+        gc.unfreeze()
+    assert isinstance(exit_info.value.code, int) and exit_info.value.code > 0
+
+
+def test_import_freezes_nothing():
+    # The freeze belongs to the process entry: the library leaves the
+    # collector as it found it.
+    code = "import gc, misodof.cli; print(gc.get_freeze_count())"
+    proc = subprocess.run([sys.executable, "-c", code], cwd=Path(cli.__file__).parents[1],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "0\n"
 
 
 def test_runtime_imports_numpy_only():
