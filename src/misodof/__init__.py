@@ -15,8 +15,6 @@ from .channel import ChannelBatch, CsitConfig, sample_batch
 from .mc import McConfig, McEstimate, NonFiniteSampleError, estimate
 from .oracles import (
     BoundsCheckReport,
-    QuadratureConfig,
-    QuadratureError,
     conditional_log_bounds_check,
     exp_log_mean,
     rotation_mean_log_closed_form,

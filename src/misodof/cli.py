@@ -5,15 +5,15 @@ write to ``--out`` or stdout, 3 non-finite Monte Carlo result.
 
 Each input is checked once, by the type that owns it: ``channel.exponent``
 for alpha and beta, the ``CsitConfig`` constructors for P and sigma^2 at
-each grid point, ``McConfig`` for samples, seed and workers, and
-``QuadratureConfig`` for ``--max-panels``; their messages are prefixed with
-the option (or ``MISO_DOF_SEED``) that set the value.  This module checks
-only the form and size of its SNR grids: at most ``MAX_GRID_POINTS`` points,
-counted before a grid is built.  Both grids, ``rates --snr-db`` and ``slopes
---snr-db-range``, set point i to start + i * step, correctly rounded to 12
-decimals.  Every usage error ends the command with exit 2 and one ``error:``
-line on stderr (argparse's own errors print its usage text first); a
-truncation warning is printed only once every usage check has passed.
+each grid point, and ``McConfig`` for samples, seed and workers; their
+messages are prefixed with the option (or ``MISO_DOF_SEED``) that set the
+value.  This module checks only the form and size of its SNR grids: at most
+``MAX_GRID_POINTS`` points, counted before a grid is built.  Both grids,
+``rates --snr-db`` and ``slopes --snr-db-range``, set point i to
+start + i * step, correctly rounded to 12 decimals.  Every usage error ends
+the command with exit 2 and one ``error:`` line on stderr (argparse's own
+errors print its usage text first); a truncation warning is printed only
+once every usage check has passed.
 
 Numeric output is deterministic for a fixed seed regardless of the worker
 count, so ``rates``, ``slopes`` and ``oracles`` run their Monte Carlo blocks
@@ -45,9 +45,8 @@ from . import __version__
 from .channel import CsitConfig, exponent
 from .mc import block_rng  # by name: tracers count mc.block_rng as mc blocks
 from .mc import McConfig, NonFiniteSampleError, usable_cpus
+from .oracles import _TOLERANCE as _ROTATION_TOL
 from .oracles import (
-    QuadratureConfig,
-    QuadratureError,
     conditional_log_bounds_check,
     exp_log_mean,
     exp_log_mean_monte_carlo,
@@ -333,14 +332,12 @@ def cmd_slopes(args, argv):
 
 def cmd_oracles(args):
     mc_cfg = _mc_config(args)
-    tol = 1e-7 if args.strict else 1e-6
     failures = []
-    quad_cfg = _config(QuadratureConfig, {"n_points": "--max-panels"}, args.max_panels, tol)
 
     rng = block_rng(mc_cfg.seed, 0)
     pairs = rng.uniform(0.05, 10.0, size=(1000, 2))
     # one batched quadrature for every pair; NaN marks a pair out of panels
-    quads = rotation_mean_log_quadrature(pairs[:, 0], pairs[:, 1], quad_cfg)
+    quads = rotation_mean_log_quadrature(pairs[:, 0], pairs[:, 1])
     errs = []
     for (a, b), quad in zip(pairs, quads):
         if math.isnan(quad):
@@ -348,9 +345,9 @@ def cmd_oracles(args):
             continue
         err = abs(quad - rotation_mean_log_closed_form(a, b))
         errs.append(err)
-        if err >= tol:
+        if err >= _ROTATION_TOL:
             failures.append(f"rotation identity off by {err:.3e} at ({a:.4f}, {b:.4f})")
-    n_pass = sum(err < tol for err in errs)
+    n_pass = sum(err < _ROTATION_TOL for err in errs)
     details = [f"max err {max(errs):.3e}"] if errs else []
     if len(errs) < len(pairs):
         details.append(f"{len(pairs) - len(errs)} did not converge")
@@ -360,37 +357,26 @@ def cmd_oracles(args):
         more = len(failures) - _ROTATION_FAIL_LINES
         failures[_ROTATION_FAIL_LINES:] = [f"... and {more} more rotation identity failures"]
 
-    # gamma is computed once; the bound check below reuses it
-    try:
-        gamma_quad = exp_log_mean(quad_cfg)
-    except QuadratureError as exc:
-        gamma_quad, gamma_error = None, exc
-        print(f"exp-log-constant: FAIL ({exc})")
-        failures.append(f"exp-log constant: {exc}")
-    else:
-        est = exp_log_mean_monte_carlo(mc_cfg)
-        mean, std_error = est.mean[0], est.std_error[0]
-        diff = abs(gamma_quad - mean)
-        ok = diff <= 5.0 * std_error
-        print(f"exp-log-constant: quadrature {gamma_quad:.6f} vs mc {mean:.6f} "
-              f"(|diff| {diff:.2e}, 5*se {5 * std_error:.2e}) "
-              f"{'pass' if ok else 'FAIL'}")
-        if not ok:
-            failures.append("exp-log constant mismatch between quadrature and Monte Carlo")
+    gamma = exp_log_mean()  # once; the bound check below reuses it
+    est = exp_log_mean_monte_carlo(mc_cfg)
+    mean, std_error = est.mean[0], est.std_error[0]
+    diff = abs(gamma - mean)
+    ok = diff <= 5.0 * std_error
+    print(f"exp-log-constant: exact {gamma:.6f} vs mc {mean:.6f} "
+          f"(|diff| {diff:.2e}, 5*se {5 * std_error:.2e}) "
+          f"{'pass' if ok else 'FAIL'}")
+    if not ok:
+        failures.append("exp-log constant mismatch between the exact value and Monte Carlo")
 
-    if gamma_quad is None:
-        print(f"conditional-bounds: FAIL ({gamma_error})")
-        failures.append(f"conditional log bounds: {gamma_error}")
-    else:
-        bounds_cfg = CsitConfig.from_sigma_sq(1000.0, 0.1)
-        report = conditional_log_bounds_check(
-            (bounds_cfg.snr_p, 0.0), bounds_cfg, mc_cfg, gamma=gamma_quad)
-        n_ok = int(np.sum((report.upper_margins >= 0) & (report.lower_margins >= 0)))
-        print(f"conditional-bounds: {n_ok}/{report.upper_margins.size} batches pass "
-              f"(min upper margin {report.upper_margins.min():.4f}, "
-              f"min lower margin {report.lower_margins.min():.4f})")
-        if not report.passed:
-            failures.append("conditional log bounds violated")
+    bounds_cfg = CsitConfig.from_sigma_sq(1000.0, 0.1)
+    report = conditional_log_bounds_check(
+        (bounds_cfg.snr_p, 0.0), bounds_cfg, mc_cfg, gamma=gamma)
+    n_ok = int(np.sum((report.upper_margins >= 0) & (report.lower_margins >= 0)))
+    print(f"conditional-bounds: {n_ok}/{report.upper_margins.size} batches pass "
+          f"(min upper margin {report.upper_margins.min():.4f}, "
+          f"min lower margin {report.lower_margins.min():.4f})")
+    if not report.passed:
+        failures.append("conditional log bounds violated")
 
     for failure in failures:
         print(f"FAIL: {failure}")
@@ -449,10 +435,6 @@ def _build_parser():
     p_slopes.add_argument("--out", required=True)
 
     p_oracles = sub.add_parser("oracles", help="run the analytic verification suite")
-    p_oracles.add_argument("--strict", action="store_true",
-                           help="tighten tolerances tenfold")
-    p_oracles.add_argument("--max-panels", type=int, default=1 << 24,
-                           help="quadrature panel budget (testing hook)")
     p_oracles.add_argument("--samples", type=int, default=1_000_000,
                            help="exponential samples of the exp-log check; each "
                                 "channel draw gives 8: the Exp(1) entries of the "

@@ -20,6 +20,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import math
+import operator
 import os
 import pickle
 import signal
@@ -59,6 +60,12 @@ class McConfig:
     n_workers: int = 1
 
     def __post_init__(self):
+        for name in ("n_samples", "seed", "n_workers"):  # before numpy or a fork sees them
+            value = getattr(self, name)
+            try:
+                operator.index(value)
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if self.n_samples < 2:  # one sample has no standard error
             raise ValueError(f"n_samples must be at least 2, got {self.n_samples}")
         if not 0 <= self.seed < 2 ** 64:

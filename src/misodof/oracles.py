@@ -1,20 +1,19 @@
 """Independent numerical verification of the analytic ingredients.
 
-Quadrature evaluations of the uniform-phase log identity and the
-exponential-log constant, plus exact one-dimensional-integral checks of the
+A quadrature evaluation of the uniform-phase log identity, the exact
+exponential-log constant, and exact one-dimensional-integral checks of the
 slack-free conditional log bounds used by the converse analysis.  Everything
 here is decoupled from the rate-evaluation path so it can serve as an oracle.
 The one Monte Carlo check, ``exp_log_mean_monte_carlo``, reads the channel
 sampler's canonical frame itself: divided by their variances, the error
 entries and g_hat's entries are Exp(1) samples and ||h_hat||^2 is Gamma(2),
 so its mean tests the batch's scales a and b and the norm law against the
-quadrature constant.  The bound check reads its estimates from it too.
+exact constant.  The bound check reads its estimates from it too.
 
-One batched midpoint rule serves both quadratures: the rotation identity
-takes arrays of pairs, refines only the pairs not yet converged and returns
-an array, NaN where a pair ran out of panels; the exponential-log constant
-is its one-row case, and raises QuadratureError instead.  Its working set is
-bounded by ``_CHUNK`` values per temporary array, whatever the panel budget.
+The rotation identity's batched midpoint rule takes arrays of pairs, refines
+only the pairs not yet converged and returns an array, NaN where a pair ran
+out of panels.  Its working set is bounded by ``_CHUNK`` values per
+temporary array, whatever the panel budget.
 """
 
 from __future__ import annotations
@@ -35,6 +34,8 @@ from .mc import block_rng  # by name: tracers count mc.block_rng as mc blocks
 # resident for the rest of a run.
 _CHUNK = 1 << 16
 _START_PANELS = 64
+_MAX_PANELS = 1 << 24  # panel budget of the rotation quadrature
+_TOLERANCE = 1e-6      # its target absolute error
 
 # Block key of the bound check's one draw: past every mc-engine block's key.
 _BATCH_KEY_OFFSET = 1 << 32
@@ -51,26 +52,7 @@ _STEP = 0.1
 _TAIL = 1e-15
 
 
-class QuadratureError(RuntimeError):
-    """Dyadic refinement exhausted its panel budget without converging."""
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    n_points: int = 1 << 24      # panel budget for dyadic refinement
-    tolerance: float = 1e-6      # target absolute error
-
-    def __post_init__(self):
-        if self.n_points < 16:
-            raise ValueError(f"n_points must be at least 16, got {self.n_points}")
-        if self.tolerance <= 0.0:
-            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
-
-
-_DEFAULT_QUAD = QuadratureConfig()
-
-
-def _midpoint_dyadic(fn, n_rows, config):
+def _midpoint_dyadic(fn, n_rows):
     """Midpoint rule on (0, 1) for ``n_rows`` integrands at once.
 
     ``fn(t, rows)`` returns the integrands of the selected rows at the nodes
@@ -88,8 +70,8 @@ def _midpoint_dyadic(fn, n_rows, config):
     out = np.full(n_rows, np.nan)
     active = np.arange(n_rows)
     prev = None
-    n = min(_START_PANELS, config.n_points)
-    while n <= config.n_points and active.size:
+    n = _START_PANELS
+    while n <= _MAX_PANELS and active.size:
         totals = np.zeros(active.size)
         for lo in range(0, n, _CHUNK):
             hi = min(lo + _CHUNK, n)
@@ -99,7 +81,7 @@ def _midpoint_dyadic(fn, n_rows, config):
                 totals[r:r + step] += np.sum(fn(t, active[r:r + step]), axis=1)
         val = totals / n
         if prev is not None:
-            done = np.abs(val - prev) <= 0.5 * config.tolerance
+            done = np.abs(val - prev) <= 0.5 * _TOLERANCE
             out[active[done]] = val[done]
             active, val = active[~done], val[~done]
         prev = val
@@ -120,7 +102,7 @@ def rotation_mean_log_closed_form(a_mag, b_mag):
     return 2.0 * math.log2(max(a, b))
 
 
-def rotation_mean_log_quadrature(a_mag, b_mag, config=None):
+def rotation_mean_log_quadrature(a_mag, b_mag):
     """Same mean evaluated by direct quadrature of the phase integral.
 
     ``a_mag`` and ``b_mag`` are arrays (or scalars) that broadcast together;
@@ -136,7 +118,6 @@ def rotation_mean_log_quadrature(a_mag, b_mag, config=None):
         raise ValueError("magnitudes must be nonnegative")
     if np.any((a == 0.0) & (b == 0.0)):
         raise ValueError("log of zero: a and b cannot both vanish")
-    config = config or _DEFAULT_QUAD
     c = (a * a + b * b).ravel()
     d = (2.0 * a * b).ravel()
 
@@ -144,26 +125,12 @@ def rotation_mean_log_quadrature(a_mag, b_mag, config=None):
         arg = c[rows, None] + d[rows, None] * np.cos(2.0 * math.pi * t)
         return np.log2(np.maximum(arg, 1e-300))
 
-    return _midpoint_dyadic(fn, c.size, config).reshape(a.shape)
+    return _midpoint_dyadic(fn, c.size).reshape(a.shape)
 
 
-def exp_log_mean(config=None):
-    """E[log2 X] for a unit-mean exponential X, by quadrature.
-
-    Evaluates the integral of exp(-x) log2(x) over (0, inf) through the
-    substitution x = -log(1 - u); the exact value is -EulerGamma / ln 2.
-    Raises QuadratureError when the panel budget runs out.
-    """
-    config = config or _DEFAULT_QUAD
-
-    def fn(t, rows):
-        return np.log2(np.maximum(-np.log1p(-t), 1e-300))[None, :]
-
-    val = _midpoint_dyadic(fn, 1, config)[0]
-    if np.isnan(val):
-        raise QuadratureError(f"midpoint refinement did not reach tolerance "
-                              f"{config.tolerance} within {config.n_points} panels")
-    return float(val)
+def exp_log_mean():
+    """E[log2 X] for a unit-mean exponential X: exactly -EulerGamma / ln 2."""
+    return -np.euler_gamma / math.log(2.0)
 
 
 def _exp_log_integrand(batch):
@@ -196,7 +163,8 @@ def exp_log_mean_monte_carlo(mc_cfg):
     where a 5-SE check fails with P(|t_63| > 5) ~ 5e-6; its integrand is each
     draw's mean of the eight log2 values, so the one-column McEstimate's
     standard error is that of the grand mean.  A sampler whose estimate or
-    error scaling, or norm law, is off moves the mean from ``exp_log_mean()``.
+    error scaling, or norm law, is off moves the mean from the exact
+    ``exp_log_mean()``.
     """
     draws = max(64, -(-mc_cfg.n_samples // _ENTRIES_PER_DRAW))
     return mc.estimate(_exp_log_integrand, replace(mc_cfg, n_samples=draws), [_EXP_LOG_CSIT])[0]
@@ -253,8 +221,8 @@ def conditional_log_bounds_check(k_eigs, cfg, mc_cfg, n_batches=100, *, gamma):
     (i)  E[log2(1 + l1 ||h||^2) | h_hat] <= log2(1 + l1 ||h_hat||^2 + 2 sigma^2 l1),
     (ii) E[log2(1 + g^H K g) | g_hat] >= max(log2(2^gamma sigma^2 l1), 0),
     where ``gamma`` is the exponential-log constant E[log2 X], X ~ Exp(1),
-    as the caller computed it (say, ``exp_log_mean`` of a run's own
-    quadrature config).
+    as the caller gives it (``exp_log_mean()``, or a shifted value to test
+    the check).
     Batch b's estimates are row b of one ``sample_batch`` draw keyed by the
     seed alone; both sides are exact, so the margins carry no noise.
     """

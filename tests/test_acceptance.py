@@ -6,6 +6,7 @@ Run with ``pytest tests/test_acceptance.py -v -s``.
 import math
 import time
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -13,7 +14,6 @@ from misodof import cli
 from misodof.channel import CsitConfig
 from misodof.mc import McConfig, estimate
 from misodof.oracles import (
-    QuadratureConfig,
     conditional_log_bounds_check,
     exp_log_mean,
     exp_log_mean_monte_carlo,
@@ -191,13 +191,18 @@ def test_criterion_6_mimo_rate_slope():
 
 def test_criterion_7_oracle_suite():
     start = time.time()
-    config = QuadratureConfig(tolerance=1e-6)
     pairs = np.random.default_rng(SEED).uniform(0.05, 10.0, size=(1000, 2))
-    quads = rotation_mean_log_quadrature(pairs[:, 0], pairs[:, 1], config)
+    quads = rotation_mean_log_quadrature(pairs[:, 0], pairs[:, 1])
     worst = max(abs(q - rotation_mean_log_closed_form(a, b)) for q, (a, b) in zip(quads, pairs))
     assert worst < 1e-6
 
-    gamma = exp_log_mean(config)
+    # the constant is E log2 X for X ~ Exp(1): its integral, to 30 digits
+    with mpmath.workdps(30):
+        integral = mpmath.quad(lambda x: mpmath.exp(-x) * mpmath.log(x, 2), [0, 1, mpmath.inf])
+    gamma = exp_log_mean()
+    constant_gap = abs(gamma - float(integral))
+    assert constant_gap <= 1e-12
+
     # 10M exponential samples, eight per channel draw
     est = exp_log_mean_monte_carlo(McConfig(n_samples=10_000_000, seed=SEED))
     gamma_gap = abs(gamma - est.mean[0])
@@ -210,8 +215,9 @@ def test_criterion_7_oracle_suite():
     assert report.passed
     elapsed = time.time() - start
     assert elapsed < 60.0
-    _report(7, f"rotation identity max err {worst:.1e}; gamma gap "
-               f"{gamma_gap:.1e} <= 5se; 100/100 bound batches clean ({elapsed:.1f}s)")
+    _report(7, f"rotation identity max err {worst:.1e}; gamma {constant_gap:.1e} from its "
+               f"integral, mc gap {gamma_gap:.1e} <= 5se; 100/100 bound batches clean "
+               f"({elapsed:.1f}s)")
 
 
 def test_criterion_8_imperfect_delayed_formula():

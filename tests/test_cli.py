@@ -275,21 +275,20 @@ class TestOraclesCommand:
         assert "rotation-identity: 1000/1000 pass" in out
         assert "conditional-bounds: 100/100 batches pass" in out
 
-    def test_injected_fault_exits_1(self, capsys):
-        # 64 panels are accepted, but every quadrature runs out of them,
-        # including the bound check's
-        assert _run(["oracles", "--max-panels", "64", "--samples", "10000"]) == 1
+    def test_injected_fault_exits_1(self, monkeypatch, capsys):
+        # at a 64-panel budget no rotation pair converges: no maximum error is
+        # claimed, and the capped per-pair lines leave room for the later
+        # checks, which do not use the quadrature and still pass
+        monkeypatch.setattr(oracles, "_MAX_PANELS", 64)
+        assert _run(["oracles", "--samples", "10000"]) == 1
         out = capsys.readouterr().out
-        assert "conditional-bounds: FAIL" in out
-        # at 64 panels no rotation pair converges: no maximum error is claimed,
-        # and the capped per-pair lines leave room for every later check
         assert "rotation-identity: 0/1000 pass (1000 did not converge)\n" in out
         assert "max err" not in out
+        assert re.search(r"^exp-log-constant: .* pass$", out, re.M)
+        assert "conditional-bounds: 100/100 batches pass" in out
         fail_lines = [line for line in out.splitlines() if line.startswith("FAIL: ")]
         assert fail_lines[20] == "FAIL: ... and 980 more rotation identity failures"
-        assert fail_lines[21].startswith("FAIL: exp-log constant: ")
-        assert fail_lines[22].startswith("FAIL: conditional log bounds: ")
-        assert len(fail_lines) == 23
+        assert len(fail_lines) == 21
 
     @pytest.mark.parametrize("scale", ["a", "b"])
     def test_mis_scaled_sampler_fails(self, scale, monkeypatch, capsys):
@@ -317,9 +316,6 @@ class TestOraclesCommand:
         monkeypatch.setattr(mc, "sample_batch", chi2_2_norms)
         assert _run(["oracles", "--samples", "100000", "--seed", "2"]) == 1
         assert "FAIL: exp-log constant mismatch" in capsys.readouterr().out
-
-    def test_strict_mode_passes(self):
-        assert _run(["oracles", "--strict", "--samples", "100000", "--seed", "2"]) == 0
 
     def test_stdout_independent_of_workers(self, capsys):
         outs = []
@@ -442,9 +438,9 @@ BAD_INPUT_CASES = [
     (["slopes", "--scheme", "zf", "--alpha", "0.5", "--samples", "1"], None, 2,
      "n_samples must be at least 2, got 1"),
     (["oracles", "--samples", "1"], None, 2, "n_samples must be at least 2, got 1"),
-    # the quadrature config owns the panel budget
-    (["oracles", "--max-panels", "0"], None, 2, "n_points must be at least 16, got 0"),
-    (["oracles", "--max-panels", "4"], None, 2, "n_points must be at least 16, got 4"),
+    # removed options: argparse's usage error
+    (["oracles", "--strict"], None, 2, "unrecognized arguments: --strict"),
+    (["oracles", "--max-panels", "64"], None, 2, "unrecognized arguments: --max-panels 64"),
 ]
 
 
@@ -452,10 +448,8 @@ BAD_INPUT_CASES = [
     (_RATES_ZF + ["--samples", "1"], None, "--samples: n_samples must be at least 2, got 1"),
     (["oracles", "--seed", "-1"], None, "--seed: seed must fit in an unsigned 64-bit integer"),
     (["oracles", "--workers", "0"], None, "--workers: n_workers must be positive, got 0"),
-    (["oracles", "--max-panels", "4"], None,
-     "--max-panels: n_points must be at least 16, got 4"),
     (["oracles"], "-1", "MISO_DOF_SEED: seed must fit in an unsigned 64-bit integer"),
-], ids=["samples", "seed", "workers", "max_panels", "env_seed"])
+], ids=["samples", "seed", "workers", "env_seed"])
 def test_usage_error_names_its_option(argv, env_seed, message, tmp_path, monkeypatch, capsys):
     # a value that a config type rejects is named by where the user set it
     if env_seed is None:
@@ -476,6 +470,8 @@ def test_bad_input_exit_codes(argv, env_seed, code, fragment, tmp_path, monkeypa
     out = [] if argv[0] == "oracles" else ["--out", str(tmp_path / "x.out")]
     assert cli.main(argv + out) == code
     err = capsys.readouterr().err
+    if err.startswith("usage: "):  # argparse prints its usage text before its error line
+        err = err.split("\nmisodof: ", 1)[1]
     assert err.startswith("error: ") and err.count("\n") == 1
     assert fragment in err
 

@@ -2,6 +2,7 @@ import errno
 import math
 import os
 import pickle
+import re
 import signal
 import threading
 import time
@@ -190,6 +191,18 @@ def test_bad_config_rejected():
         McConfig(10, -1)
     with pytest.raises(ValueError):
         McConfig(10, 1, n_workers=0)
+
+
+@pytest.mark.parametrize("args, message", [
+    ((1e4, 0), "n_samples must be an integer, got 10000.0"),
+    ((10, 1.5), "seed must be an integer, got 1.5"),
+    ((10, 1, 2.0), "n_workers must be an integer, got 2.0"),
+], ids=["n_samples", "seed", "n_workers"])
+def test_non_integer_config_rejected(args, message):
+    # rejected with the field's name first, so the CLI can name the option,
+    # before numpy or a forked worker sees the value
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        McConfig(*args)
 
 
 @pytest.mark.parametrize("workers, cpus, blocks, processes", [
