@@ -10,10 +10,11 @@ messages are prefixed with the option (or ``MISO_DOF_SEED``) that set the
 value.  This module checks only the form and size of its SNR grids: at most
 ``MAX_GRID_POINTS`` points, counted before a grid is built.  Both grids,
 ``rates --snr-db`` and ``slopes --snr-db-range``, set point i to
-start + i * step, correctly rounded to 12 decimals.  Every usage error ends
-the command with exit 2 and one ``error:`` line on stderr (argparse's own
-errors print its usage text first); a truncation warning is printed only
-once every usage check has passed.
+start + i * step, correctly rounded to 12 decimals; two ``rates`` points
+that round alike are a usage error.  Every usage error ends the command with
+exit 2 and one ``error:`` line on stderr (argparse's own errors print its
+usage text first); a truncation warning is printed only once every usage
+check has passed.
 
 Numeric output is deterministic for a fixed seed regardless of the worker
 count, so ``rates``, ``slopes`` and ``oracles`` run their Monte Carlo blocks
@@ -147,9 +148,13 @@ def _parse_snr_grid(text):
     if not ok:
         raise _Exit(2, f"malformed --snr-db range {text!r}; "
                        "expected finite start:step:stop with positive step")
-    if (stop + 1e-9 - start) / step >= MAX_GRID_POINTS:
+    steps = (stop - start) / step + 1e-9  # slack in steps, not dB: never past stop
+    if steps >= MAX_GRID_POINTS:
         raise _Exit(2, f"--snr-db {text!r} has more than {MAX_GRID_POINTS} points")
-    return _grid(start, step, int((stop + 1e-9 - start) / step) + 1)
+    grid = _grid(start, step, int(steps) + 1)
+    if len(set(grid)) < len(grid):
+        raise _Exit(2, f"--snr-db {text!r} has points that round alike at 12 decimals")
+    return grid
 
 
 def _region_payload(region, extra=None):

@@ -3,9 +3,11 @@
 Implements the two-phase quantize-and-multicast scheme (precoded broadcast of
 two private signals, then multicast of the digitized overheard interferences
 as a common message with two fresh private messages superposed) and the
-TDMA / ZF / MAT-style / rate-split-ZF baselines.  Expectations are Monte
-Carlo estimates over joint draws of channels and estimates; transmit policies
-may depend on the estimates only.
+TDMA, ZF, MAT-style and rate-split-ZF baselines.  MAT and ZF are the two
+ends of the scheme's bridge: MAT is its policy at alpha = 0 and ZF is
+rate-split ZF at the alpha = 1 power split, with no common message.
+Expectations are Monte Carlo estimates over joint draws of channels and
+estimates; transmit policies may depend on the estimates only.
 
 The built-in schemes never form a covariance matrix: each covariance is a
 sum of rank-1 beams along a unit estimate direction and its orthogonal
@@ -31,12 +33,14 @@ Each scheme is a (width, fill, finalize) triple: ``fill(shared, out)``
 writes its per-sample log terms into ``out``, its (width, n) rows of one
 array, from ``shared``, the batch's ``_Shared`` memo, and
 ``finalize(mean, se)`` maps their means and standard errors to a result.
-Any set of schemes at any set of configs (say, every SNR of a sweep) is
-thus one estimate over one draw per block.  Each block rotates g's errors
-into g_hat's frame once, and each batch's ``_Shared`` forms its kernel and
-each phase-2 split once.  A zero estimate (sigma_sq = 1, the no-CSIT limit)
-still has a fixed beam pair, chosen by ``_project`` alone, so every scheme
-reads the same rows at every config.
+Two kernels serve the five schemes, TDMA's and the two-phase policy's.  Any
+set of schemes at any set of configs (say, every SNR of a sweep) is thus one
+estimate over one draw per block.  Each block rotates g's errors into
+g_hat's frame once, and each batch's ``_Shared`` forms its kernel and each
+phase-2 split once: at alpha = 1, ZF, RS-ZF and the proposed scheme share one.
+A zero estimate (sigma_sq = 1, the no-CSIT limit) still has a fixed beam
+pair, chosen by ``_project`` alone, so every scheme reads the same rows at
+every config.
 ``rate_scheme`` always takes a sequence of configs, as ``mc.estimate`` does,
 and returns one entry per config; a single config is a one-element grid.
 """
@@ -122,15 +126,6 @@ def _beam_pairs(sq, a, b):
     return m
 
 
-def _private_sums(s, sq, noise):
-    # Each user's noise plus leakage under beams of power s, then plus its own.
-    leak = np.multiply(sq[0:2], s)
-    leak += noise
-    own = np.multiply(sq[2:4], s)
-    own += leak
-    return leak, own
-
-
 class _Shared:
     """What a group's schemes read from one batch, each computed once:
     ``_project``'s rows ``sq`` and ``det``, and the default policy's phase-2
@@ -154,15 +149,25 @@ class _Shared:
         # Phase-2 log terms of the default policy, q_c = (p_c/2) I and q_p1,
         # q_p2 = (p_p/2) along g_hat-perp, h_hat-perp, into out[:4]: the common
         # message under both privates, then each private under the other's.
+        # A zero common power (ZF, alpha = 1) writes the exact zeros that
+        # log2(own) - log2(own) would, without the log2.
         if (p_c, p_p) in self._phase2:
             out[:4] = self._phase2[p_c, p_p]
             return
-        leak, own = _private_sums(0.5 * (p_p / self.p), self.sq, 1.0 / self.p)
-        both = np.multiply(self.sq[4:6], 0.5 * (p_c / self.p))
-        both += own
-        np.log2(own, out=own)
-        np.log2(both, out=out[0:2])
-        out[0:2] -= own
+        s = 0.5 * (p_p / self.p)
+        leak = np.multiply(self.sq[0:2], s)
+        leak += 1.0 / self.p
+        own = np.multiply(self.sq[2:4], s)
+        own += leak
+        if p_c == 0.0:
+            out[0:2] = 0.0
+            np.log2(own, out=own)
+        else:
+            both = np.multiply(self.sq[4:6], 0.5 * (p_c / self.p))
+            both += own
+            np.log2(own, out=own)
+            np.log2(both, out=out[0:2])
+            out[0:2] -= own
         np.subtract(own, np.log2(leak, out=leak), out=out[2:4])
         self._phase2[p_c, p_p] = out[:4]
 
@@ -272,17 +277,9 @@ def _proposed_columns(pcfg):
     return 6, fill, finalize
 
 
-def _user_pair(share):
-    # finalize of one rate column per user, each user served ``share`` of the time
-    def finalize(mean, se):
-        return RateResult(r1=float(mean[0]) * share, r2=float(mean[1]) * share,
-                          se_r1=float(se[0]) * share, se_r2=float(se[1]) * share)
-    return finalize
-
-
 def _tdma_columns(cfg):
     # Alternating single-user slots, full power beamformed along the
-    # estimated channel: log2(1/P + |x.w|^2) + log2 P.
+    # estimated channel: log2(1/P + |x.w|^2) + log2 P, half the time each.
     p = cfg.snr_p
 
     def fill(shared, out):
@@ -291,20 +288,11 @@ def _tdma_columns(cfg):
         np.log2(out, out=out)
         out += math.log2(p)
 
-    return 2, fill, _user_pair(0.5)
+    def finalize(mean, se):
+        return RateResult(r1=float(mean[0]) * 0.5, r2=float(mean[1]) * 0.5,
+                          se_r1=float(se[0]) * 0.5, se_r2=float(se[1]) * 0.5)
 
-
-def _zf_columns(cfg):
-    # Equal-power beams w1 = g_hat-perp and w2 = h_hat-perp, leakage
-    # treated as noise, over P.
-    noise = 1.0 / cfg.snr_p
-
-    def fill(shared, out):
-        leak, own = _private_sums(0.5, shared.sq, noise)
-        np.log2(own, out=out)
-        out -= np.log2(leak, out=leak)
-
-    return 2, fill, _user_pair(1.0)
+    return 2, fill, finalize
 
 
 def _rs_zf_columns(cfg):
@@ -328,7 +316,10 @@ def _rs_zf_columns(cfg):
 
 
 _COLUMNS = {
-    Scheme.TDMA: _tdma_columns, Scheme.ZF: _zf_columns, Scheme.RS_ZF: _rs_zf_columns,
+    Scheme.TDMA: _tdma_columns, Scheme.RS_ZF: _rs_zf_columns,
+    # The two ends of the bridge.  ZF: rate splitting at the alpha = 1
+    # split, all of P on the zero-forced privates and no common message.
+    Scheme.ZF: lambda cfg: _rs_zf_columns(CsitConfig.from_alpha(cfg.snr_p, 1.0)),
     # MAT: the proposed policy at alpha = 0
     Scheme.MAT: lambda cfg: _proposed_columns(CsitConfig.from_alpha(cfg.snr_p, 0.0)),
     Scheme.PROPOSED: _proposed_columns,

@@ -46,6 +46,16 @@ def test_sweep_output_passes_the_bench_checks(tmp_path):
     assert all(outcome.values()), outcome
 
 
+def test_deep_output_passes_the_bench_checks(tmp_path):
+    # the full 3M-sample proposed-scheme cell on 2 workers: an rsum outside
+    # the band of bench/reference.json fails here
+    workload = WORKLOADS["deep"]
+    out = tmp_path / "deep.csv"
+    code = cli.main(workload.argv(4242, out))
+    outcome = workload.evaluate(code, out.read_bytes())
+    assert all(outcome.values()), outcome
+
+
 @pytest.mark.parametrize("name", ["oracles", "sweep"])
 def test_traced_run_records_every_expected_span(name, tmp_path):
     # the bench's --trace 1 path: every patched name still exists and is

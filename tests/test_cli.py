@@ -370,6 +370,12 @@ def test_snr_grid_parsing():
             cli._parse_snr_grid(text)
 
 
+def test_snr_grid_never_runs_past_stop():
+    # the count's slack is in steps, not dB: a step below it adds no point
+    assert cli._parse_snr_grid("10:1e-10:10") == [10.0]
+    assert cli._parse_snr_grid("40:1e-12:40") == [40.0]
+
+
 def test_snr_grid_points_do_not_drift():
     # Point i is start + i * step rounded to 12 decimals, not a running sum,
     # which reaches values such as 78.799999999999 on this grid.
@@ -441,6 +447,9 @@ BAD_INPUT_CASES = [
     # removed options: argparse's usage error
     (["oracles", "--strict"], None, 2, "unrecognized arguments: --strict"),
     (["oracles", "--max-panels", "64"], None, 2, "unrecognized arguments: --max-panels 64"),
+    # two points round to 10 at 12 decimals
+    (["rates", "--scheme", "zf", "--alpha", "0.5", "--snr-db", "10:4e-13:10.000000000001"],
+     None, 2, "round alike at 12 decimals"),
 ]
 
 

@@ -11,7 +11,11 @@ term became a difference of logs over P, only ``rates_all_alpha1.csv``
 moved: its r_c at 20 and 40 dB, a ~1.6e-15 rate of the common power that
 rounding then left at alpha = 1.  Since the default policy is a closed form
 of (P, alpha), exact at alpha = 1, those four r_c cells (RS-ZF's and the
-proposed scheme's) read 0, and no other byte moved.  alpha = 0 pins
+proposed scheme's) read 0, and no other byte moved.  Since ZF is rate-split
+ZF at the alpha = 1 power split, each ZF row of the four rates files
+reports its private rates: its r_p1 and r_p2 cells, 0 before, now equal its
+r1 and r2, and no other byte moved (max |z| 0.00; the slopes file is
+byte-identical).  alpha = 0 pins
 the beams of the zero estimates, h_hat along antenna 1 and g_hat along
 antenna 2, which ``rates._project`` chooses for every scheme.  ``rates_all_sigma_sq0.1.csv``
 fixes sigma_sq, so every SNR of its grid estimate has the same estimate

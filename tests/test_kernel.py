@@ -84,10 +84,12 @@ def _explicit_integrand(scheme, cfg, v):
         return np.stack([np.log2(1.0 + interference_power(h, q_h)),
                          np.log2(1.0 + interference_power(g, q_g))])
     if scheme == "zf":
+        # rate-split ZF's columns with no common message: P/2 beams along
+        # the estimates' perpendiculars
         q1 = p / 2.0 * projector(perp(v.g_hat, E1))
         q2 = p / 2.0 * projector(perp(v.h_hat, E2))
-        ip = interference_power
-        return np.stack([np.log2(1.0 + ip(h, q1) / (1.0 + ip(h, q2))),
+        ip, zero = interference_power, np.zeros(len(h))
+        return np.stack([zero, zero, np.log2(1.0 + ip(h, q1) / (1.0 + ip(h, q2))),
                          np.log2(1.0 + ip(g, q2) / (1.0 + ip(g, q1)))])
     pcfg = _policy_cfg(scheme, cfg)
     q = policy_matrices(pcfg, v.h_hat, v.g_hat)
@@ -109,6 +111,8 @@ def test_integrand_matches_explicit_matrices(scheme, snr_p, alpha):
     got = _integrand(scheme, cfg)(batch)
     np.testing.assert_allclose(got, _explicit_integrand(scheme, cfg, vectors(batch)),
                                rtol=1e-9, atol=1e-12)
+    if scheme == "zf":  # no common message: its columns are exact zeros
+        assert not got[:2].any()
 
 
 def test_zero_norm_row_is_its_small_norm_limit():
@@ -213,7 +217,7 @@ def test_det_identity_matches_explicit_matrices(fallback, snr_p, alpha, s):
 
 
 # each scheme's integrand columns with the two users swapped
-USER_SWAP = {"tdma": [1, 0], "zf": [1, 0], "rszf": [1, 0, 3, 2],
+USER_SWAP = {"tdma": [1, 0], "zf": [1, 0, 3, 2], "rszf": [1, 0, 3, 2],
              "mat": [1, 0, 3, 2, 5, 4], "proposed": [1, 0, 3, 2, 5, 4]}
 
 
@@ -288,7 +292,7 @@ def _mp_sample(scheme, cfg, h_hat, g_hat, h, g):
     if scheme == "tdma":
         return [_mp_log2(1 + p * hh), _mp_log2(1 + p * gg)]
     if scheme == "zf":
-        return [_mp_log2(1 + p / 2 * hg_perp / (1 + p / 2 * hh_perp)),
+        return [0, 0, _mp_log2(1 + p / 2 * hg_perp / (1 + p / 2 * hh_perp)),
                 _mp_log2(1 + p / 2 * gh_perp / (1 + p / 2 * gg_perp))]
     pcfg = _policy_cfg(scheme, cfg)
     p1, p2, p_c, p_p = (mpmath.mpf(v) for v in rates._power_split(pcfg))

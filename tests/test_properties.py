@@ -136,6 +136,31 @@ def test_common_message_region_without_common_dof_is_main_region(alpha, d1, d2):
         region_main(alpha).contains((d1, d2))
 
 
+@settings(FIXED, max_examples=200)
+@given(start=st.floats(-400.0, 400.0), step=st.floats(1e-13, 100.0) | st.floats(1e-3, 10.0),
+       steps=st.floats(0.0, 60.0) | st.integers(0, 60).map(float))
+@example(start=10.0, step=1e-10, steps=0.0)
+@example(start=40.0, step=1e-12, steps=0.0)
+@example(start=40.0, step=0.1, steps=400.0)
+def test_snr_grid_counts_whole_steps(start, step, steps):
+    # Every rates grid rises strictly from round(start, 12), has
+    # floor((stop - start) / step + 1e-9) + 1 points, and passes stop by no
+    # more than rounding; or two of its points round to one value, and it
+    # is a usage error.
+    stop = start + steps * step
+    text = f"{start!r}:{step!r}:{stop!r}"
+    n = math.floor((stop - start) / step + 1e-9) + 1
+    try:
+        grid = cli._parse_snr_grid(text)
+    except cli._Exit as exc:
+        assert exc.code == 2 and "round alike" in str(exc)
+        assert len(set(cli._grid(start, step, n))) < n
+        return
+    assert len(grid) == n and grid[0] == round(start, 12)
+    assert all(a < b for a, b in zip(grid, grid[1:]))
+    assert grid[-1] <= stop + 1e-9 * step + 1e-12 + 4.0 * math.ulp(400.0)
+
+
 # SNRs in dB and exponents or variances, each valid about half the time; a
 # step below 1e-3 dB may not move a large start, and at most 49 steps keep
 # every grid within 50 points

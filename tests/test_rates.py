@@ -186,6 +186,19 @@ class TestCommonMessage:
             assert rs_zf.r_c == 0.0
             assert (rs_zf.r_p1, rs_zf.r_p2) == (zf.r1, zf.r2)
 
+    @pytest.mark.parametrize("build, quality", [
+        (CsitConfig.from_alpha, 0.0), (CsitConfig.from_alpha, 0.5),
+        (CsitConfig.from_alpha, 1.0), (CsitConfig.from_sigma_sq, 0.1),
+    ])
+    def test_zero_forcing_is_private_rates_only(self, build, quality):
+        # ZF is rate splitting at the alpha = 1 split, whatever the CSIT: no
+        # common message, and each user's rate is its private rate.
+        cfgs = [build(10.0 ** (db / 10.0), quality) for db in (20.0, 60.0)]
+        for zf in rate_scheme(Scheme.ZF, cfgs, McConfig(5_000, 12)):
+            assert (zf.r_c, zf.se_r_c) == (0.0, 0.0)
+            assert (zf.r_p1, zf.r_p2) == (zf.r1, zf.r2)
+            assert (zf.se_r_p1, zf.se_r_p2) == (zf.se_r1, zf.se_r2)
+
 
 class TestProposedScheme:
     def test_perfect_csit_degenerates_to_single_phase(self):
