@@ -29,18 +29,17 @@ difference of logs of sums over P, so it is finite for every finite P.  The
 explicit-matrix reference the tests check this arithmetic against is
 ``tests/reference.py``.
 
-Each scheme is a (width, fill, finalize) triple: ``fill(shared, out)``
-writes its per-sample log terms into ``out``, its (width, n) rows of one
-array, from ``shared``, the batch's ``_Shared`` memo, and
-``finalize(mean, se)`` maps their means and standard errors to a result.
-Two kernels serve the five schemes, TDMA's and the two-phase policy's.  Any
-set of schemes at any set of configs (say, every SNR of a sweep) is thus one
-estimate over one draw per block.  Each block rotates g's errors into
-g_hat's frame once, and each batch's ``_Shared`` forms its kernel and each
-phase-2 split once: at alpha = 1, ZF, RS-ZF and the proposed scheme share one.
-A zero estimate (sigma_sq = 1, the no-CSIT limit) still has a fixed beam
-pair, chosen by ``_project`` alone, so every scheme reads the same rows at
-every config.
+Each scheme is a pair: the columns it reads, by key, and ``finalize(mean,
+se)``, which maps their means and standard errors to a result.  A key names
+a ``_Shared`` producer and its parameters: ``("tdma", P)``, ``("phase2", p_c,
+p_p)`` or ``("mimo", a, b, d_tilde)``.  Per config, the group's distinct keys
+are laid out once in one integrand array, each producer writing its rows in
+place, so any set of schemes at any set of configs (say, every SNR of a
+sweep) is one estimate over one draw per block, and a column that schemes
+share is computed and reduced once.  A phase-2 pair whose power is 0 is
+exactly 0, not a column: ``finalize`` reads 0.0 there.  A zero estimate
+(sigma_sq = 1, the no-CSIT limit) still has a fixed beam pair, chosen by
+``_project`` alone, so every scheme reads the same rows at every config.
 ``rate_scheme`` always takes a sequence of configs, as ``mc.estimate`` does,
 and returns one entry per config; a single config is a one-element grid.
 """
@@ -127,14 +126,13 @@ def _beam_pairs(sq, a, b):
 
 
 class _Shared:
-    """What a group's schemes read from one batch, each computed once:
-    ``_project``'s rows ``sq`` and ``det``, and the default policy's phase-2
-    rows."""
+    """What a group's columns read from one batch, ``_project``'s rows ``sq``
+    and ``det``, and each key's producer, ``getattr(shared, key[0])(out,
+    *key[1:])``, which writes the key's rows into ``out``."""
 
     def __init__(self, batch):
         self.batch, self.p = batch, batch.csit.snr_p
         self.sq, self.det = _project(batch)
-        self._phase2 = {}
 
     def g_along(self):
         # |g.g_hat|^2 = |a |e_g| + b (r n_g1 - s n_g2)|^2, TDMA's alone
@@ -145,31 +143,36 @@ class _Shared:
         x[0] += batch.a * batch.normals.norm[1]
         return np.add(*np.square(x, out=x))
 
-    def phase2(self, p_c, p_p, out):
+    def tdma(self, out, p):
+        np.add(self.sq[6], 1.0 / p, out=out[0])
+        np.add(self.g_along(), 1.0 / p, out=out[1])
+        np.log2(out, out=out)
+        out += math.log2(p)
+
+    def phase2(self, out, p_c, p_p):
         # Phase-2 log terms of the default policy, q_c = (p_c/2) I and q_p1,
-        # q_p2 = (p_p/2) along g_hat-perp, h_hat-perp, into out[:4]: the common
-        # message under both privates, then each private under the other's.
-        # A zero common power (ZF, alpha = 1) writes the exact zeros that
-        # log2(own) - log2(own) would, without the log2.
-        if (p_c, p_p) in self._phase2:
-            out[:4] = self._phase2[p_c, p_p]
-            return
-        s = 0.5 * (p_p / self.p)
-        leak = np.multiply(self.sq[0:2], s)
-        leak += 1.0 / self.p
-        own = np.multiply(self.sq[2:4], s)
-        own += leak
-        if p_c == 0.0:
-            out[0:2] = 0.0
-            np.log2(own, out=own)
-        else:
-            both = np.multiply(self.sq[4:6], 0.5 * (p_c / self.p))
+        # q_p2 = (p_p/2) along g_hat-perp, h_hat-perp: the common message
+        # under both privates, then each private under the other's, each pair
+        # only if its power is not 0.  Without privates (MAT) own = leak = 1/P
+        # is a scalar, whose numpy log2 is that of each entry of a constant row.
+        p, own = self.p, 1.0 / self.p
+        if p_p > 0.0:
+            leak = np.multiply(self.sq[0:2], 0.5 * (p_p / p))
+            leak += own
+            own = np.multiply(self.sq[2:4], 0.5 * (p_p / p))
+            own += leak
+        if p_c > 0.0:
+            both = np.multiply(self.sq[4:6], 0.5 * (p_c / p), out=out[:2])
             both += own
-            np.log2(own, out=own)
-            np.log2(both, out=out[0:2])
-            out[0:2] -= own
-        np.subtract(own, np.log2(leak, out=leak), out=out[2:4])
-        self._phase2[p_c, p_p] = out[:4]
+            np.log2(both, out=both)
+        own = np.log2(own, out=own if p_p > 0.0 else None)
+        if p_c > 0.0:
+            both -= own
+        if p_p > 0.0:
+            np.subtract(own, np.log2(leak, out=leak), out=out[-2:])
+
+    def mimo(self, out, a, b, d):
+        _mimo_logdets(_beam_pairs(self.sq, a, b), a * b, self.det, d, self.p, out)
 
 
 def _power_split(cfg):
@@ -254,12 +257,6 @@ def _proposed_columns(pcfg):
     r_eta1 = r_eta2 = quantization_rate(d_tilde)
     r_eta = r_eta1 + r_eta2
 
-    def fill(shared, out):
-        # q_u = a g_hat-perp + b g_hat and q_v = a h_hat-perp + b h_hat,
-        # one beam pair per estimate direction
-        shared.phase2(p_c, p_p, out)
-        _mimo_logdets(_beam_pairs(shared.sq, a, b), a * b, shared.det, d_tilde, p, out[4:6])
-
     def finalize(mean, se):
         cm = _common_message_rates(mean, se)
         r_c, se_c = cm["r_c"], cm["se_r_c"]
@@ -274,34 +271,25 @@ def _proposed_columns(pcfg):
             se_r_mimo1=se_m1, se_r_mimo2=se_m2, **cm,
         )
 
-    return 6, fill, finalize
+    # q_u = a g_hat-perp + b g_hat and q_v = a h_hat-perp + b h_hat, one
+    # beam pair per estimate direction
+    return (("phase2", p_c, p_p), ("mimo", a, b, d_tilde)), finalize
 
 
 def _tdma_columns(cfg):
     # Alternating single-user slots, full power beamformed along the
     # estimated channel: log2(1/P + |x.w|^2) + log2 P, half the time each.
-    p = cfg.snr_p
-
-    def fill(shared, out):
-        np.add(shared.sq[6], 1.0 / p, out=out[0])
-        np.add(shared.g_along(), 1.0 / p, out=out[1])
-        np.log2(out, out=out)
-        out += math.log2(p)
-
     def finalize(mean, se):
         return RateResult(r1=float(mean[0]) * 0.5, r2=float(mean[1]) * 0.5,
                           se_r1=float(se[0]) * 0.5, se_r2=float(se[1]) * 0.5)
 
-    return 2, fill, finalize
+    return (("tdma", cfg.snr_p),), finalize
 
 
 def _rs_zf_columns(cfg):
     # Equal time-sharing of the two one-sided rate-splitting corners: each
     # user gets common + private in one slot and private-only in the other.
     _, _, p_c, p_p = _power_split(cfg)
-
-    def fill(shared, out):
-        shared.phase2(p_c, p_p, out)
 
     def finalize(mean, se):
         cm = _common_message_rates(mean, se)
@@ -312,18 +300,45 @@ def _rs_zf_columns(cfg):
             se_r2=math.sqrt(half_se_c ** 2 + cm["se_r_p2"] ** 2), **cm,
         )
 
-    return 4, fill, finalize
+    return (("phase2", p_c, p_p),), finalize
 
 
+# Each scheme's (keys, finalize) at a config; every key's columns are user pairs.
 _COLUMNS = {
     Scheme.TDMA: _tdma_columns, Scheme.RS_ZF: _rs_zf_columns,
     # The two ends of the bridge.  ZF: rate splitting at the alpha = 1
-    # split, all of P on the zero-forced privates and no common message.
+    # split, all of P on the zero-forced privates, so no common pair.
     Scheme.ZF: lambda cfg: _rs_zf_columns(CsitConfig.from_alpha(cfg.snr_p, 1.0)),
-    # MAT: the proposed policy at alpha = 0
+    # MAT: the proposed policy at alpha = 0, so no private pair
     Scheme.MAT: lambda cfg: _proposed_columns(CsitConfig.from_alpha(cfg.snr_p, 0.0)),
     Scheme.PROPOSED: _proposed_columns,
 }
+
+
+def _slots(key):
+    # Each full-width column of a key: its row among the key's rows, or None
+    # for a phase-2 pair whose power is 0, which is exactly 0 and not a row.
+    if key[0] != "phase2":
+        return [0, 1]
+    rows = iter(range(4))
+    return [next(rows) if power > 0.0 else None for power in key[1:] for _ in range(2)]
+
+
+def _layout(schemes, cfg):
+    # One config's integrand: each distinct key's rows once, in the order the
+    # schemes first read them, with each row's first reader; and per scheme
+    # its finalize with the row of each full-width column, -1 for a zero.
+    specs = [_COLUMNS[s](cfg) for s in schemes]
+    rows, readers = {}, []
+    for s, (keys, _) in zip(schemes, specs):
+        for key in keys:
+            if key not in rows:
+                n = sum(j is not None for j in _slots(key))
+                rows[key] = slice(len(readers), len(readers) + n)
+                readers += [s] * n
+    return rows, readers, [
+        (finalize, [-1 if j is None else rows[key].start + j for key in keys for j in _slots(key)])
+        for keys, finalize in specs]
 
 
 def rate_scheme(scheme, cfgs, mc_cfg):
@@ -335,29 +350,29 @@ def rate_scheme(scheme, cfgs, mc_cfg):
     ``mc.estimate``: each block is drawn once for every scheme and config,
     and each result is exactly the scheme's own one at that config.  A
     ``NonFiniteSampleError`` names, as ``scheme`` and ``config_index``, the
-    failing scheme and config.
+    failing config and the first scheme, in the order asked for, that reads
+    the failing column.
     """
     single = isinstance(scheme, str)
     schemes = [Scheme(s) for s in ((scheme,) if single else scheme)]
     cfgs = list(cfgs)
-    columns = {c: [_COLUMNS[s](c) for s in schemes] for c in cfgs}
-    bounds = np.cumsum([0] + [width for width, _, _ in columns[cfgs[0]]])
-    spans = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    layouts = {c: _layout(schemes, c) for c in cfgs}
 
     def f(batch):
-        shared, out = _Shared(batch), np.empty((bounds[-1], batch.n))
-        for (_, fill, _), span in zip(columns[batch.csit], spans):
-            fill(shared, out[span])
+        rows, readers, _ = layouts[batch.csit]
+        shared, out = _Shared(batch), np.empty((len(readers), batch.n))
+        for key, span in rows.items():
+            getattr(shared, key[0])(out[span], *key[1:])
         return out
 
     try:
         estimates = mc.estimate(f, mc_cfg, cfgs)
     except mc.NonFiniteSampleError as exc:
-        exc.scheme = schemes[np.searchsorted(bounds, exc.column, side="right") - 1]
+        exc.scheme = layouts[cfgs[exc.config_index]][1][exc.column]
         raise
     results = []
     for c, est in zip(cfgs, estimates):
-        at = tuple(finalize(est.mean[span], est.std_error[span])
-                   for (_, _, finalize), span in zip(columns[c], spans))
+        mean, se = np.append(est.mean, 0.0), np.append(est.std_error, 0.0)
+        at = tuple(finalize(mean[cols], se[cols]) for finalize, cols in layouts[c][2])
         results.append(at[0] if single else at)
     return results

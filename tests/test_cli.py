@@ -555,45 +555,60 @@ def test_non_finite_names_the_cell(failure, tmp_path, monkeypatch, capsys):
         assert "sample index 7" in err
 
 
-@pytest.mark.parametrize("scheme", [s.value for s in Scheme])
-def test_non_finite_column_names_its_scheme(scheme, tmp_path, monkeypatch, capsys):
-    # One estimate serves every scheme of an SNR; a NaN in one scheme's
-    # columns must still name that scheme's cell.
-    real = rates._COLUMNS[Scheme(scheme)]
+def _poison(monkeypatch, scheme, at=lambda cfg: True):
+    # A NaN at sample 5 of the last row of ``scheme``'s last key, at the
+    # configs ``at`` picks: its spec names the key, its producer writes it.
+    real, poisoned = rates._COLUMNS[scheme], set()
 
-    def poisoned(cfg):
-        width, fill, finalize = real(cfg)
+    def spec(cfg):
+        keys, finalize = real(cfg)
+        if at(cfg):
+            poisoned.add(keys[-1])
+        return keys, finalize
 
-        def bad_fill(proj, out):
-            fill(proj, out)
-            out[width - 1, 5] = np.nan
+    def bad(name, produce):
+        def fill(shared, out, *params):
+            produce(shared, out, *params)
+            if (name, *params) in poisoned:
+                out[-1, 5] = np.nan
+        return fill
 
-        return width, bad_fill, finalize
+    monkeypatch.setitem(rates._COLUMNS, scheme, spec)
+    for name in ("tdma", "phase2", "mimo"):
+        monkeypatch.setattr(rates._Shared, name, bad(name, getattr(rates._Shared, name)))
 
-    monkeypatch.setitem(rates._COLUMNS, Scheme(scheme), poisoned)
-    argv = ["rates", "--scheme", "all", "--alpha", "0.5", "--snr-db", "10:10:20",
+
+def _rates_all_fails(alpha, tmp_path, capsys):
+    argv = ["rates", "--scheme", "all", "--alpha", alpha, "--snr-db", "10:10:20",
             "--samples", "100", "--out", str(tmp_path / "x.csv")]
     assert cli.main(argv) == 3
     err = capsys.readouterr().err
     assert err.count("\n") == 1
+    return err
+
+
+@pytest.mark.parametrize("scheme", [s.value for s in Scheme])
+def test_non_finite_column_names_its_scheme(scheme, tmp_path, monkeypatch, capsys):
+    # One estimate serves every scheme of an SNR; a NaN in one scheme's
+    # columns must still name that scheme's cell.  RS-ZF's phase-2 key is
+    # also the proposed scheme's, and RS-ZF reads it first.
+    _poison(monkeypatch, Scheme(scheme))
+    err = _rates_all_fails("0.5", tmp_path, capsys)
     assert "sample index 5" in err and f"(snr_db 10, scheme {scheme})" in err
+
+
+def test_shared_column_names_its_first_reader(tmp_path, monkeypatch, capsys):
+    # At alpha = 1, ZF, RS-ZF and the proposed scheme read one private pair;
+    # a NaN in it names the first of them in the order asked for, ZF.
+    _poison(monkeypatch, Scheme.RS_ZF)
+    err = _rates_all_fails("1", tmp_path, capsys)
+    assert "sample index 5" in err and "(snr_db 10, scheme zf)" in err
 
 
 def test_non_finite_names_its_snr(tmp_path, monkeypatch, capsys):
     # One estimate serves every SNR of a run; a NaN from 20 dB on names the
     # first such cell, not the run's first SNR.
-    real = rates._COLUMNS[Scheme.ZF]
-
-    def poisoned(cfg):
-        width, fill, finalize = real(cfg)
-
-        def bad_fill(proj, out):
-            fill(proj, out)
-            out[0, 5] = np.nan
-
-        return width, (bad_fill if cfg.snr_p > 50.0 else fill), finalize
-
-    monkeypatch.setitem(rates._COLUMNS, Scheme.ZF, poisoned)
+    _poison(monkeypatch, Scheme.ZF, at=lambda cfg: cfg.snr_p > 50.0)
     argv = ["rates", "--scheme", "zf", "--alpha", "0.5", "--snr-db", "10:10:30",
             "--samples", "100", "--out", str(tmp_path / "x.csv")]
     assert cli.main(argv) == 3

@@ -48,6 +48,13 @@ def _integrand(scheme, cfg):
     return captured[0]
 
 
+def _full_width(scheme, cfg, rows):
+    """``scheme``'s integrand ``rows`` as its finalize reads them: full width,
+    with 0.0 in each column the layout leaves out."""
+    [(_, cols)] = rates._layout([Scheme(scheme)], cfg)[2]
+    return np.vstack([rows, np.zeros(rows.shape[1])])[cols]
+
+
 def _batch(cfg, n, seed):
     [batch] = sample_batch(mc.block_rng(seed, 0), [cfg], n)
     return batch
@@ -109,10 +116,27 @@ def test_integrand_matches_explicit_matrices(scheme, snr_p, alpha):
     cfg = CsitConfig.from_alpha(snr_p, alpha)
     batch = _batch(cfg, 512, seed=41)
     got = _integrand(scheme, cfg)(batch)
-    np.testing.assert_allclose(got, _explicit_integrand(scheme, cfg, vectors(batch)),
+    # a column the layout leaves out reads 0.0, so the reference's must be
+    # zero within atol
+    np.testing.assert_allclose(_full_width(scheme, cfg, got),
+                               _explicit_integrand(scheme, cfg, vectors(batch)),
                                rtol=1e-9, atol=1e-12)
-    if scheme == "zf":  # no common message: its columns are exact zeros
-        assert not got[:2].any()
+    if scheme == "zf":  # no common message: its layout has no common column
+        [(_, cols)] = rates._layout([Scheme.ZF], cfg)[2]
+        assert cols == [-1, -1, 0, 1]
+
+
+@pytest.mark.parametrize("snr_db", [10.0, 37.0, 80.0, 1000.0, 3082.0])
+def test_mat_common_rows_subtract_a_constant_row(snr_db):
+    # MAT sends no private power, so its own = leak = 1/P is a constant row,
+    # which the kernel keeps as a scalar: numpy's log2 of it must equal that
+    # of every entry of the row, bit for bit.
+    cfg = CsitConfig.from_alpha(10.0 ** (snr_db / 10.0), 0.0)
+    shared, p = rates._Shared(_batch(cfg, 512, seed=49)), cfg.snr_p
+    got = np.empty((2, 512))
+    shared.phase2(got, p, 0.0)
+    own = np.full((2, 512), 1.0 / p)
+    np.testing.assert_array_equal(got, np.log2(shared.sq[4:6] * 0.5 + own) - np.log2(own))
 
 
 def test_zero_norm_row_is_its_small_norm_limit():
@@ -216,7 +240,7 @@ def test_det_identity_matches_explicit_matrices(fallback, snr_p, alpha, s):
         assert np.median(explicit / (m00 * m11)) < 1e-8
 
 
-# each scheme's integrand columns with the two users swapped
+# each scheme's full-width integrand columns with the two users swapped
 USER_SWAP = {"tdma": [1, 0], "zf": [1, 0, 3, 2], "rszf": [1, 0, 3, 2],
              "mat": [1, 0, 3, 2, 5, 4], "proposed": [1, 0, 3, 2, 5, 4]}
 
@@ -234,7 +258,8 @@ def test_zero_estimate_beams_are_user_symmetric(scheme):
     swapped = ChannelBatch(Normals(normals.norm[::-1], normals.r, normals.s,
                                    normals.n[:, order]), cfg)
     f = _integrand(scheme, cfg)
-    got, want = f(swapped), f(batch)[USER_SWAP[scheme]]
+    got = _full_width(scheme, cfg, f(swapped))
+    want = _full_width(scheme, cfg, f(batch))[USER_SWAP[scheme]]
     if scheme in ("mat", "proposed"):
         np.testing.assert_allclose(got, want, rtol=1e-12)
     else:
@@ -358,4 +383,4 @@ def test_integrand_matches_mpmath_at_extreme_snr(scheme, log2_p, alpha):
     with mpmath.workdps(80 if log2_p <= 120 else 80 + log2_p):
         ref = np.array([[float(x) for x in _mp_sample(scheme, cfg, *_mp_channels(v, i))]
                         for i in range(batch.n)]).T
-    np.testing.assert_allclose(got, ref, rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose(_full_width(scheme, cfg, got), ref, rtol=1e-9, atol=1e-12)

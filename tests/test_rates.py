@@ -382,6 +382,34 @@ def test_group_runs_each_kernel_pair_once_per_block(group, monkeypatch):
         assert calls == {"_project": 2 * len(snrs), "g_frame": 2 * rotations}
 
 
+@pytest.mark.parametrize("csit", [*(("alpha", a) for a in (0.0, 0.25, 0.5, 1.0)),
+                                  ("sigma_sq", 1.0)], ids="{0[0]}{0[1]}".format)
+@pytest.mark.parametrize("group", [*Scheme, tuple(Scheme), tuple(reversed(Scheme))],
+                         ids=["tdma", "zf", "mat", "rszf", "proposed", "all", "all_reversed"])
+def test_integrand_rows_are_distinct_and_not_constant(group, csit, monkeypatch):
+    # Each column a group reads is one row of its integrand, computed and
+    # reduced once: a column that is exactly 0 (ZF's common pair, MAT's
+    # private pair) is no row, and one that schemes share is one row.  At
+    # alpha 0.5 the group of every scheme has 14 rows, the proposed scheme 6.
+    kind, value = csit
+    cfg = (CsitConfig.from_alpha if kind == "alpha" else CsitConfig.from_sigma_sq)(1e4, value)
+    real, captured = mc.estimate, []
+
+    def grab(f, mc_cfg, cfgs):
+        captured.append(f)
+        return real(f, mc_cfg, cfgs)
+
+    monkeypatch.setattr(mc, "estimate", grab)
+    rate_scheme(group, [cfg], McConfig(2, 0))
+    [batch] = sample_batch(_rng(29), [cfg], 512)
+    rows = captured[0](batch)
+    assert np.all(np.ptp(rows, axis=1) > 0.0)
+    assert len(np.unique(rows, axis=0)) == len(rows)
+    widths = {Scheme.PROPOSED: 6, tuple(Scheme): 14, tuple(reversed(Scheme)): 14}
+    if csit == ("alpha", 0.5) and group in widths:
+        assert len(rows) == widths[group]
+
+
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
 def test_mat_common_rate_matches_exact_mean(alpha):
     # MAT sends no private power (p_p = 0), so its common columns are
