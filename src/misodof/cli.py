@@ -18,13 +18,16 @@ check has passed.
 
 Numeric output is deterministic for a fixed seed regardless of the worker
 count, so ``rates``, ``slopes`` and ``oracles`` run their Monte Carlo blocks
-in worker processes forked by ``mc``, one per CPU this process may use unless
-``--workers`` says otherwise; the ``rates`` and ``slopes`` manifests record
-the count.  In ``rates`` and ``slopes`` every scheme and SNR of a run shares
-its channel draws: one ``rate_scheme`` call evaluates them together.
+in worker processes forked by ``mc``: at most one per CPU this process may
+use, or ``--workers``, and none where the blocks would not repay a fork; the
+``rates`` and ``slopes`` manifests record the bound.  In ``rates`` and
+``slopes`` every scheme and SNR of a run shares its channel draws: one
+``rate_scheme`` call evaluates them together.
 ``oracles --samples`` counts the exponential samples of the exp-log check;
 each channel draw gives eight.  The process entry ``cli()``, not ``main(argv)``,
-freezes the import-time heap (``gc.freeze``): the exit collections skip it.
+freezes the import-time heap (``gc.freeze``), so the run's collections skip
+it, and once ``main`` has returned and stdout and stderr are flushed, ends the
+process with ``os._exit``: no run pays for interpreter teardown.
 """
 
 from __future__ import annotations
@@ -392,9 +395,11 @@ def cmd_oracles(args):
 def _add_workers(parser):
     workers = usable_cpus()
     parser.add_argument("--workers", type=int, default=workers,
-                        help="Monte Carlo worker processes (default: the CPUs this "
-                             f"process may run on, {workers} here; more are capped "
-                             "at that count); the output does not depend on it")
+                        help="at most this many Monte Carlo worker processes "
+                             "(default: the CPUs this process may run on, "
+                             f"{workers} here; more are capped at that count); "
+                             "none is forked where the blocks would not repay it, "
+                             "and the output does not depend on it")
 
 
 def _build_parser():
@@ -480,11 +485,13 @@ def main(argv=None):
 def cli():
     gc.freeze()  # what is alive here (numpy, the package) lives until exit anyway
     code = main()
-    try:
-        print(end="", flush=True)  # as exit would; a no-op once main has flushed
-    except OSError:  # main reported it; drop the bytes exit would retry
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    sys.exit(code)
+    for stream in (sys.stdout, sys.stderr):  # None where its descriptor was closed
+        if stream is not None:
+            try:
+                stream.flush()  # a no-op once main has flushed
+            except OSError:  # main reported a failed stdout; its bytes are dropped
+                pass
+    os._exit(code)  # every file main wrote is closed: no teardown is owed
 
 
 if __name__ == "__main__":

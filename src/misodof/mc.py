@@ -9,7 +9,10 @@ reduced by one pair of ``einsum`` calls over contiguous rows into (k,) sums
 and sums of squares.  The worker count only changes scheduling, never the
 result.  Workers are forked processes, never more than blocks or usable
 CPUs: a block makes about 90 short numpy calls, and threads would wait on
-the interpreter lock around each.  An estimate always covers a grid of CSIT
+the interpreter lock around each.  A fork costs the run its copy-on-write
+faults and exit, so the caller runs block 0 first, times it and forks only
+as many workers as the remaining blocks repay (``FORK_COST_S`` each): a
+small estimate stays in the caller.  An estimate always covers a grid of CSIT
 configs, one or many (say, every SNR of a sweep): the block keys do not
 depend on the config, so each block is drawn once and every config is
 evaluated from that draw.
@@ -25,6 +28,7 @@ import os
 import pickle
 import signal
 import threading
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +39,13 @@ from .channel import sample_batch
 # Fixed block size: results depend on it, so it is a module constant, never
 # derived from n_samples or n_workers.
 BLOCK_SIZE = 8192
+
+# Wall seconds of block work a forked worker must take over to repay its
+# fork: the copy-on-write faults on the heap it shares with the caller and
+# its exit.  On a 2-vCPU host, a fork that took over 10 ms of the oracle
+# suite's 16 blocks made the run 7 ms slower and added 2.3k minor faults,
+# so one fork costs about 17 ms.
+FORK_COST_S = 0.02
 
 
 class NonFiniteSampleError(RuntimeError):
@@ -156,11 +167,21 @@ def _in_order(run, blocks):
 
 
 def _run_workers(run, n_blocks, n_workers):
-    # Worker k runs blocks k, k + n_workers, ... in order; the caller is
-    # worker 0, forks the others and runs the blocks of any fork that fails.
-    # Every pipe is read before its child is reaped, so no child waits on a
-    # full pipe, and on any exception the children left are killed and reaped.
-    own, children = set(range(n_blocks)), {}
+    # The caller runs block 0 and times it, then keeps the largest worker
+    # count, at most n_workers, that gives each worker at least FORK_COST_S
+    # of the remaining blocks at that rate.  Worker k runs blocks k, k +
+    # n_workers, ... in order; the caller is worker 0, forks the others and
+    # runs the blocks of any fork that fails.  Every pipe is read before its
+    # child is reaped, so no child waits on a full pipe, and on any exception
+    # the children left are killed and reaped.
+    start = time.perf_counter()
+    first = _in_order(run, [0])
+    block_s = time.perf_counter() - start
+    if isinstance(first[0][1], Exception):  # nothing after the lowest failing block
+        return first
+    while n_workers > 1 and (n_blocks - 1) * block_s < n_workers * FORK_COST_S:
+        n_workers -= 1
+    own, children = set(range(1, n_blocks)), {}
     try:
         for k in range(1, n_workers):
             blocks = range(k, n_blocks, n_workers)
@@ -181,7 +202,7 @@ def _run_workers(run, n_blocks, n_workers):
             os.close(w)
             children[pid] = os.fdopen(r, "rb")
             own.difference_update(blocks)
-        pairs = _in_order(run, sorted(own))
+        pairs = first + _in_order(run, sorted(own))
         for pid, data in [(pid, pipe.read()) for pid, pipe in children.items()]:
             status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             children.pop(pid).close()
@@ -207,10 +228,11 @@ def estimate(f, cfg, grid):
     so each block's uniforms are drawn once for the whole grid; ``f`` sees one
     batch per config, all sharing them, and ``batch.csit`` names it.  Each
     estimate is bitwise identical to that config's own one-element grid, and
-    to itself for any ``n_workers``; the blocks run in min(n_workers, blocks,
-    usable CPUs) processes, the caller and its forks, or in the caller alone
-    where there is no ``os.fork`` or another Python thread, which a fork would
-    not copy.  The lowest failing block's error is raised.
+    to itself for any ``n_workers``; the blocks run in at most min(n_workers,
+    blocks, usable CPUs) processes, the caller and its forks, each fork taking
+    at least ``FORK_COST_S`` of block work at block 0's rate, or in the caller
+    alone where there is no ``os.fork`` or another Python thread, which a fork
+    would not copy.  The lowest failing block's error is raised.
     """
     grid = list(grid)
     n = cfg.n_samples

@@ -257,11 +257,20 @@ def _proposed_columns(pcfg):
     r_eta1 = r_eta2 = quantization_rate(d_tilde)
     r_eta = r_eta1 + r_eta2
 
+    # q_u = a g_hat-perp + b g_hat and q_v = a h_hat-perp + b h_hat, one
+    # beam pair per estimate direction.  At alpha = 1 (a, b, d_tilde) = (1/2,
+    # 0, 1): nothing is overheard, and each user's equivalent channel is its
+    # zero-forced private link, so phase 1 reads the private pair.
+    if pcfg.alpha == 1.0:
+        keys, mimo = (("phase2", p_c, p_p),), 2
+    else:
+        keys, mimo = (("phase2", p_c, p_p), ("mimo", a, b, d_tilde)), 4
+
     def finalize(mean, se):
         cm = _common_message_rates(mean, se)
         r_c, se_c = cm["r_c"], cm["se_r_c"]
-        r_m1, r_m2 = float(mean[4]), float(mean[5])
-        se_m1, se_m2 = float(se[4]), float(se[5])
+        r_m1, r_m2 = float(mean[mimo]), float(mean[mimo + 1])
+        se_m1, se_m2 = float(se[mimo]), float(se[mimo + 1])
         r1, se1 = _combine_rate(r_c, se_c, r_m1, se_m1, cm["r_p1"], cm["se_r_p1"], r_eta)
         r2, se2 = _combine_rate(r_c, se_c, r_m2, se_m2, cm["r_p2"], cm["se_r_p2"], r_eta)
         return RateResult(
@@ -271,9 +280,7 @@ def _proposed_columns(pcfg):
             se_r_mimo1=se_m1, se_r_mimo2=se_m2, **cm,
         )
 
-    # q_u = a g_hat-perp + b g_hat and q_v = a h_hat-perp + b h_hat, one
-    # beam pair per estimate direction
-    return (("phase2", p_c, p_p), ("mimo", a, b, d_tilde)), finalize
+    return keys, finalize
 
 
 def _tdma_columns(cfg):

@@ -1,4 +1,3 @@
-import gc
 import json
 import math
 import os
@@ -722,15 +721,32 @@ def test_entry_usage_error_exits_2(tmp_path):
     assert proc.stderr == "error: --samples: n_samples must be at least 2, got 1\n"
 
 
-def test_entry_freezes_the_heap_before_main(monkeypatch):
-    # main's return value is the exit code: here, the frozen count it saw
-    monkeypatch.setattr(cli, "main", gc.get_freeze_count)
-    try:
-        with pytest.raises(SystemExit) as exit_info:
-            cli.cli()
-    finally:
-        gc.unfreeze()
-    assert isinstance(exit_info.value.code, int) and exit_info.value.code > 0
+def _buffered_env():
+    # stdout through a pipe is block-buffered unless PYTHONUNBUFFERED is set
+    return {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+
+
+def test_entry_freezes_the_heap_before_main():
+    # The entry ends its process, so it runs in a child whose main prints,
+    # unflushed, the frozen count it saw; the entry's flush delivers the line.
+    code = ("import gc, misodof.cli as cli; "
+            "cli.main = lambda: print(gc.get_freeze_count()) or 0; cli.cli()")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=Path(cli.__file__).parents[1],
+                          capture_output=True, text=True, env=_buffered_env())
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert int(proc.stdout) > 0
+
+
+@pytest.mark.parametrize("argv", [["oracles", "--samples", "20000", "--seed", "5"], ["--help"]],
+                         ids=["oracles", "help"])
+def test_entry_pipes_what_main_prints(argv, capsys):
+    # Block-buffered stdout through a pipe: the entry flushes it before the
+    # process ends without teardown, so no byte is lost, also of argparse's
+    # help, which main does not flush.
+    proc = _entry(argv, capture_output=True, env=_buffered_env())
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert cli.main(argv) == 0
+    assert proc.stdout == capsys.readouterr().out.encode()
 
 
 def test_import_freezes_nothing():

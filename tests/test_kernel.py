@@ -50,8 +50,11 @@ def _integrand(scheme, cfg):
 
 def _full_width(scheme, cfg, rows):
     """``scheme``'s integrand ``rows`` as its finalize reads them: full width,
-    with 0.0 in each column the layout leaves out."""
+    with 0.0 in each column the layout leaves out.  At alpha = 1 the proposed
+    scheme reads phase 1 from its private pair, so that pair is read twice."""
     [(_, cols)] = rates._layout([Scheme(scheme)], cfg)[2]
+    if scheme == "proposed" and cfg.alpha == 1.0:
+        cols = cols + cols[2:]
     return np.vstack([rows, np.zeros(rows.shape[1])])[cols]
 
 

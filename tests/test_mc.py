@@ -22,6 +22,21 @@ from reference import vectors
 
 CFG = CsitConfig.from_sigma_sq(100.0, 0.25)
 CFG2 = CsitConfig.from_sigma_sq(1000.0, 0.5)
+FORK_COST_S = mc.FORK_COST_S  # the real budget; the conftest fixture sets it to 0
+
+
+def _record_forks(monkeypatch):
+    """Patches ``os.fork`` to list, in the caller, the pid of each child."""
+    forks, real_fork = [], os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
 
 
 def test_constant_integrand():
@@ -211,16 +226,7 @@ def test_non_integer_config_rejected(args, message):
 def test_pool_size_is_bounded(monkeypatch, workers, cpus, blocks, processes):
     # min(workers, blocks, usable CPUs) processes run the blocks: the caller
     # forks one fewer children, and none when that bound is one.
-    forks = []
-    real_fork = os.fork
-
-    def fork():
-        pid = real_fork()
-        if pid:
-            forks.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", fork)
+    forks = _record_forks(monkeypatch)
     monkeypatch.setattr(mc, "usable_cpus", lambda: cpus)
     cfg = McConfig((blocks - 1) * BLOCK_SIZE + 1, 12, n_workers=workers)
     assert estimate(lambda batch: np.ones(batch.n), cfg, [CFG])[0].mean == 1.0
@@ -253,12 +259,14 @@ def test_block_sums_bitwise(width):
 
 
 @pytest.mark.parametrize("bad, raised, ran", [
-    ({1}, 1, {0, 1, 2}), ({1, 2}, 1, {0, 1, 2}), ({2, 3}, 2, {0, 1, 2, 3}), ({0, 3}, 0, {0, 1, 3}),
+    ({1}, 1, {0, 1, 2}), ({1, 2}, 1, {0, 1, 2}), ({2, 3}, 2, {0, 1, 2, 3}), ({0, 3}, 0, {0}),
+    ({2}, 2, {0, 1, 2, 3}),
 ])
 def test_lowest_failing_block_raises_from_any_process(monkeypatch, tmp_path, bad, raised, ran):
-    # On 2 workers the caller runs blocks 0 and 2, its child 1 and 3.  Each
-    # process stops at its first failing block, and the caller raises the
-    # lowest failing block's error with its attributes, whichever process
+    # On 2 workers the caller runs blocks 0 and 2, its child 1 and 3; block
+    # 0 runs before the fork, so its failure ends the estimate with no child.
+    # Each process stops at its first failing block, and the caller raises
+    # the lowest failing block's error with its attributes, whichever process
     # ran it.  Blocks log themselves to a file, from either process.
     log = tmp_path / "blocks.log"
     real = mc._run_block
@@ -288,20 +296,13 @@ def test_lowest_failing_block_raises_from_any_process(monkeypatch, tmp_path, bad
 def test_killed_worker_raises_with_its_pid(monkeypatch):
     # A child that ends without sending its blocks' sums is an error naming
     # it, never a silent estimate over fewer blocks.
-    caller, forks = os.getpid(), []
-    real_fork = os.fork
-
-    def fork():
-        pid = real_fork()
-        forks.append(pid)
-        return pid
+    caller, forks = os.getpid(), _record_forks(monkeypatch)
 
     def f(batch):
         if os.getpid() != caller:
             os.kill(os.getpid(), signal.SIGKILL)
         return np.ones(batch.n)
 
-    monkeypatch.setattr(os, "fork", fork)
     with pytest.raises(RuntimeError) as err:
         estimate(f, McConfig(3 * BLOCK_SIZE, 5, n_workers=2), [CFG])
     [child] = forks
@@ -370,17 +371,41 @@ def test_threaded_caller_runs_blocks_in_its_own_thread(monkeypatch):
 
 
 def test_interrupted_caller_kills_its_children(monkeypatch):
-    # A KeyboardInterrupt in the caller's own block kills and reaps the
-    # children at once, however long their blocks would take; the conftest
-    # guard checks that none is left.
-    caller = os.getpid()
+    # A KeyboardInterrupt in the caller's own block after the fork, block 2,
+    # kills and reaps the child at once, however long its block would take;
+    # the conftest guard checks that none is left.
+    caller, forks, calls = os.getpid(), _record_forks(monkeypatch), []
 
     def f(batch):
         if os.getpid() != caller:
             time.sleep(60)
-        raise KeyboardInterrupt
+        calls.append(batch.n)
+        if len(calls) > 1:  # block 0 runs, and passes, before the fork
+            raise KeyboardInterrupt
+        return np.ones(batch.n)
 
     start = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
-        estimate(f, McConfig(2 * BLOCK_SIZE, 7, n_workers=2), [CFG])
+        estimate(f, McConfig(3 * BLOCK_SIZE, 7, n_workers=2), [CFG])
     assert time.monotonic() - start < 30
+    assert len(forks) == 1 and len(calls) == 2
+
+
+@pytest.mark.parametrize("sleep_s, forked", [(0.0, False), (0.025, True)],
+                         ids=["cheap", "slow"])
+def test_fork_only_where_the_blocks_repay_it(monkeypatch, sleep_s, forked):
+    # With the real budget, 3 cheap blocks on 4 workers stay in the caller,
+    # and blocks that each take 25 ms are worth a fork; either way the
+    # estimate is bitwise the 1-worker one.
+    def f(batch):
+        time.sleep(sleep_s)
+        return np.abs(vectors(batch).h[:, 0]) ** 2
+
+    cfg = McConfig(2 * BLOCK_SIZE + 1, 8)
+    [expected] = estimate(f, cfg, [CFG])
+    monkeypatch.setattr(mc, "FORK_COST_S", FORK_COST_S)
+    forks = _record_forks(monkeypatch)
+    [got] = estimate(f, McConfig(cfg.n_samples, cfg.seed, n_workers=4), [CFG])
+    assert bool(forks) == forked
+    assert got.mean.tobytes() == expected.mean.tobytes()
+    assert got.std_error.tobytes() == expected.std_error.tobytes()

@@ -390,7 +390,9 @@ def test_integrand_rows_are_distinct_and_not_constant(group, csit, monkeypatch):
     # Each column a group reads is one row of its integrand, computed and
     # reduced once: a column that is exactly 0 (ZF's common pair, MAT's
     # private pair) is no row, and one that schemes share is one row.  At
-    # alpha 0.5 the group of every scheme has 14 rows, the proposed scheme 6.
+    # alpha 0.5 the group of every scheme has 14 rows, the proposed scheme 6;
+    # at alpha 1, where the proposed scheme's phase 1 is its private pair, 8
+    # and 2.
     kind, value = csit
     cfg = (CsitConfig.from_alpha if kind == "alpha" else CsitConfig.from_sigma_sq)(1e4, value)
     real, captured = mc.estimate, []
@@ -405,9 +407,10 @@ def test_integrand_rows_are_distinct_and_not_constant(group, csit, monkeypatch):
     rows = captured[0](batch)
     assert np.all(np.ptp(rows, axis=1) > 0.0)
     assert len(np.unique(rows, axis=0)) == len(rows)
-    widths = {Scheme.PROPOSED: 6, tuple(Scheme): 14, tuple(reversed(Scheme)): 14}
-    if csit == ("alpha", 0.5) and group in widths:
-        assert len(rows) == widths[group]
+    widths = {("alpha", 0.5): {Scheme.PROPOSED: 6, tuple(Scheme): 14, tuple(reversed(Scheme)): 14},
+              ("alpha", 1.0): {Scheme.PROPOSED: 2, tuple(Scheme): 8, tuple(reversed(Scheme)): 8}}
+    if group in widths.get(csit, {}):
+        assert len(rows) == widths[csit][group]
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
