@@ -7,22 +7,23 @@ Each input is checked once, by the type that owns it: ``channel.exponent``
 for alpha and beta, the ``CsitConfig`` constructors for P and sigma^2 at
 each grid point, and ``McConfig`` for samples, seed and workers; their
 messages are prefixed with the option (or ``MISO_DOF_SEED``) that set the
-value.  This module checks only the form and size of its SNR grids: at most
-``MAX_GRID_POINTS`` points, counted before a grid is built.  Both grids,
-``rates --snr-db`` and ``slopes --snr-db-range``, set point i to
-start + i * step, correctly rounded to 12 decimals; two ``rates`` points
-that round alike are a usage error.  Every usage error ends the command with
-exit 2 and one ``error:`` line on stderr (argparse's own errors print its
-usage text first); a truncation warning is printed only once every usage
-check has passed.
+value.  This module checks only the form and size of the SNR grid, which
+``rates`` and ``slopes`` both take as ``--snr-db START:STEP:STOP``: at most
+``MAX_GRID_POINTS`` points, counted before the grid is built, point i is
+start + i * step, correctly rounded to 12 decimals, and two points that
+round alike are a usage error; a ``slopes`` fit also needs 3 points.  Every
+usage error ends the command with exit 2 and one ``error:`` line on stderr
+(argparse's own errors print its usage text first); a truncation warning is
+printed only once every usage check has passed.
 
 Numeric output is deterministic for a fixed seed regardless of the worker
 count, so ``rates``, ``slopes`` and ``oracles`` run their Monte Carlo blocks
 in worker processes forked by ``mc``: at most one per CPU this process may
 use, or ``--workers``, and none where the blocks would not repay a fork; the
-``rates`` and ``slopes`` manifests record the bound.  In ``rates`` and
-``slopes`` every scheme and SNR of a run shares its channel draws: one
-``rate_scheme`` call evaluates them together.
+``rates`` and ``slopes`` manifests record the bound.  ``slopes`` is the
+``rates`` run plus a least-squares fit of the sum rates: in both, every
+scheme and SNR of a run shares its channel draws, and one ``rate_scheme``
+call evaluates them together.
 ``oracles --samples`` counts the exponential samples of the exp-log check;
 each channel draw gives eight.  The process entry ``cli()``, not ``main(argv)``,
 freezes the import-time heap (``gc.freeze``), so the run's collections skip
@@ -137,11 +138,6 @@ def _warn_truncated(name, value):
         print(f"warning: {name} {_fmt(value)} truncated to 1", file=sys.stderr)
 
 
-def _grid(start, step, n):
-    # point i is start + i * step; Python's round is correctly rounded
-    return [round(start + i * step, 12) for i in range(n)]
-
-
 def _parse_snr_grid(text):
     try:
         start, step, stop = (float(p) for p in text.split(":"))
@@ -154,7 +150,8 @@ def _parse_snr_grid(text):
     steps = (stop - start) / step + 1e-9  # slack in steps, not dB: never past stop
     if steps >= MAX_GRID_POINTS:
         raise _Exit(2, f"--snr-db {text!r} has more than {MAX_GRID_POINTS} points")
-    grid = _grid(start, step, int(steps) + 1)
+    # point i is start + i * step; Python's round is correctly rounded
+    grid = [round(start + i * step, 12) for i in range(int(steps) + 1)]
     if len(set(grid)) < len(grid):
         raise _Exit(2, f"--snr-db {text!r} has points that round alike at 12 decimals")
     return grid
@@ -225,57 +222,57 @@ def cmd_region(args):
     return 0
 
 
-def _scheme_list(name):
-    return list(Scheme) if name == "all" else [Scheme(name)]
+def _sum_rate(res):
+    return res.r1 + res.r2, math.sqrt(res.se_r1 ** 2 + res.se_r2 ** 2)
 
 
-def _rate_rows(schemes, cells, mc_cfg):
-    # One call per run, over every SNR.  A lone scheme goes bare:
-    # bench/tracing.py keys each call's integrand time by this argument,
-    # per scheme name.
+def _run_grid(args, grid):
+    """The run that ``rates`` and ``slopes`` share: one ``rate_scheme`` call
+    over every SNR of ``grid`` and scheme of ``--scheme``.  Returns the
+    (snr_db, CsitConfig, Scheme, RateResult) of each cell, SNR-major, the
+    McConfig and the manifest params."""
+    if getattr(args, "sigma_sq", None) is not None:
+        name, quality, build = "sigma_sq", args.sigma_sq, CsitConfig.from_sigma_sq
+    else:
+        name, quality, build = "alpha", _exponent(args.alpha, "alpha"), CsitConfig.from_alpha
+    cells = _cell_configs(grid, build, quality)
+    mc_cfg = _mc_config(args)
+    _warn_truncated("alpha", args.alpha)
+    schemes = list(Scheme) if args.scheme == "all" else [Scheme(args.scheme)]
+    # A lone scheme goes bare: bench/tracing.py keys each call's integrand
+    # time by this argument, per scheme name.
     group = tuple(schemes) if len(schemes) > 1 else schemes[0]
     try:
         results = rate_scheme(group, [cfg for _, cfg in cells], mc_cfg)
     except NonFiniteSampleError as exc:
         cell = f"snr_db {_fmt(cells[exc.config_index][0])}, scheme {exc.scheme.value}"
         raise _Exit(3, f"{exc} in cell ({cell})") from exc
-    rows = []
+    records = []
     for (snr_db, cfg), at_snr in zip(cells, results):
         for scheme, res in zip(schemes, at_snr if len(schemes) > 1 else [at_snr]):
-            rsum = res.r1 + res.r2
-            stderr_sum = math.sqrt(res.se_r1 ** 2 + res.se_r2 ** 2)
-            if not all(math.isfinite(v) for v in (res.r1, res.r2, rsum)):
+            if not all(math.isfinite(v) for v in (res.r1, res.r2, res.r1 + res.r2)):
                 raise _Exit(3, f"non-finite rate in cell "
                                f"(snr_db {_fmt(snr_db)}, scheme {scheme.value})")
-            rows.append([
+            records.append((snr_db, cfg, scheme, res))
+    params = {"command": args.command, "scheme": args.scheme, "snr_db": grid,
+              "samples": args.samples, "seed": mc_cfg.seed, name: quality}
+    return records, mc_cfg, params
+
+
+def cmd_rates(args, argv):
+    records, mc_cfg, params = _run_grid(args, _parse_snr_grid(args.snr_db))
+    with open(args.out, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(CSV_HEADER)
+        for snr_db, cfg, scheme, res in records:
+            writer.writerow([
                 _fmt(snr_db), scheme.value, _fmt(cfg.alpha),
-                _fmt(res.r1), _fmt(res.r2), _fmt(rsum), _fmt(stderr_sum),
+                _fmt(res.r1), _fmt(res.r2), *map(_fmt, _sum_rate(res)),
                 _fmt(res.r_c), _fmt(res.r_p1), _fmt(res.r_p2),
                 _fmt(res.r_mimo1), _fmt(res.r_mimo2),
                 _fmt(res.r_eta1), _fmt(res.r_eta2),
             ])
-    return rows
-
-
-def cmd_rates(args, argv):
-    if args.sigma_sq is not None:
-        name, quality, build = "sigma_sq", args.sigma_sq, CsitConfig.from_sigma_sq
-    else:
-        name, quality, build = "alpha", _exponent(args.alpha, "alpha"), CsitConfig.from_alpha
-    grid = _parse_snr_grid(args.snr_db)
-    cells = _cell_configs(grid, build, quality)
-    mc_cfg = _mc_config(args)
-    seed = mc_cfg.seed
-    _warn_truncated("alpha", args.alpha)
-    rows = _rate_rows(_scheme_list(args.scheme), cells, mc_cfg)
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        writer.writerows(rows)
-    _write_manifest(args.out, argv, mc_cfg, {
-        "command": "rates", "scheme": args.scheme,
-        "snr_db": grid, "samples": args.samples, "seed": seed, name: quality,
-    })
+    _write_manifest(args.out, argv, mc_cfg, params)
     return 0
 
 
@@ -294,47 +291,26 @@ def _fit_slope(x, y):
 
 
 def cmd_slopes(args, argv):
-    alpha = _exponent(args.alpha, "alpha")
-    parts = args.snr_db_range.split(":")
-    try:
-        lo, hi = (float(p) for p in parts)
-    except ValueError:
-        lo, hi = 1.0, 0.0
-    if len(parts) != 2 or not 0 < hi - lo < math.inf:  # CsitConfig checks P > 1
-        raise _Exit(2, f"malformed --snr-db-range {args.snr_db_range!r}; expected lo:hi")
-    if args.points > MAX_GRID_POINTS:
-        raise _Exit(2, f"--points {args.points} is more than {MAX_GRID_POINTS}")
-    # a count below 1 gives an empty grid, which fails the check below
-    grid = _grid(lo, (hi - lo) / max(args.points - 1, 1), args.points)
-    if len(set(grid)) < 3:
-        raise _Exit(2, f"slope fits need at least 3 distinct grid points; --points "
-                       f"{args.points} over {args.snr_db_range} rounds to {len(set(grid))}")
-    cells = _cell_configs(grid, CsitConfig.from_alpha, alpha)
-    mc_cfg = _mc_config(args)
-    seed = mc_cfg.seed
-    _warn_truncated("alpha", args.alpha)
-    scheme = Scheme(args.scheme)
-    rows = _rate_rows([scheme], cells, mc_cfg)
-    rsum = [float(r[5]) for r in rows]
-    log2_p = [db / 10.0 * LOG2_10 for db in grid]
-    slope, ci95 = _fit_slope(log2_p, rsum)
-    payload = {
-        "scheme": scheme.value,
-        "alpha": alpha,
+    grid = _parse_snr_grid(args.snr_db)
+    if len(grid) < 3:
+        raise _Exit(2, f"slope fits need at least 3 distinct grid points; "
+                       f"--snr-db {args.snr_db!r} has {len(grid)}")
+    records, mc_cfg, params = _run_grid(args, grid)
+    rsum, stderr_sum = zip(*(_sum_rate(res) for *_, res in records))
+    slope, ci95 = _fit_slope([db / 10.0 * LOG2_10 for db in grid], rsum)
+    _write_json(args.out, {
+        "scheme": args.scheme,
+        "alpha": params["alpha"],
         "slope": slope,
         "slope_ci95": ci95,
-        "theory": 2.0 * dof_scheme(scheme, alpha),
+        "theory": 2.0 * dof_scheme(Scheme(args.scheme), params["alpha"]),
         "snr_db": grid,
-        "rsum": rsum,
-        "stderr_sum": [float(r[6]) for r in rows],
+        "rsum": list(rsum),
+        "stderr_sum": list(stderr_sum),
         "samples": args.samples,
-        "seed": seed,
-    }
-    _write_json(args.out, payload)
-    _write_manifest(args.out, argv, mc_cfg, {
-        "command": "slopes", "scheme": scheme.value, "alpha": alpha,
-        "snr_db": grid, "samples": args.samples, "seed": seed,
+        "seed": mc_cfg.seed,
     })
+    _write_manifest(args.out, argv, mc_cfg, params)
     return 0
 
 
@@ -392,7 +368,9 @@ def cmd_oracles(args):
     return 1 if failures else 0
 
 
-def _add_workers(parser):
+def _add_mc_options(parser, samples=100_000, samples_help=None):
+    parser.add_argument("--samples", type=int, default=samples, help=samples_help)
+    parser.add_argument("--seed", type=int, default=None)
     workers = usable_cpus()
     parser.add_argument("--workers", type=int, default=workers,
                         help="at most this many Monte Carlo worker processes "
@@ -428,30 +406,22 @@ def _build_parser():
     quality.add_argument("--sigma-sq", type=float,
                          help="current-CSIT error variance, fixed across the sweep")
     p_rates.add_argument("--snr-db", required=True, metavar="START:STEP:STOP")
-    p_rates.add_argument("--samples", type=int, default=100_000)
-    p_rates.add_argument("--seed", type=int, default=None)
-    _add_workers(p_rates)
+    _add_mc_options(p_rates)
     p_rates.add_argument("--out", required=True)
 
     p_slopes = sub.add_parser("slopes", help="high-SNR sum-rate slope fit, JSON output")
     p_slopes.add_argument("--scheme", required=True,
                           choices=["tdma", "zf", "mat", "rszf", "proposed"])
     p_slopes.add_argument("--alpha", type=float, required=True)
-    p_slopes.add_argument("--snr-db-range", default="40:80", metavar="LO:HI")
-    p_slopes.add_argument("--points", type=int, default=9)
-    p_slopes.add_argument("--samples", type=int, default=100_000)
-    p_slopes.add_argument("--seed", type=int, default=None)
-    _add_workers(p_slopes)
+    p_slopes.add_argument("--snr-db", default="40:5:80", metavar="START:STEP:STOP")
+    _add_mc_options(p_slopes)
     p_slopes.add_argument("--out", required=True)
 
     p_oracles = sub.add_parser("oracles", help="run the analytic verification suite")
-    p_oracles.add_argument("--samples", type=int, default=1_000_000,
-                           help="exponential samples of the exp-log check; each "
-                                "channel draw gives 8: the Exp(1) entries of the "
-                                "errors and of g_hat, and h_hat's Gamma(2) norm^2 "
-                                "counted twice")
-    p_oracles.add_argument("--seed", type=int, default=None)
-    _add_workers(p_oracles)
+    _add_mc_options(p_oracles, 1_000_000,
+                    "exponential samples of the exp-log check; each channel "
+                    "draw gives 8: the Exp(1) entries of the errors and of "
+                    "g_hat, and h_hat's Gamma(2) norm^2 counted twice")
 
     return parser
 

@@ -12,7 +12,7 @@ import pytest
 
 from misodof import cli, mc, oracles, rates
 from misodof.channel import ChannelBatch, CsitConfig
-from misodof.mc import NonFiniteSampleError
+from misodof.mc import McConfig, NonFiniteSampleError
 from misodof.rates import RateResult
 from misodof.regions import Scheme
 
@@ -209,8 +209,7 @@ class TestRatesCommand:
 class TestSlopesCommand:
     def test_proposed_slope(self, tmp_path):
         out = tmp_path / "slope.json"
-        assert _run(["slopes", "--scheme", "proposed", "--alpha", "0.5",
-                     "--snr-db-range", "40:80", "--points", "5",
+        assert _run(["slopes", "--scheme", "proposed", "--alpha", "0.5", "--snr-db", "40:10:80",
                      "--samples", "20000", "--seed", "5", "--out", str(out)]) == 0
         data = json.loads(out.read_text())
         assert data["theory"] == pytest.approx(5 / 3)
@@ -219,8 +218,7 @@ class TestSlopesCommand:
 
     def test_zf_slope_near_one(self, tmp_path):
         out = tmp_path / "slope.json"
-        assert _run(["slopes", "--scheme", "zf", "--alpha", "0.5",
-                     "--snr-db-range", "40:80", "--points", "5",
+        assert _run(["slopes", "--scheme", "zf", "--alpha", "0.5", "--snr-db", "40:10:80",
                      "--samples", "20000", "--seed", "5", "--out", str(out)]) == 0
         data = json.loads(out.read_text())
         assert abs(data["slope"] - 1.0) < 0.08
@@ -232,7 +230,7 @@ class TestSlopesCommand:
         # sum h_hat + h_tilde loses that above ~250 dB (slope 1.845).
         out = tmp_path / "slope.json"
         assert _run(["slopes", "--scheme", scheme, "--alpha", "1",
-                     "--snr-db-range", "200:360", "--samples", "20000", "--seed", "0",
+                     "--snr-db", "200:20:360", "--samples", "20000", "--seed", "0",
                      "--out", str(out)]) == 0
         assert abs(json.loads(out.read_text())["slope"] - 2.0) < 0.08
 
@@ -240,7 +238,7 @@ class TestSlopesCommand:
         manifests = []
         for workers in ("1", "4"):
             out = tmp_path / f"slope{workers}.json"
-            assert _run(["slopes", "--scheme", "zf", "--alpha", "0.5", "--points", "3",
+            assert _run(["slopes", "--scheme", "zf", "--alpha", "0.5", "--snr-db", "40:20:80",
                          "--samples", "500", "--seed", "1", "--workers", workers,
                          "--out", str(out)]) == 0
             manifests.append(json.loads((tmp_path / (out.name + ".manifest.json")).read_text()))
@@ -255,15 +253,19 @@ class TestSlopesCommand:
         assert NEGATIVE_ZERO.search(out.read_text()) is None
         assert json.loads(out.read_text())["alpha"] == 0.0
 
-    def test_too_few_points_exits_2(self, tmp_path):
+    def test_too_few_points_exits_2(self, tmp_path, monkeypatch):
+        # a usage error, raised before any estimate runs
+        def never(*_):
+            raise AssertionError("rate_scheme ran before the grid was checked")
+
+        monkeypatch.setattr(cli, "rate_scheme", never)
         code = _run(["slopes", "--scheme", "zf", "--alpha", "0.5",
-                     "--snr-db-range", "40:80", "--points", "2",
-                     "--out", str(tmp_path / "x.json")])
+                     "--snr-db", "40:40:80", "--out", str(tmp_path / "x.json")])
         assert code == 2
 
     def test_malformed_range_exits_2(self, tmp_path):
         code = _run(["slopes", "--scheme", "zf", "--alpha", "0.5",
-                     "--snr-db-range", "80:40", "--out", str(tmp_path / "x.json")])
+                     "--snr-db", "80:5:40", "--out", str(tmp_path / "x.json")])
         assert code == 2
 
 
@@ -383,15 +385,38 @@ def test_snr_grid_points_do_not_drift():
 
 @pytest.mark.parametrize("extra, grid", [
     ([], [40.0, 45.0, 50.0, 55.0, 60.0, 65.0, 70.0, 75.0, 80.0]),
-    (["--snr-db-range", "200:360"], [200.0, 220.0, 240.0, 260.0, 280.0, 300.0, 320.0,
-                                     340.0, 360.0]),
-    (["--points", "5"], [40.0, 50.0, 60.0, 70.0, 80.0]),
+    (["--snr-db", "200:20:360"], [200.0, 220.0, 240.0, 260.0, 280.0, 300.0, 320.0,
+                                  340.0, 360.0]),
+    (["--snr-db", "40:10:80"], [40.0, 50.0, 60.0, 70.0, 80.0]),
 ])
 def test_slopes_grids(extra, grid, tmp_path):
     out = tmp_path / "slope.json"
     assert _run(["slopes", "--scheme", "zf", "--alpha", "0.5", *extra, "--samples", "200",
                  "--seed", "0", "--out", str(out)]) == 0
     assert json.loads(out.read_text())["snr_db"] == grid
+
+
+def test_slopes_fits_the_rates_run(tmp_path):
+    # slopes is the rates run plus a fit: its JSON holds rate_scheme's sums
+    # at full precision and fits those floats, and the same argv given to
+    # rates writes each of them to 12 digits.
+    grid, mc_cfg = [40.0, 55.0, 70.0], McConfig(3000, 9)
+    argv = ["--scheme", "proposed", "--alpha", "0.5", "--snr-db", "40:15:70",
+            "--samples", "3000", "--seed", "9"]
+    assert _run(["slopes", *argv, "--out", str(tmp_path / "s.json")]) == 0
+    assert _run(["rates", *argv, "--out", str(tmp_path / "r.csv")]) == 0
+    data = json.loads((tmp_path / "s.json").read_text())
+    results = rates.rate_scheme(
+        Scheme.PROPOSED, [CsitConfig.from_alpha(10.0 ** (db / 10.0), 0.5) for db in grid], mc_cfg)
+    rsum = [r.r1 + r.r2 for r in results]
+    stderr_sum = [math.sqrt(r.se_r1 ** 2 + r.se_r2 ** 2) for r in results]
+    assert data["snr_db"] == grid
+    assert data["rsum"] == rsum and data["stderr_sum"] == stderr_sum
+    fit = cli._fit_slope([db / 10.0 * cli.LOG2_10 for db in grid], rsum)
+    assert (data["slope"], data["slope_ci95"]) == fit
+    rows = [line.split(",") for line in (tmp_path / "r.csv").read_text().splitlines()[1:]]
+    assert [row[5] for row in rows] == [cli._fmt(v) for v in rsum]
+    assert [row[6] for row in rows] == [cli._fmt(v) for v in stderr_sum]
 
 
 _RATES_ZF = ["rates", "--scheme", "zf", "--alpha", "0.5", "--snr-db", "10:10:10"]
@@ -407,7 +432,7 @@ BAD_INPUT_CASES = [
     (_RATES_ZF, "abc", 2, "MISO_DOF_SEED must be an integer"),
     (["slopes", "--scheme", "zf", "--alpha", "0.5", "--samples", "0"], None, 2,
      "n_samples must be at least 2"),
-    (["slopes", "--scheme", "zf", "--alpha", "0.5", "--snr-db-range", "1e9:2e9"], None, 2,
+    (["slopes", "--scheme", "zf", "--alpha", "0.5", "--snr-db", "1e9:1e9:3e9"], None, 2,
      "out of range"),
     (["slopes", "--scheme", "zf", "--alpha", "0.5"], "abc", 2, "MISO_DOF_SEED"),
     (["oracles", "--seed", "-1"], None, 2, "seed must fit"),
@@ -416,13 +441,13 @@ BAD_INPUT_CASES = [
     (["region", "--alpha", "nan"], None, 2, "alpha must be a nonnegative number"),
     (["rates", "--scheme", "zf", "--alpha", "0.5", "--snr-db", "nan:1:2"], None, 2,
      "malformed --snr-db range"),
-    (["slopes", "--scheme", "zf", "--alpha", "0.5", "--snr-db-range", "40:inf"], None, 2,
-     "malformed --snr-db-range"),
+    (["slopes", "--scheme", "zf", "--alpha", "0.5", "--snr-db", "40:5:inf"], None, 2,
+     "malformed --snr-db range"),
     (["oracles", "--workers", "0"], None, 2, "n_workers must be positive"),
-    # the grid rounds to fewer than 3 distinct points
-    (["slopes", "--scheme", "zf", "--alpha", "0.5", "--snr-db-range", "40:40.0000000000001"],
+    # a fit needs 3 grid points
+    (["slopes", "--scheme", "zf", "--alpha", "0.5", "--snr-db", "40:40:80"],
      None, 2, "at least 3 distinct grid points"),
-    (["slopes", "--scheme", "zf", "--alpha", "0.5", "--snr-db-range", "1e-13:1e-12"],
+    (["slopes", "--scheme", "zf", "--alpha", "0.5", "--snr-db", "40:5:40"],
      None, 2, "at least 3 distinct grid points"),
     (["rates", "--scheme", "zf", "--sigma-sq", "2", "--snr-db", "10:10:10"], None, 2,
      "snr_db 10: sigma_sq must lie in (0, 1]"),
@@ -433,10 +458,10 @@ BAD_INPUT_CASES = [
      "snr_db 1e+20 out of range (P overflows)"),
     (["rates", "--scheme", "zf", "--alpha", "0.5", "--snr-db", "0:1e-9:1e6"], None, 2,
      "more than 10000 points"),
-    (["slopes", "--scheme", "zf", "--alpha", "0.5", "--points", "1000000000000000"], None, 2,
-     "is more than 10000"),
+    (["slopes", "--scheme", "zf", "--alpha", "0.5", "--snr-db", "40:1e-12:80"], None, 2,
+     "more than 10000 points"),
     # P overflows at every grid point past the first
-    (["slopes", "--scheme", "zf", "--alpha", "0.5", "--snr-db-range", "3000:1e300"], None, 2,
+    (["slopes", "--scheme", "zf", "--alpha", "0.5", "--snr-db", "3000:1e300:3e300"], None, 2,
      "out of range"),
     # one sample has no standard error
     (_RATES_ZF + ["--samples", "1"], None, 2, "n_samples must be at least 2, got 1"),
@@ -448,6 +473,8 @@ BAD_INPUT_CASES = [
     (["oracles", "--max-panels", "64"], None, 2, "unrecognized arguments: --max-panels 64"),
     # two points round to 10 at 12 decimals
     (["rates", "--scheme", "zf", "--alpha", "0.5", "--snr-db", "10:4e-13:10.000000000001"],
+     None, 2, "round alike at 12 decimals"),
+    (["slopes", "--scheme", "zf", "--alpha", "0.5", "--snr-db", "1e-13:1e-13:1e-12"],
      None, 2, "round alike at 12 decimals"),
 ]
 

@@ -1,4 +1,5 @@
 import errno
+import itertools
 import math
 import os
 import pickle
@@ -6,6 +7,7 @@ import re
 import signal
 import threading
 import time
+import types
 
 import numpy as np
 import pytest
@@ -394,15 +396,20 @@ def test_interrupted_caller_kills_its_children(monkeypatch):
 @pytest.mark.parametrize("sleep_s, forked", [(0.0, False), (0.025, True)],
                          ids=["cheap", "slow"])
 def test_fork_only_where_the_blocks_repay_it(monkeypatch, sleep_s, forked):
-    # With the real budget, 3 cheap blocks on 4 workers stay in the caller,
+    # With the real budget, 3 blocks of 1 ms on 4 workers stay in the caller,
     # and blocks that each take 25 ms are worth a fork; either way the
-    # estimate is bitwise the 1-worker one.
+    # estimate is bitwise the 1-worker one.  The cheap case times block 0 by
+    # a clock that moves 1 ms per reading, so a stalled host cannot make it
+    # fork; the slow one reads the real clock, which a stall only moves on.
     def f(batch):
         time.sleep(sleep_s)
         return np.abs(vectors(batch).h[:, 0]) ** 2
 
     cfg = McConfig(2 * BLOCK_SIZE + 1, 8)
     [expected] = estimate(f, cfg, [CFG])
+    if not forked:
+        clock = itertools.count(0.0, 0.001)
+        monkeypatch.setattr(mc, "time", types.SimpleNamespace(perf_counter=clock.__next__))
     monkeypatch.setattr(mc, "FORK_COST_S", FORK_COST_S)
     forks = _record_forks(monkeypatch)
     [got] = estimate(f, McConfig(cfg.n_samples, cfg.seed, n_workers=4), [CFG])

@@ -154,7 +154,7 @@ def test_snr_grid_counts_whole_steps(start, step, steps):
         grid = cli._parse_snr_grid(text)
     except cli._Exit as exc:
         assert exc.code == 2 and "round alike" in str(exc)
-        assert len(set(cli._grid(start, step, n))) < n
+        assert len({round(start + i * step, 12) for i in range(n)}) < n
         return
     assert len(grid) == n and grid[0] == round(start, 12)
     assert all(a < b for a, b in zip(grid, grid[1:]))
@@ -174,29 +174,23 @@ ANY = st.floats(0.0, 2.0) | st.floats() | st.sampled_from(
 
 @st.composite
 def _numeric_argv(draw):
-    start, step = draw(SNR_DB), draw(STEP_DB)
-    if draw(st.booleans()):
-        stop = start + draw(st.integers(0, 49)) * step
+    start, step, rates = draw(SNR_DB), draw(STEP_DB), draw(st.booleans())
+    grid = f"--snr-db={start!r}:{step!r}:{start + draw(st.integers(0, 49)) * step!r}"
+    if rates:
         return ["rates", "--scheme", draw(st.sampled_from(["zf", "proposed", "all"])),
-                draw(st.sampled_from(["--alpha", "--sigma-sq"])) + f"={draw(ANY)!r}",
-                f"--snr-db={start!r}:{step!r}:{stop!r}"]
+                draw(st.sampled_from(["--alpha", "--sigma-sq"])) + f"={draw(ANY)!r}", grid]
     return ["slopes", "--scheme", draw(st.sampled_from(["zf", "proposed"])),
-            f"--alpha={draw(ANY)!r}", f"--snr-db-range={start!r}:{start + step!r}",
-            f"--points={draw(st.integers(-2, 50))}"]
+            f"--alpha={draw(ANY)!r}", grid]
 
 
 @settings(FIXED, max_examples=100)
 @given(argv=_numeric_argv())
 @example(argv=["rates", "--scheme", "all", "--alpha=2.0", "--snr-db=0:1:1"])
-@example(argv=["slopes", "--scheme", "zf", "--alpha=0.5", "--snr-db-range=40:40.0000000000001",
-               "--points=9"])
-@example(argv=["slopes", "--scheme", "zf", "--alpha=0.5", "--snr-db-range=-1e308:1e308",
-               "--points=9"])
+@example(argv=["slopes", "--scheme", "zf", "--alpha=0.5", "--snr-db=40:1e-14:40.0000000000001"])
+@example(argv=["slopes", "--scheme", "zf", "--alpha=0.5", "--snr-db=-1e308:1e308:1e308"])
 @example(argv=["rates", "--scheme", "zf", "--alpha=0.5", "--snr-db=1e20:1:1e20"])
-@example(argv=["slopes", "--scheme", "zf", "--alpha=0.5", "--snr-db-range=40:80",
-               "--points=1000000000000000"])
-@example(argv=["slopes", "--scheme", "zf", "--alpha=0.5", "--snr-db-range=3000:1e300",
-               "--points=9"])
+@example(argv=["slopes", "--scheme", "zf", "--alpha=0.5", "--snr-db=40:1e-12:80"])
+@example(argv=["slopes", "--scheme", "zf", "--alpha=0.5", "--snr-db=3000:1e300:3e300"])
 def test_cli_numeric_input_never_raises(argv, tmp_path_factory):
     # Any number gives a result, a usage error or a non-finite result, and a
     # usage error is one line: no traceback, and no warning ahead of it.
